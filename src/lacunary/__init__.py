@@ -22,7 +22,6 @@ from .errors import (
     NonConvergence,
     NumericError,
     QuadratureFailure,
-    RankDeficient,
     TermBudgetExceeded,
     UnknownIdentity,
 )
@@ -38,8 +37,6 @@ from .identities import (
     compare_with_printed,
     derive_aux_polynomial,
     get_case,
-    laguerre_derivative_suite,
-    pseudo_gaussian_suite,
     registry,
     run_case,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "NonConvergence",
     "NumericError",
     "QuadratureFailure",
-    "RankDeficient",
     "SumControl",
     "TermBudgetExceeded",
     "UmbralSeries",
@@ -124,13 +120,11 @@ __all__ = [
     "is_exact",
     "lacunary_decomposition",
     "laguerre",
-    "laguerre_derivative_suite",
     "laguerre_sequence",
     "laguerre_xpoly",
     "lambda_poly",
     "mittag_leffler",
     "pochhammer",
-    "pseudo_gaussian_suite",
     "registry",
     "rgamma",
     "rgamma_exact",

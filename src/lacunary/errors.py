@@ -41,10 +41,6 @@ class NoSolution(LacunaryError):
     """A fitted linear system is inconsistent."""
 
 
-class RankDeficient(LacunaryError):
-    """A fitted linear system does not pin the unknowns uniquely."""
-
-
 class QuadratureFailure(NumericError):
     """A quadrature rule failed its internal consistency check."""
 

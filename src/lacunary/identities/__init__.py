@@ -20,8 +20,7 @@ from .registry import (
     registry,
     run_case,
 )
-from .report import VerificationReport, worst
-from .suites import laguerre_derivative_suite, pseudo_gaussian_suite
+from .report import VerificationReport
 
 __all__ = [
     "AuxPolynomial",
@@ -38,10 +37,7 @@ __all__ = [
     "compare_with_printed",
     "derive_aux_polynomial",
     "get_case",
-    "laguerre_derivative_suite",
-    "pseudo_gaussian_suite",
     "registry",
     "run_case",
     "satisfies_template",
-    "worst",
 ]

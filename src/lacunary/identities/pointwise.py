@@ -5,6 +5,10 @@ point: truncated LHS series, closed-form RHS, a tail estimate (largest of
 the last three LHS terms), and the drift when the truncation is pushed ten
 terms further.  The caller applies the pass rule; engines only measure.
 
+An engine is written as point(g, t, top, ctrl) -> (lhs_term_at, rhs) for one
+grid point g with its scaled t; the _engine driver supplies the grid walk,
+the LHS summation and the label.
+
 Grids are chosen so the LHS tail at the default truncation sits well below
 1e-9 and every RHS series is inside its numerically observed convergence
 region.  A grid scale in (0, 1] shrinks every t toward zero, which can only
@@ -14,9 +18,9 @@ tighten those margins.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from ..errors import QuadratureFailure
@@ -85,506 +89,397 @@ def _fmt(v: float) -> str:
     return format(v, "g")
 
 
+Point = Callable[[dict, float, int, SumControl], tuple[Callable[[int], float], float]]
+
+
+def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
+    """Turn a per-point LHS/RHS builder into an Engine over `grid`.
+
+    `top` is the LHS term count including the stability extension, so the
+    builder can size its tables once per point.
+    """
+
+    def wrap(point: Point) -> Engine:
+        @functools.wraps(point)
+        def engine(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
+            top = n_terms + STABILITY_EXTRA
+            for g in grid:
+                t = g["t"] * scale
+                term_at, rhs = point(g, t, top, ctrl)
+                lhs, tail, drift = _sum_with_stability(term_at, n_terms)
+                label = ", ".join(f"{k}={_fmt(v)}" for k, v in {**g, "t": t}.items())
+                yield PointOutcome(f"{case_id}[{label}]", lhs, rhs, tail, drift)
+
+        return engine
+
+    return wrap
+
+
 # -- two-index family generating functions ----------------------------------
 
-_EQ1_7_GRID = (
+
+@_engine("EQ1.7", (
     {"alpha": 0.5, "beta": 1, "x": 1.0, "y": 1.0, "t": 0.3},
     {"alpha": 1, "beta": 2, "x": 2.0, "y": 0.5, "t": -0.4},
     {"alpha": 2, "beta": 3, "x": 0.7, "y": -1.0, "t": 0.25},
     {"alpha": 1.5, "beta": 2, "x": 1.2, "y": 0.8, "t": 0.35},
-)
+))
+def eq1_7(g, t, top, ctrl):
+    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+    fac = _egf_factors(t, top)
+    rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
+    return lambda n: fac[n] * float(lambda_poly(n, alpha, beta, x, y)), rhs
 
 
-def eq1_7(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ1_7_GRID:
-        alpha, beta = g["alpha"], g["beta"]
-        x, y, t = g["x"], g["y"], g["t"] * scale
-        fac = _egf_factors(t, n_terms + STABILITY_EXTRA)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * float(lambda_poly(n, alpha, beta, x, y)), n_terms
-        )
-        rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
-        yield PointOutcome(
-            f"EQ1.7[alpha={_fmt(alpha)}, beta={beta}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
-
-
-_EQ1_9_GRID = (
+@_engine("EQ1.9", (
     {"alpha": 0.5, "beta": 1, "x": 1.0, "y": 1.0, "t": 0.3},
     {"alpha": 1, "beta": 2, "x": 2.0, "y": 0.5, "t": 0.15},
     {"alpha": 2, "beta": 1, "x": 0.5, "y": -1.0, "t": 0.25},
     {"alpha": 0, "beta": 3, "x": 1.5, "y": 0.5, "t": 0.2},
-)
+))
+def eq1_9(g, t, top, ctrl):
+    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+    rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
+        1.0 - t * y
+    )
+    return lambda n: t**n * float(lambda_poly(n, alpha, beta, x, y)), rhs
 
 
-def eq1_9(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ1_9_GRID:
-        alpha, beta = g["alpha"], g["beta"]
-        x, y, t = g["x"], g["y"], g["t"] * scale
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: t**n * float(lambda_poly(n, alpha, beta, x, y)), n_terms
-        )
-        rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
-            1.0 - t * y
-        )
-        yield PointOutcome(
-            f"EQ1.9[alpha={_fmt(alpha)}, beta={beta}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
-
-
-_EQ1_12_GRID = (
+@_engine("EQ1.12", (
     {"m": 1, "x": 1.0, "y": 1.0, "t": 0.3},
     {"m": 2, "x": 0.5, "y": 1.5, "t": 0.2},
     {"m": 3, "x": 2.0, "y": 0.8, "t": 0.15},
     {"m": 2, "x": 1.0, "y": -0.5, "t": 0.25},
-)
-
-
-def eq1_12(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ1_12_GRID:
-        m, x, y, t = g["m"], g["x"], g["y"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(top, m, x, y)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(lambda n: fac[n] * seq[n], n_terms)
-        rhs = 0.0
-        for r in range(m + 1):
-            outer = math.comb(m, r) * math.factorial(m) / math.factorial(r)
-            for s in range(r + 1):
-                rhs += (
-                    outer
-                    * math.comb(r, s)
-                    * (t * y) ** (r - s)
-                    * (-x * t) ** s
-                    * wright(1.0, m + s + 1.0, -t * x, ctrl)
-                )
-        rhs *= math.exp(t * y)
-        yield PointOutcome(
-            f"EQ1.12[m={m}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
+))
+def eq1_12(g, t, top, ctrl):
+    m, x, y = g["m"], g["x"], g["y"]
+    seq = assoc_laguerre_sequence(top, m, x, y)
+    fac = _egf_factors(t, top)
+    rhs = 0.0
+    for r in range(m + 1):
+        outer = math.comb(m, r) * math.factorial(m) / math.factorial(r)
+        for s in range(r + 1):
+            rhs += (
+                outer
+                * math.comb(r, s)
+                * (t * y) ** (r - s)
+                * (-x * t) ** s
+                * wright(1.0, m + s + 1.0, -t * x, ctrl)
+            )
+    rhs *= math.exp(t * y)
+    return lambda n: fac[n] * seq[n], rhs
 
 
 # -- double-stride and negative-offset families ------------------------------
 
-_EQ2_7_GRID = (
+
+@_engine("EQ2.7", (
     {"x": 1.0, "t": 0.1},
     {"x": 0.5, "t": 0.25},
     {"x": 2.0, "t": 0.09},
     {"x": 1.5, "t": 0.16},
-)
+))
+def eq2_7(g, t, top, ctrl):
+    x = g["x"]
+    seq = laguerre_sequence(2 * top, x)
+    fac = _egf_factors(t, top)
+    st = math.sqrt(t)
+    hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
+    u = 1j * x * st
+
+    def rhs_terms() -> Iterator[complex]:
+        p = 1.0 + 0.0j
+        r = 0
+        while True:
+            yield p * hs[r]
+            r += 1
+            p *= u / (r * r)
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = math.exp(t) * as_real(total, "EQ2.7 rhs", COMPLEX_SLACK)
+    return lambda n: fac[n] * seq[2 * n], rhs
 
 
-def eq2_7(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_7_GRID:
-        x, t = g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(2 * top, x)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(lambda n: fac[n] * seq[2 * n], n_terms)
-        st = math.sqrt(t)
-        hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
-        u = 1j * x * st
-
-        def rhs_terms() -> Iterator[complex]:
-            p = 1.0 + 0.0j
-            r = 0
-            while True:
-                yield p * hs[r]
-                r += 1
-                p *= u / (r * r)
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = math.exp(t) * as_real(total, "EQ2.7 rhs", COMPLEX_SLACK)
-        yield PointOutcome(
-            f"EQ2.7[x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ2_8_GRID = (
-    {"m": 1, "x": 1.0, "y": 1.0, "t": 0.1},
-    {"m": 1, "x": 0.6, "y": 0.8, "t": 0.2},
-    {"m": 2, "x": 1.0, "y": 1.0, "t": 0.1},
-    {"m": 2, "x": 1.5, "y": 0.5, "t": 0.12},
-)
-
-
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _aux(family: str, m: int):
     return derive_aux_polynomial(family, m)
 
 
-def eq2_8(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_8_GRID:
-        m, x, y, t = g["m"], g["x"], g["y"], g["t"] * scale
-        p = _aux("p", m)
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(2 * top, m, x, y)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(lambda n: fac[n] * seq[2 * n], n_terms)
-        c2 = hermite_coeff_sequence(2, ctrl.max_terms, (-2.0 * x * y * t, t * x * x))
-        shift = p.factorial_shift
+@_engine("EQ2.8", (
+    {"m": 1, "x": 1.0, "y": 1.0, "t": 0.1},
+    {"m": 1, "x": 0.6, "y": 0.8, "t": 0.2},
+    {"m": 2, "x": 1.0, "y": 1.0, "t": 0.1},
+    {"m": 2, "x": 1.5, "y": 0.5, "t": 0.12},
+))
+def eq2_8(g, t, top, ctrl):
+    m, x, y = g["m"], g["x"], g["y"]
+    p = _aux("p", m)
+    seq = assoc_laguerre_sequence(2 * top, m, x, y)
+    fac = _egf_factors(t, top)
+    c2 = hermite_coeff_sequence(2, ctrl.max_terms, (-2.0 * x * y * t, t * x * x))
+    shift = p.factorial_shift
 
-        def rhs_terms() -> Iterator[float]:
-            r = 0
-            while True:
-                yield float(p.evaluate(r, x, y, t)) * c2[r] * rgamma(r + shift + 1.0)
-                r += 1
+    def rhs_terms() -> Iterator[float]:
+        r = 0
+        while True:
+            yield float(p.evaluate(r, x, y, t)) * c2[r] * rgamma(r + shift + 1.0)
+            r += 1
 
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = math.exp(t * y * y) * total
-        yield PointOutcome(
-            f"EQ2.8[m={m}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = math.exp(t * y * y) * total
+    return lambda n: fac[n] * seq[2 * n], rhs
 
 
-_EQ2_9_GRID = (
+@_engine("EQ2.9", (
     {"alpha": 0, "beta": 1, "x": 1.0, "y": 1.0, "t": 0.2},
     {"alpha": 1, "beta": 1, "x": 0.5, "y": 1.2, "t": 0.15},
     {"alpha": 1, "beta": 2, "x": 1.0, "y": 0.8, "t": 0.1},
     {"alpha": 2, "beta": 2, "x": 0.7, "y": 1.0, "t": 0.12},
-)
+))
+def eq2_9(g, t, top, ctrl):
+    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+    fac = _egf_factors(t, top)
+    rhs = math.exp(y * y * t) * h_wright(
+        float(beta), alpha + 1.0, -2.0 * x * y * t, x * x * t, ctrl
+    )
+    return lambda n: fac[n] * float(lambda_poly(2 * n, alpha, beta, x, y)), rhs
 
 
-def eq2_9(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_9_GRID:
-        alpha, beta = g["alpha"], g["beta"]
-        x, y, t = g["x"], g["y"], g["t"] * scale
-        fac = _egf_factors(t, n_terms + STABILITY_EXTRA)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * float(lambda_poly(2 * n, alpha, beta, x, y)), n_terms
-        )
-        rhs = math.exp(y * y * t) * h_wright(
-            float(beta), alpha + 1.0, -2.0 * x * y * t, x * x * t, ctrl
-        )
-        yield PointOutcome(
-            f"EQ2.9[alpha={alpha}, beta={beta}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
-
-
-_EQ2_10_GRID = (
+@_engine("EQ2.10", (
     {"x": 0.5, "t": 0.3},
     {"x": 1.0, "t": 0.2},
     {"x": 2.0, "t": 0.1},
     {"x": 1.5, "t": 0.12},
-)
+))
+def eq2_10(g, t, top, ctrl):
+    x = g["x"]
+    seq = laguerre_sequence(2 * top, x)
+    z = -t * x / (2.0 * (1.0 - t))
+
+    def rhs_terms() -> Iterator[float]:
+        # z^r / (1/2)_r, tracked by ratio; polynomial value per term.
+        factor = 1.0
+        r = 0
+        while True:
+            yield factor * float(assoc_laguerre(r, r, x / 2.0))
+            factor *= z / (0.5 + r)
+            r += 1
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = total / (1.0 - t)
+    return lambda n: t**n * seq[2 * n], rhs
 
 
-def eq2_10(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_10_GRID:
-        x, t = g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(2 * top, x)
-        lhs, tail, drift = _sum_with_stability(lambda n: t**n * seq[2 * n], n_terms)
-        z = -t * x / (2.0 * (1.0 - t))
-
-        def rhs_terms() -> Iterator[float]:
-            # z^r / (1/2)_r, tracked by ratio; polynomial value per term.
-            factor = 1.0
-            r = 0
-            while True:
-                yield factor * float(assoc_laguerre(r, r, x / 2.0))
-                factor *= z / (0.5 + r)
-                r += 1
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = total / (1.0 - t)
-        yield PointOutcome(
-            f"EQ2.10[x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ2_11_GRID = (
+@_engine("EQ2.11", (
     {"x": 0.5, "t": 0.15},
     {"x": 1.0, "t": 0.3},
     {"x": 2.0, "t": 0.15},
-)
+))
+def eq2_11(g, t, top, ctrl):
+    x = g["x"]
+    seq = laguerre_sequence(3 * top, x)
+    w = -3.0 * t * x / (1.0 - t)
+
+    def rhs_terms() -> Iterator[float]:
+        for r in range(ctrl.max_terms + 1):
+            inner = 0.0
+            for s in range(r + 1):
+                inner += (
+                    (-x) ** s
+                    * float(assoc_laguerre(s, s + r, x / 3.0))
+                    * math.factorial(r)
+                    / (math.factorial(r - s) * math.factorial(r + 2 * s))
+                )
+            yield w**r * inner
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = total / (1.0 - t)
+    return lambda n: t**n * seq[3 * n], rhs
 
 
-def eq2_11(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_11_GRID:
-        x, t = g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(3 * top, x)
-        lhs, tail, drift = _sum_with_stability(lambda n: t**n * seq[3 * n], n_terms)
-        w = -3.0 * t * x / (1.0 - t)
-
-        def rhs_terms() -> Iterator[float]:
-            for r in range(ctrl.max_terms + 1):
-                inner = 0.0
-                for s in range(r + 1):
-                    inner += (
-                        (-x) ** s
-                        * float(assoc_laguerre(s, s + r, x / 3.0))
-                        * math.factorial(r)
-                        / (math.factorial(r - s) * math.factorial(r + 2 * s))
-                    )
-                yield w**r * inner
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = total / (1.0 - t)
-        yield PointOutcome(
-            f"EQ2.11[x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ2_13_GRID = (
+@_engine("EQ2.13", (
     {"alpha": 0.5, "x": 1.0, "y": 1.0, "t": 0.3},
     {"alpha": 2.5, "x": 0.5, "y": 2.0, "t": 0.2},
     {"alpha": 1.5, "x": 2.0, "y": 0.5, "t": 0.4},
     {"alpha": 3.0, "x": 1.0, "y": -0.8, "t": 0.3},
-)
+))
+def eq2_13(g, t, top, ctrl):
+    alpha, x, y = g["alpha"], g["x"], g["y"]
+    rhs = (1.0 + y * t) ** alpha * math.exp(-t * x)
+    return lambda n: t**n * float(assoc_laguerre(n, alpha - n, x, y)), rhs
 
 
-def eq2_13(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_13_GRID:
-        alpha, x, y, t = g["alpha"], g["x"], g["y"], g["t"] * scale
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: t**n * float(assoc_laguerre(n, alpha - n, x, y)), n_terms
-        )
-        rhs = (1.0 + y * t) ** alpha * math.exp(-t * x)
-        yield PointOutcome(
-            f"EQ2.13[alpha={_fmt(alpha)}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
-
-
-_EQ2_14_GRID = (
+@_engine("EQ2.14", (
     {"alpha": 0.5, "x": 1.0, "y": 1.0, "t": 0.3},
     {"alpha": 1.0, "x": 2.0, "y": 1.0, "t": 0.45},
     {"alpha": 2.5, "x": 0.5, "y": 1.2, "t": 0.3},
     {"alpha": 1.5, "x": 0.0, "y": 1.0, "t": 0.4},
-)
-
-
-def eq2_14(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ2_14_GRID:
-        alpha, x, y, t = g["alpha"], g["x"], g["y"], g["t"] * scale
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: t**n * float(assoc_laguerre(2 * n, alpha - 2 * n, x, y)), n_terms
-        )
-        st = cmath.sqrt(t)
-        big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
-        val = (1.0 - t * y * y) ** (alpha / 2.0) * cmath.cosh(st * x - 1j * big_t)
-        rhs = as_real(val, "EQ2.14 rhs", COMPLEX_SLACK)
-        yield PointOutcome(
-            f"EQ2.14[alpha={_fmt(alpha)}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
+))
+def eq2_14(g, t, top, ctrl):
+    alpha, x, y = g["alpha"], g["x"], g["y"]
+    st = cmath.sqrt(t)
+    big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
+    val = (1.0 - t * y * y) ** (alpha / 2.0) * cmath.cosh(st * x - 1j * big_t)
+    rhs = as_real(val, "EQ2.14 rhs", COMPLEX_SLACK)
+    return lambda n: t**n * float(assoc_laguerre(2 * n, alpha - 2 * n, x, y)), rhs
 
 
 # -- shifted, weighted, and bilateral forms ----------------------------------
 
-_EQ3_1_GRID = (
+
+@_engine("EQ3.1", (
     {"l": 1, "x": 1.0, "t": 0.09},
     {"l": 2, "x": 0.5, "t": 0.25},
     {"l": 3, "x": 2.0, "t": 0.09},
     {"l": 1, "x": 1.5, "t": 0.16},
-)
+))
+def eq3_1(g, t, top, ctrl):
+    l, x = g["l"], g["x"]
+    seq = laguerre_sequence(2 * top + l, x)
+    fac = _egf_factors(t, top)
+    st = math.sqrt(t)
+    hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
+    u = 1j * x * st
+
+    def rhs_terms() -> Iterator[complex]:
+        p = 1.0 + 0.0j
+        r = 0
+        while True:
+            yield p * float(assoc_laguerre(l, r, x)) * hs[r] / math.factorial(l + r)
+            p *= u / (r + 1)
+            r += 1
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.1 rhs", COMPLEX_SLACK)
+    return lambda n: fac[n] * seq[2 * n + l], rhs
 
 
-def eq3_1(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_1_GRID:
-        l, x, t = g["l"], g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(2 * top + l, x)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * seq[2 * n + l], n_terms
-        )
-        st = math.sqrt(t)
-        hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
-        u = 1j * x * st
-
-        def rhs_terms() -> Iterator[complex]:
-            p = 1.0 + 0.0j
-            r = 0
-            while True:
-                yield p * float(assoc_laguerre(l, r, x)) * hs[r] / math.factorial(l + r)
-                p *= u / (r + 1)
-                r += 1
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.1 rhs", COMPLEX_SLACK)
-        yield PointOutcome(
-            f"EQ3.1[l={l}, x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ3_3_GRID = (
+@_engine("EQ3.3", (
     {"l": 0, "x": 1.0, "t": 0.1},
     {"l": 1, "x": 0.5, "t": 0.15},
     {"l": 2, "x": 1.5, "t": 0.08},
-)
+))
+def eq3_3(g, t, top, ctrl):
+    l, x = g["l"], g["x"]
+    seq = laguerre_sequence(3 * top + l, x)
+    fac = _egf_factors(t, top)
+    s3t = math.sqrt(3.0 * t)
+    hs = hermite_h_sequence(ctrl.max_terms, 1j * s3t / 2.0)
+    u = 1j * x * s3t
+    upow = [1.0 + 0.0j]
+    for k in range(ctrl.max_terms):
+        upow.append(upow[-1] * u / (k + 1))  # u^k / k!
+    b = [1.0]
+    for r in range(ctrl.max_terms // 3 + 1):
+        b.append(b[-1] * (-t * x**3) / (r + 1))  # (-t x^3)^r / r!
+
+    def rhs_terms() -> Iterator[complex]:
+        for n in range(ctrl.max_terms + 1):
+            inner = 0.0 + 0.0j
+            for r in range(n // 3 + 1):
+                inner += b[r] * upow[n - 3 * r] * hs[n - 3 * r]
+            yield float(assoc_laguerre(l, n, x)) * rgamma(n + l + 1.0) * inner
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.3 rhs", COMPLEX_SLACK)
+    return lambda n: fac[n] * seq[3 * n + l], rhs
 
 
-def eq3_3(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_3_GRID:
-        l, x, t = g["l"], g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(3 * top + l, x)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * seq[3 * n + l], n_terms
-        )
-        s3t = math.sqrt(3.0 * t)
-        hs = hermite_h_sequence(ctrl.max_terms, 1j * s3t / 2.0)
-        u = 1j * x * s3t
-        upow = [1.0 + 0.0j]
-        for k in range(ctrl.max_terms):
-            upow.append(upow[-1] * u / (k + 1))  # u^k / k!
-        b = [1.0]
-        for r in range(ctrl.max_terms // 3 + 1):
-            b.append(b[-1] * (-t * x**3) / (r + 1))  # (-t x^3)^r / r!
-
-        def rhs_terms() -> Iterator[complex]:
-            for n in range(ctrl.max_terms + 1):
-                inner = 0.0 + 0.0j
-                for r in range(n // 3 + 1):
-                    inner += b[r] * upow[n - 3 * r] * hs[n - 3 * r]
-                yield float(assoc_laguerre(l, n, x)) * rgamma(n + l + 1.0) * inner
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.3 rhs", COMPLEX_SLACK)
-        yield PointOutcome(
-            f"EQ3.3[l={l}, x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ3_4_GRID = (
+@_engine("EQ3.4", (
     {"x": 1.0, "t": 0.1},
     {"x": 0.5, "t": 0.2},
     {"x": 2.0, "t": 0.08},
-)
+))
+def eq3_4(g, t, top, ctrl):
+    x = g["x"]
+    q = _aux("q", 1)
+    seq = assoc_laguerre_sequence(3 * top, 1, x)
+    fac = _egf_factors(t, top)
+    c3 = hermite_coeff_sequence(
+        3, ctrl.max_terms, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3)
+    )
+    shift = q.factorial_shift
+
+    def rhs_terms() -> Iterator[float]:
+        r = 0
+        while True:
+            yield float(q.evaluate(r, x, 1.0, t)) * c3[r] * rgamma(r + shift + 1.0)
+            r += 1
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = math.exp(t) * total
+    return lambda n: fac[n] * seq[3 * n], rhs
 
 
-def eq3_4(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_4_GRID:
-        x, t = g["x"], g["t"] * scale
-        q = _aux("q", 1)
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(3 * top, 1, x)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(lambda n: fac[n] * seq[3 * n], n_terms)
-        c3 = hermite_coeff_sequence(
-            3, ctrl.max_terms, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3)
-        )
-        shift = q.factorial_shift
-
-        def rhs_terms() -> Iterator[float]:
-            r = 0
-            while True:
-                yield float(q.evaluate(r, x, 1.0, t)) * c3[r] * rgamma(r + shift + 1.0)
-                r += 1
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = math.exp(t) * total
-        yield PointOutcome(
-            f"EQ3.4[x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ3_5_GRID = (
+@_engine("EQ3.5", (
     {"m": 2, "l": 0, "x": 1.0, "y": 1.0, "t": 0.15},
     {"m": 2, "l": 1, "x": 0.7, "y": 0.9, "t": 0.1},
     {"m": 3, "l": 0, "x": 1.0, "y": 1.0, "t": 0.08},
     {"m": 3, "l": 1, "x": 0.6, "y": 1.1, "t": 0.08},
     {"m": 4, "l": 0, "x": 0.8, "y": 1.0, "t": 0.05},
     {"m": 4, "l": 1, "x": 1.0, "y": 0.9, "t": 0.05},
-)
-
-
-def eq3_5(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_5_GRID:
-        m, l = g["m"], g["l"]
-        x, y, t = g["x"], g["y"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = laguerre_sequence(m * top + l, x, y)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * seq[m * n + l], n_terms
+))
+def eq3_5(g, t, top, ctrl):
+    m, l, x, y = g["m"], g["l"], g["x"], g["y"]
+    seq = laguerre_sequence(m * top + l, x, y)
+    fac = _egf_factors(t, top)
+    args = [math.comb(m, p) * x**p * y ** (m - p) * t for p in range(1, m + 1)]
+    rhs = 0.0
+    for s in range(l + 1):
+        rhs += (
+            math.comb(l, s)
+            * y ** (l - s)
+            * (-x) ** s
+            * h_tricomi(m, float(s), args, ctrl)
         )
-        args = [math.comb(m, p) * x**p * y ** (m - p) * t for p in range(1, m + 1)]
-        rhs = 0.0
-        for s in range(l + 1):
-            rhs += (
-                math.comb(l, s)
-                * y ** (l - s)
-                * (-x) ** s
-                * h_tricomi(m, float(s), args, ctrl)
-            )
-        rhs *= math.exp(t * y**m)
-        yield PointOutcome(
-            f"EQ3.5[m={m}, l={l}, x={_fmt(x)}, y={_fmt(y)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
+    rhs *= math.exp(t * y**m)
+    return lambda n: fac[n] * seq[m * n + l], rhs
 
 
-_EQ3_8_GRID = (
+@_engine("EQ3.8", (
     {"x": 1.0, "y": 1.0, "z": 0.5, "u": 1.0, "t": 0.2},
     {"x": 0.6, "y": 0.8, "z": 1.0, "u": 1.2, "t": 0.15},
     {"x": 1.5, "y": 0.5, "z": 0.7, "u": 1.0, "t": 0.1},
-)
+))
+def eq3_8(g, t, top, ctrl):
+    x, y, z, u = g["x"], g["y"], g["z"], g["u"]
+    seq_a = laguerre_sequence(top, x, y)
+    seq_b = laguerre_sequence(top, z, u)
+    fac = _egf_factors(t, top)
+    rhs = math.exp(t * u * y) * h_tricomi_bilateral(
+        -x * u * t, -y * z * t, x * z * t, ctrl
+    )
+    return lambda n: fac[n] * seq_a[n] * seq_b[n], rhs
 
 
-def eq3_8(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_8_GRID:
-        x, y, z, u, t = g["x"], g["y"], g["z"], g["u"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq_a = laguerre_sequence(top, x, y)
-        seq_b = laguerre_sequence(top, z, u)
-        fac = _egf_factors(t, top)
-        lhs, tail, drift = _sum_with_stability(
-            lambda n: fac[n] * seq_a[n] * seq_b[n], n_terms
-        )
-        rhs = math.exp(t * u * y) * h_tricomi_bilateral(
-            -x * u * t, -y * z * t, x * z * t, ctrl
-        )
-        yield PointOutcome(
-            f"EQ3.8[x={_fmt(x)}, y={_fmt(y)}, z={_fmt(z)}, u={_fmt(u)}, t={_fmt(t)}]",
-            lhs, rhs, tail, drift,
-        )
-
-
-_EQ3_9_GRID = (
+@_engine("EQ3.9", (
     {"alpha": 0, "x": 1.0, "t": 0.2},
     {"alpha": 1, "x": 0.5, "t": 0.3},
     {"alpha": 2, "x": 2.0, "t": 0.1},
     {"alpha": 1, "x": 1.5, "t": 0.15},
-)
+))
+def eq3_9(g, t, top, ctrl):
+    alpha, x = g["alpha"], g["x"]
+    seq = assoc_laguerre_sequence(2 * top, alpha, x)
+    w = [1.0]  # (1/2)_n / (1 + alpha/2)_n * t^n
+    for n in range(top):
+        w.append(w[-1] * t * (0.5 + n) / (1.0 + alpha / 2.0 + n))
+    z = -t * x / (2.0 * (1.0 - t))
+
+    def rhs_terms() -> Iterator[float]:
+        factor = 1.0
+        r = 0
+        while True:
+            yield factor * float(assoc_laguerre(r, r + alpha, x / 2.0))
+            factor *= z / (1.0 + alpha / 2.0 + r)
+            r += 1
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * total
+    return lambda n: w[n] * seq[2 * n], rhs
 
 
-def eq3_9(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_9_GRID:
-        alpha, x, t = g["alpha"], g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(2 * top, alpha, x)
-        w = [1.0]  # (1/2)_n / (1 + alpha/2)_n * t^n
-        for n in range(top):
-            w.append(w[-1] * t * (0.5 + n) / (1.0 + alpha / 2.0 + n))
-        lhs, tail, drift = _sum_with_stability(lambda n: w[n] * seq[2 * n], n_terms)
-        z = -t * x / (2.0 * (1.0 - t))
-
-        def rhs_terms() -> Iterator[float]:
-            factor = 1.0
-            r = 0
-            while True:
-                yield factor * float(assoc_laguerre(r, r + alpha, x / 2.0))
-                factor *= z / (1.0 + alpha / 2.0 + r)
-                r += 1
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * total
-        yield PointOutcome(
-            f"EQ3.9[alpha={alpha}, x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
-        )
-
-
-_EQ3_10_GRID = (
+@_engine("EQ3.10", (
     {"m": 0, "x": 0.0, "t": 0.1},
     {"m": 0, "x": 0.0, "t": 0.25},
     {"m": 0, "x": 0.0, "t": 0.5},
@@ -593,93 +488,79 @@ _EQ3_10_GRID = (
     {"m": 1, "x": 0.6, "t": 0.15},
     {"m": 2, "x": 1.0, "t": 0.09},
     {"m": 2, "x": 0.8, "t": 0.12},
-)
-
-
-def eq3_10(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_10_GRID:
-        m, x, t = g["m"], g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(2 * top, 2 * m, x)
-        w = [1.0]  # (1/2)_n / (1+m)_n * t^n
-        for n in range(top):
-            w.append(w[-1] * t * (0.5 + n) / (1.0 + m + n))
-        lhs, tail, drift = _sum_with_stability(lambda n: w[n] * seq[2 * n], n_terms)
-        root = 1.0 / math.sqrt(1.0 - t)
-        if x == 0.0:
-            # The x-dependent factors collapse; only m = 0 is registered here.
-            rhs = root
-        else:
-            # The t -> 0 limit forces an m! normalization that the source
-            # display omits: the left side starts at 1, the Bessel side at
-            # 1/m!.  Invisible for m <= 1, a clean factor of 2 at m = 2.
-            arg = x * math.sqrt(t)
-            rhs = (
-                math.factorial(m)
-                * root
-                * (arg / 2.0) ** (-m)
-                * math.exp(-t * x / (1.0 - t))
-                * bessel_i(m, arg / (1.0 - t), ctrl)
-            )
-        yield PointOutcome(
-            f"EQ3.10[m={m}, x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
+))
+def eq3_10(g, t, top, ctrl):
+    m, x = g["m"], g["x"]
+    seq = assoc_laguerre_sequence(2 * top, 2 * m, x)
+    w = [1.0]  # (1/2)_n / (1+m)_n * t^n
+    for n in range(top):
+        w.append(w[-1] * t * (0.5 + n) / (1.0 + m + n))
+    root = 1.0 / math.sqrt(1.0 - t)
+    if x == 0.0:
+        # The x-dependent factors collapse; only m = 0 is registered here.
+        rhs = root
+    else:
+        # The t -> 0 limit forces an m! normalization that the source
+        # display omits: the left side starts at 1, the Bessel side at
+        # 1/m!.  Invisible for m <= 1, a clean factor of 2 at m = 2.
+        arg = x * math.sqrt(t)
+        rhs = (
+            math.factorial(m)
+            * root
+            * (arg / 2.0) ** (-m)
+            * math.exp(-t * x / (1.0 - t))
+            * bessel_i(m, arg / (1.0 - t), ctrl)
         )
+    return lambda n: w[n] * seq[2 * n], rhs
 
 
-_EQ3_11_GRID = (
+@_engine("EQ3.11", (
     {"alpha": 0, "x": 1.0, "t": 0.08},
     {"alpha": 0, "x": 2.0, "t": 0.05},
     {"alpha": 1, "x": 1.0, "t": 0.08},
     {"alpha": 1, "x": 0.5, "t": 0.1},
-)
-
-
-def eq3_11(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
-    for g in _EQ3_11_GRID:
-        alpha, x, t = g["alpha"], g["x"], g["t"] * scale
-        top = n_terms + STABILITY_EXTRA
-        seq = assoc_laguerre_sequence(3 * top, alpha, x)
-        w = [1.0]  # (1/3)_n (2/3)_n / ((1+a/3)_n ((2+a)/3)_n) * t^n
-        a3 = alpha / 3.0
-        for n in range(top):
-            w.append(
-                w[-1]
-                * t
-                * (n + 1.0 / 3.0)
-                * (n + 2.0 / 3.0)
-                / ((n + 1.0 + a3) * (n + (2.0 + alpha) / 3.0))
-            )
-        lhs, tail, drift = _sum_with_stability(lambda n: w[n] * seq[3 * n], n_terms)
-        wz = -t * x / (9.0 * (1.0 - t))
-
-        def rhs_terms() -> Iterator[float]:
-            # prefactor_r = Gamma(3r+a+1) / ((1+a/3)_r ((2+a)/3)_r) * wz^r
-            prefactor = math.gamma(alpha + 1.0)
-            r = 0
-            while True:
-                inner = 0.0
-                for s in range(r + 1):
-                    inner += (
-                        (-x) ** s
-                        * float(assoc_laguerre(s, s + alpha + r, x / 3.0))
-                        / math.factorial(r - s)
-                        * rgamma(2.0 * s + alpha + r + 1.0)
-                    )
-                yield prefactor * inner
-                prefactor *= (
-                    wz
-                    * (3.0 * r + alpha + 1.0)
-                    * (3.0 * r + alpha + 2.0)
-                    * (3.0 * r + alpha + 3.0)
-                    / ((r + 1.0 + a3) * (r + (2.0 + alpha) / 3.0))
-                )
-                r += 1
-
-        total, _ = sum_series(rhs_terms(), ctrl)
-        rhs = (1.0 - t) ** (-(1.0 + alpha) / 3.0) * total
-        yield PointOutcome(
-            f"EQ3.11[alpha={alpha}, x={_fmt(x)}, t={_fmt(t)}]", lhs, rhs, tail, drift
+))
+def eq3_11(g, t, top, ctrl):
+    alpha, x = g["alpha"], g["x"]
+    seq = assoc_laguerre_sequence(3 * top, alpha, x)
+    w = [1.0]  # (1/3)_n (2/3)_n / ((1+a/3)_n ((2+a)/3)_n) * t^n
+    a3 = alpha / 3.0
+    for n in range(top):
+        w.append(
+            w[-1]
+            * t
+            * (n + 1.0 / 3.0)
+            * (n + 2.0 / 3.0)
+            / ((n + 1.0 + a3) * (n + (2.0 + alpha) / 3.0))
         )
+    wz = -t * x / (9.0 * (1.0 - t))
+
+    def rhs_terms() -> Iterator[float]:
+        # prefactor_r = Gamma(3r+a+1) / ((1+a/3)_r ((2+a)/3)_r) * wz^r
+        prefactor = math.gamma(alpha + 1.0)
+        r = 0
+        while True:
+            inner = 0.0
+            for s in range(r + 1):
+                inner += (
+                    (-x) ** s
+                    * float(assoc_laguerre(s, s + alpha + r, x / 3.0))
+                    / math.factorial(r - s)
+                    * rgamma(2.0 * s + alpha + r + 1.0)
+                )
+            yield prefactor * inner
+            prefactor *= (
+                wz
+                * (3.0 * r + alpha + 1.0)
+                * (3.0 * r + alpha + 2.0)
+                * (3.0 * r + alpha + 3.0)
+                / ((r + 1.0 + a3) * (r + (2.0 + alpha) / 3.0))
+            )
+            r += 1
+
+    total, _ = sum_series(rhs_terms(), ctrl)
+    rhs = (1.0 - t) ** (-(1.0 + alpha) / 3.0) * total
+    return lambda n: w[n] * seq[3 * n], rhs
 
 
 # -- Borel-transform quadrature ---------------------------------------------
@@ -687,7 +568,7 @@ def eq3_11(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcom
 _BOREL_XS = (0.0, 1.0, 2.0, 3.0)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     from numpy.polynomial.laguerre import laggauss
 

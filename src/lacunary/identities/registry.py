@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import ModeUnsupported, QuadratureFailure, UnknownIdentity
 from ..summation import SumControl
@@ -362,42 +362,95 @@ def _safe_float(v: Fraction) -> float:
         return math.inf
 
 
+Rule = Callable[[object], tuple[float, float, Optional[str]]]
+
+
+def _tally(
+    case: IdentityCase, mode: str, truncation: int, rows: Iterable, rule: Rule
+) -> VerificationReport:
+    """Apply `rule` to every streamed row and condense the verdicts.
+
+    rule(row) gives (abs_err, rel_err, failure label or None).  A
+    QuadratureFailure mid-stream fails the report but keeps the rows
+    tallied so far; any other error propagates.
+    """
+    count = 0
+    failures = []
+    max_abs = 0.0
+    max_rel = 0.0
+    try:
+        for row in rows:
+            count += 1
+            abs_err, rel_err, failure = rule(row)
+            max_abs = max(max_abs, abs_err)
+            max_rel = max(max_rel, rel_err)
+            if failure is not None:
+                failures.append(failure)
+    except QuadratureFailure as exc:
+        failures.append(str(exc))
+    notes = list(case.notes)
+    if failures:
+        shown = failures[:MAX_NOTED_FAILURES]
+        if mode == EXACT:
+            notes.append(f"{len(failures)} coefficient mismatches (first: {', '.join(shown)})")
+        else:
+            notes.append("failed points: " + "; ".join(shown))
+    return VerificationReport(
+        case_id=case.case_id,
+        paper_ref=case.paper_ref,
+        mode=mode,
+        grid_size=count,
+        truncation=truncation,
+        max_abs_err=max_abs,
+        max_rel_err=max_rel,
+        passed=not failures,
+        notes=notes,
+    )
+
+
+def _case_with(case_id: str, mode: str, mode_name: str) -> IdentityCase:
+    case = get_case(case_id)
+    if mode not in case.modes:
+        raise ModeUnsupported(f"{case_id} has no {mode_name} mode")
+    return case
+
+
+def _exact_rule(row: exact.Check) -> tuple[float, float, Optional[str]]:
+    label, lhs, rhs = row
+    if lhs == rhs:
+        return 0.0, 0.0, None
+    err = abs(_safe_float(lhs - rhs))
+    scale = max(1.0, abs(_safe_float(lhs)), abs(_safe_float(rhs)))
+    return err, err / scale if math.isfinite(err) else math.inf, label
+
+
+def _point_rule(tol: float, budgeted: bool) -> Rule:
+    """Relative error against tol; with budgets, then tail and then drift."""
+
+    def rule(o: pointwise.PointOutcome) -> tuple[float, float, Optional[str]]:
+        err = abs(o.lhs - o.rhs)
+        rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
+        if rel > tol:
+            return err, rel, f"{o.label} rel={rel:.3e}"
+        if budgeted:
+            budget = STABILITY_FRACTION * tol * max(1.0, abs(o.lhs))
+            if o.tail > budget:
+                return err, rel, f"{o.label} tail={o.tail:.3e}"
+            if o.drift > budget:
+                return err, rel, f"{o.label} drift={o.drift:.3e}"
+        return err, rel, None
+
+    return rule
+
+
 def check_coefficients(
     case_id: str, nmax: Optional[int] = None, seed: int = 0
 ) -> VerificationReport:
     """Exact mode: every streamed coefficient pair must be literally equal."""
-    case = get_case(case_id)
-    if EXACT not in case.modes:
-        raise ModeUnsupported(f"{case_id} has no exact-coefficient mode")
+    case = _case_with(case_id, EXACT, "exact-coefficient")
     order = case.exact_order if nmax is None else nmax
-    rng = random.Random(seed)
-    count = 0
-    mismatches = []
-    max_abs = 0.0
-    max_rel = 0.0
-    for label, lhs, rhs in case.exact_runner(order, rng):
-        count += 1
-        if lhs != rhs:
-            err = abs(_safe_float(lhs - rhs))
-            scale = max(1.0, abs(_safe_float(lhs)), abs(_safe_float(rhs)))
-            max_abs = max(max_abs, err)
-            max_rel = max(max_rel, err / scale if math.isfinite(err) else math.inf)
-            mismatches.append(label)
-    notes = list(case.notes)
-    if mismatches:
-        shown = ", ".join(mismatches[:MAX_NOTED_FAILURES])
-        notes.append(f"{len(mismatches)} coefficient mismatches (first: {shown})")
-    return VerificationReport(
-        case_id=case.case_id,
-        paper_ref=case.paper_ref,
-        mode=EXACT,
-        grid_size=count,
-        truncation=order,
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        passed=not mismatches,
-        notes=notes,
-    )
+    rows = case.exact_runner(order, random.Random(seed))
+    return _tally(case, EXACT, order, rows, _exact_rule)
 
 
 def check_pointwise(
@@ -407,77 +460,17 @@ def check_pointwise(
     grid_scale: float = 1.0,
 ) -> VerificationReport:
     """Numeric mode: relative error, tail, and stability rules per point."""
-    case = get_case(case_id)
-    if NUMERIC not in case.modes:
-        raise ModeUnsupported(f"{case_id} has no numeric-pointwise mode")
+    case = _case_with(case_id, NUMERIC, "numeric-pointwise")
     terms = case.numeric_terms if n_terms is None else n_terms
-    count = 0
-    failures = []
-    max_abs = 0.0
-    max_rel = 0.0
-    for o in case.numeric_runner(terms, grid_scale, _CTRL):
-        count += 1
-        err = abs(o.lhs - o.rhs)
-        rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, rel)
-        budget = STABILITY_FRACTION * tol * max(1.0, abs(o.lhs))
-        if rel > tol:
-            failures.append(f"{o.label} rel={rel:.3e}")
-        elif o.tail > budget:
-            failures.append(f"{o.label} tail={o.tail:.3e}")
-        elif o.drift > budget:
-            failures.append(f"{o.label} drift={o.drift:.3e}")
-    notes = list(case.notes)
-    if failures:
-        notes.append("failed points: " + "; ".join(failures[:MAX_NOTED_FAILURES]))
-    return VerificationReport(
-        case_id=case.case_id,
-        paper_ref=case.paper_ref,
-        mode=NUMERIC,
-        grid_size=count,
-        truncation=terms,
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        passed=not failures,
-        notes=notes,
-    )
+    rows = case.numeric_runner(terms, grid_scale, _CTRL)
+    return _tally(case, NUMERIC, terms, rows, _point_rule(tol, budgeted=True))
 
 
 def check_quadrature(case_id: str, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Quadrature mode: transform integral against its closed form."""
-    case = get_case(case_id)
-    if QUADRATURE not in case.modes:
-        raise ModeUnsupported(f"{case_id} has no quadrature mode")
-    count = 0
-    failures = []
-    max_abs = 0.0
-    max_rel = 0.0
-    notes = list(case.notes)
-    try:
-        for o in pointwise.borel_points(tol):
-            count += 1
-            err = abs(o.lhs - o.rhs)
-            rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
-            max_abs = max(max_abs, err)
-            max_rel = max(max_rel, rel)
-            if rel > tol:
-                failures.append(f"{o.label} rel={rel:.3e}")
-    except QuadratureFailure as exc:
-        failures.append(str(exc))
-    if failures:
-        notes.append("failed points: " + "; ".join(failures[:MAX_NOTED_FAILURES]))
-    return VerificationReport(
-        case_id=case.case_id,
-        paper_ref=case.paper_ref,
-        mode=QUADRATURE,
-        grid_size=count,
-        truncation=0,
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        passed=not failures,
-        notes=notes,
-    )
+    case = _case_with(case_id, QUADRATURE, "quadrature")
+    rows = pointwise.borel_points(tol)
+    return _tally(case, QUADRATURE, 0, rows, _point_rule(tol, budgeted=False))
 
 
 def run_case(

@@ -45,12 +45,3 @@ class VerificationReport:
             f"abs={self.max_abs_err:.3e} rel={self.max_rel_err:.3e}"
         )
 
-
-def worst(reports: list[VerificationReport]) -> tuple[float, float]:
-    """(max abs, max rel) across a batch."""
-    if not reports:
-        return 0.0, 0.0
-    return (
-        max(r.max_abs_err for r in reports),
-        max(r.max_rel_err for r in reports),
-    )

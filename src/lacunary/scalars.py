@@ -1,4 +1,4 @@
-"""Scalar primitives: reciprocal Gamma in exact and floating modes, Pochhammer symbols.
+"""Scalar primitives: exact and real floating reciprocal Gamma, Pochhammer symbols.
 
 The reciprocal Gamma function is the basic vacuum expectation of the umbral
 symbol: c^n applied to the vacuum evaluates to rgamma(n + 1).  It is entire,
@@ -8,7 +8,6 @@ arguments are exact zeros instead of poles.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Union
@@ -20,20 +19,6 @@ Scalar = Union[int, Fraction, float, complex]
 
 #: |imag| <= IMAG_SLACK * (1 + |real|) is treated as roundoff residue.
 IMAG_SLACK = 1e-12
-
-# Lanczos coefficients, g = 7, n = 9 (double-precision grade).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 def is_exact(value: Scalar) -> bool:
@@ -82,34 +67,14 @@ def _rgamma_positive_real(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _rgamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        # Reflection: 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi.
-        return cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z) / cmath.pi
-    return 1.0 / _gamma_complex(z)
+def rgamma(z: Scalar) -> float:
+    """Floating 1/Gamma(z) for real z; exact zeros at non-positive integers.
 
-
-def _gamma_complex(z: complex) -> complex:
-    # Lanczos for Re z >= 0.5.
-    z = z - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def rgamma(z: Scalar) -> float | complex:
-    """Floating 1/Gamma(z); exact zeros at non-positive integer z.
-
-    Real arguments use the libm Gamma (relative error well under 1e-13 for
-    |z| <= 170); complex arguments fall back to a Lanczos evaluation.
+    Uses the libm Gamma (relative error well under 1e-13 for |z| <= 170);
+    a complex argument raises DomainError.
     """
     if isinstance(z, complex):
-        if abs(z.imag) <= IMAG_SLACK * (1.0 + abs(z.real)):
-            return rgamma(z.real)
-        ensure_finite(z, "rgamma argument")
-        return ensure_finite(_rgamma_complex(z), "rgamma")
+        raise DomainError(f"rgamma takes real arguments, got {z!r}")
     if isinstance(z, Fraction):
         if z.denominator == 1:
             z = int(z)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .scalars import rgamma
@@ -20,50 +20,43 @@ from .polys import hermite_coeff_sequence
 _DEFAULT = SumControl(max_terms=400, rel_tol=1e-14)
 
 
+def _rgamma_series(
+    coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl
+) -> float:
+    """sum_r a_r / Gamma(beta r + alpha), the kernel of the Wright family."""
+    value, _ = sum_series(
+        (a * rgamma(beta * r + alpha) for r, a in enumerate(coeffs)), ctrl
+    )
+    return value
+
+
+def _ratio_sequence(ratio: Callable[[int], float]) -> Iterator[float]:
+    """a_0 = 1, a_(r+1) = a_r * ratio(r), generated lazily."""
+    a = 1.0
+    for r in count():
+        yield a
+        a *= ratio(r)
+
+
 def wright(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """Bessel-Wright W^(beta,alpha)(x) = sum_r x^r / (r! Gamma(beta r + alpha))."""
     if beta <= 0:
         raise DomainError("wright needs beta > 0")
-    ctrl = control or _DEFAULT
-
-    def terms() -> Iterator[float]:
-        power = 1.0
-        for r in count():
-            yield power * rgamma(beta * r + alpha)
-            power *= x / (r + 1)
-
-    value, _ = sum_series(terms(), ctrl)
-    return value
+    powers = _ratio_sequence(lambda r: x / (r + 1))
+    return _rgamma_series(powers, beta, alpha, control or _DEFAULT)
 
 
 def mittag_leffler(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """E_(beta,alpha)(x) = sum_r x^r / Gamma(beta r + alpha)."""
     if beta <= 0:
         raise DomainError("mittag_leffler needs beta > 0")
-    ctrl = control or _DEFAULT
-
-    def gen() -> Iterator[float]:
-        power = 1.0
-        for r in count():
-            yield power * rgamma(beta * r + alpha)
-            power *= x
-
-    value, _ = sum_series(gen(), ctrl)
-    return value
+    return _rgamma_series(_ratio_sequence(lambda r: x), beta, alpha, control or _DEFAULT)
 
 
 def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
     """Tricomi C_alpha(x) = sum_r (-x)^r / (r! Gamma(1 + alpha + r))."""
-    ctrl = control or _DEFAULT
-
-    def gen() -> Iterator[float]:
-        term = 1.0
-        for r in count():
-            yield term * rgamma(1.0 + alpha + r)
-            term *= -x / (r + 1)
-
-    value, _ = sum_series(gen(), ctrl)
-    return value
+    powers = _ratio_sequence(lambda r: -x / (r + 1))
+    return _rgamma_series(powers, 1.0, 1.0 + alpha, control or _DEFAULT)
 
 
 def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
@@ -119,15 +112,8 @@ def h_tricomi(
     if len(args) != m:
         raise DomainError(f"expected {m} slot arguments, got {len(args)}")
     ctrl = control or _DEFAULT
-    xs = _signed([float(a) for a in args])
-    coeffs = hermite_coeff_sequence(m, ctrl.max_terms, xs)
-
-    def gen() -> Iterator[float]:
-        for r in count():
-            yield coeffs[r] * rgamma(1.0 + s + r)
-
-    value, _ = sum_series(gen(), ctrl)
-    return value
+    coeffs = hermite_coeff_sequence(m, ctrl.max_terms, _signed([float(a) for a in args]))
+    return _rgamma_series(coeffs, 1.0, 1.0 + s, ctrl)
 
 
 def h_wright(
@@ -146,13 +132,7 @@ def h_wright(
         raise DomainError("h_wright needs beta > 0")
     ctrl = control or _DEFAULT
     coeffs = hermite_coeff_sequence(2, ctrl.max_terms, [float(x), float(y)])
-
-    def gen() -> Iterator[float]:
-        for r in count():
-            yield coeffs[r] * rgamma(beta * r + alpha)
-
-    value, _ = sum_series(gen(), ctrl)
-    return value
+    return _rgamma_series(coeffs, beta, alpha, ctrl)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:

@@ -7,14 +7,14 @@ through its degree d.  Exponents add under multiplication; the vacuum rule is
     c^a |0>  ->  1 / Gamma(1 + a)
 
 applied independently per symbol, so negative-integer exponents annihilate a
-term exactly.  Exact mode keeps Fraction coefficients and demands integer
-exponents at reduction time; float mode reduces through the floating rgamma.
+term exactly.  Coefficients are exact (Fraction) and reduction demands
+integer exponents, so every reduced value is rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
 from .errors import (
     DomainError,
@@ -23,10 +23,9 @@ from .errors import (
     ModeMismatch,
     TermBudgetExceeded,
 )
-from .scalars import ensure_finite, is_exact, rgamma, rgamma_exact
+from .scalars import is_exact, rgamma_exact
 
 Key = tuple[Fraction, Fraction, int]
-Coeff = Union[Fraction, float, complex]
 
 #: Hard cap on stored terms; expansions beyond this raise TermBudgetExceeded.
 DEFAULT_TERM_CAP = 200_000
@@ -43,45 +42,32 @@ def _as_exponent(e) -> Fraction:
 class UmbralSeries:
     """Immutable finite umbral sum; construct via the module helpers."""
 
-    __slots__ = ("terms", "mode", "term_cap")
+    __slots__ = ("terms", "term_cap")
 
-    def __init__(
-        self,
-        terms: Mapping[Key, Coeff],
-        mode: str,
-        term_cap: int = DEFAULT_TERM_CAP,
-    ):
-        if mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
+    def __init__(self, terms: Mapping[Key, Fraction], term_cap: int = DEFAULT_TERM_CAP):
         if len(terms) > term_cap:
             raise TermBudgetExceeded(
                 f"{len(terms)} terms exceed the cap of {term_cap}"
             )
-        clean: dict[Key, Coeff] = {}
+        clean: dict[Key, Fraction] = {}
         for key, coeff in terms.items():
-            if mode == "exact":
-                if not is_exact(coeff):
-                    raise ModeMismatch("exact series requires Fraction coefficients")
-                coeff = Fraction(coeff)
-            else:
-                ensure_finite(coeff, "umbral coefficient")
+            if not is_exact(coeff):
+                raise ModeMismatch("umbral series require Fraction coefficients")
+            coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             clean[key] = coeff
-        self.terms: dict[Key, Coeff] = clean
-        self.mode = mode
+        self.terms: dict[Key, Fraction] = clean
         self.term_cap = term_cap
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def scalar(value: Coeff, mode: str | None = None) -> "UmbralSeries":
-        mode = mode or ("exact" if is_exact(value) else "float")
-        v: Coeff = Fraction(value) if mode == "exact" else value
-        return UmbralSeries({(Fraction(0), Fraction(0), 0): v}, mode)
+    def scalar(value: Fraction) -> "UmbralSeries":
+        return UmbralSeries({(Fraction(0), Fraction(0), 0): value})
 
     @staticmethod
-    def symbol(exponent, which: int = 1, mode: str = "exact") -> "UmbralSeries":
+    def symbol(exponent, which: int = 1) -> "UmbralSeries":
         e = _as_exponent(exponent)
         if which == 1:
             key = (e, Fraction(0), 0)
@@ -89,16 +75,11 @@ class UmbralSeries:
             key = (Fraction(0), e, 0)
         else:
             raise DomainError("symbol index must be 1 or 2")
-        one: Coeff = Fraction(1) if mode == "exact" else 1.0
-        return UmbralSeries({key: one}, mode)
+        return UmbralSeries({key: Fraction(1)})
 
     @staticmethod
     def monomial(
-        coeff: Coeff,
-        exponent,
-        x_degree: int = 0,
-        which: int = 1,
-        mode: str | None = None,
+        coeff: Fraction, exponent, x_degree: int = 0, which: int = 1
     ) -> "UmbralSeries":
         """coeff * c^exponent * x^x_degree with degree metadata."""
         if x_degree < 0:
@@ -107,41 +88,31 @@ class UmbralSeries:
         key = (
             (e, Fraction(0), x_degree) if which == 1 else (Fraction(0), e, x_degree)
         )
-        mode = mode or ("exact" if is_exact(coeff) else "float")
-        v: Coeff = Fraction(coeff) if mode == "exact" else coeff
-        return UmbralSeries({key: v}, mode)
+        return UmbralSeries({key: coeff})
 
     # -- algebra -----------------------------------------------------------
 
-    def _check_mode(self, other: "UmbralSeries") -> None:
-        if self.mode != other.mode:
-            raise ModeMismatch(f"cannot mix {self.mode} and {other.mode} series")
-
     def __add__(self, other: "UmbralSeries") -> "UmbralSeries":
-        self._check_mode(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, _zero(self.mode)) + coeff
-        return UmbralSeries(out, self.mode, self.term_cap)
+            out[key] = out.get(key, Fraction(0)) + coeff
+        return UmbralSeries(out, self.term_cap)
 
     def __sub__(self, other: "UmbralSeries") -> "UmbralSeries":
         return self + (-other)
 
     def __neg__(self) -> "UmbralSeries":
-        return UmbralSeries(
-            {k: -c for k, c in self.terms.items()}, self.mode, self.term_cap
-        )
+        return UmbralSeries({k: -c for k, c in self.terms.items()}, self.term_cap)
 
-    def scale(self, factor: Coeff) -> "UmbralSeries":
-        if self.mode == "exact" and not is_exact(factor):
-            raise ModeMismatch("cannot scale an exact series by a float")
+    def scale(self, factor: Fraction) -> "UmbralSeries":
+        if not is_exact(factor):
+            raise ModeMismatch("cannot scale an umbral series by a float")
         return UmbralSeries(
-            {k: c * factor for k, c in self.terms.items()}, self.mode, self.term_cap
+            {k: c * factor for k, c in self.terms.items()}, self.term_cap
         )
 
     def __mul__(self, other: "UmbralSeries") -> "UmbralSeries":
-        self._check_mode(other)
-        out: dict[Key, Coeff] = {}
+        out: dict[Key, Fraction] = {}
         for (a1, a2, da), ca in self.terms.items():
             for (b1, b2, db), cb in other.terms.items():
                 key = (a1 + b1, a2 + b2, da + db)
@@ -154,14 +125,12 @@ class UmbralSeries:
                 raise TermBudgetExceeded(
                     f"product exceeded the {self.term_cap}-term cap"
                 )
-        return UmbralSeries(out, self.mode, self.term_cap)
+        return UmbralSeries(out, self.term_cap)
 
     def pow(self, exponent: int) -> "UmbralSeries":
         if exponent < 0:
             raise DomainError("umbral pow needs an integer exponent >= 0")
-        out = UmbralSeries.scalar(
-            Fraction(1) if self.mode == "exact" else 1.0, self.mode
-        )
+        out = UmbralSeries.scalar(Fraction(1))
         base = self
         e = exponent
         while e:
@@ -171,27 +140,18 @@ class UmbralSeries:
             e >>= 1
         return out
 
-    def to_float(self) -> "UmbralSeries":
-        if self.mode == "float":
-            return self
-        return UmbralSeries(
-            {k: float(c) for k, c in self.terms.items()}, "float", self.term_cap
-        )
-
     # -- reduction ---------------------------------------------------------
 
-    def _weight(self, e1: Fraction, e2: Fraction) -> Coeff:
-        if self.mode == "exact":
-            if e1.denominator != 1 or e2.denominator != 1:
-                raise ExactnessViolation(
-                    f"exact reduction needs integer exponents, got ({e1}, {e2})"
-                )
-            return rgamma_exact(int(e1) + 1) * rgamma_exact(int(e2) + 1)
-        return rgamma(e1 + 1) * rgamma(e2 + 1)
+    def _weight(self, e1: Fraction, e2: Fraction) -> Fraction:
+        if e1.denominator != 1 or e2.denominator != 1:
+            raise ExactnessViolation(
+                f"exact reduction needs integer exponents, got ({e1}, {e2})"
+            )
+        return rgamma_exact(int(e1) + 1) * rgamma_exact(int(e2) + 1)
 
-    def reduce(self) -> Coeff:
+    def reduce(self) -> Fraction:
         """Vacuum-reduce a series with no x-dependence to a scalar."""
-        total = _zero(self.mode)
+        total = Fraction(0)
         for (e1, e2, d), coeff in self.terms.items():
             if d != 0:
                 raise DomainError(
@@ -200,9 +160,9 @@ class UmbralSeries:
             total += coeff * self._weight(e1, e2)
         return total
 
-    def reduce_poly(self) -> dict[int, Coeff]:
+    def reduce_poly(self) -> dict[int, Fraction]:
         """Vacuum-reduce, keeping x-degrees: returns {degree: coefficient}."""
-        out: dict[int, Coeff] = {}
+        out: dict[int, Fraction] = {}
         for (e1, e2, d), coeff in self.terms.items():
             w = coeff * self._weight(e1, e2)
             if d in out:
@@ -223,15 +183,11 @@ class UmbralSeries:
             raise MissingDegreeMetadata(
                 "dilation needs x-degree metadata on at least one term"
             )
-        out: dict[Key, Coeff] = {}
+        out: dict[Key, Fraction] = {}
         for (e1, e2, d), coeff in self.terms.items():
             key = (e1 + s * d, e2, d)
-            out[key] = out.get(key, _zero(self.mode)) + coeff
-        return UmbralSeries(out, self.mode, self.term_cap)
-
-
-def _zero(mode: str) -> Coeff:
-    return Fraction(0) if mode == "exact" else 0.0
+            out[key] = out.get(key, Fraction(0)) + coeff
+        return UmbralSeries(out, self.term_cap)
 
 
 def umb_exp(
@@ -244,15 +200,13 @@ def umb_exp(
         raise DomainError("order must be >= 0")
     if (Fraction(0), Fraction(0), 0) in argument.terms:
         raise DomainError("umb_exp needs the pure-scalar term split off first")
-    one: Coeff = Fraction(1) if argument.mode == "exact" else 1.0
-    acc = UmbralSeries.scalar(one, argument.mode)
+    acc = UmbralSeries.scalar(Fraction(1))
     power = acc
     kfact = 1
     for k in range(1, order + 1):
         power = power * argument
         kfact *= k
-        inv = Fraction(1, kfact)
-        acc = acc + power.scale(inv if argument.mode == "exact" else float(inv))
+        acc = acc + power.scale(Fraction(1, kfact))
         if len(acc.terms) > term_cap:
             raise TermBudgetExceeded("umb_exp exceeded its term cap")
     return acc

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +205,22 @@ def test_derive_aux_rejects_unsupported_order(capsys):
     code, _, err = _run(capsys, "derive-aux", "--family", "q", "--m", "2")
     assert code == 2
     assert "m" in err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+GOLDEN = [
+    (("verify", "--all", "--seed", "0", "--no-timestamp"), "verify_all_seed0.json"),
+    (("derive-aux", "--family", "p", "--m", "1"), "derive_aux_p1.json"),
+    (("derive-aux", "--family", "p", "--m", "2"), "derive_aux_p2.json"),
+    (("derive-aux", "--family", "q", "--m", "1"), "derive_aux_q1.json"),
+]
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN, ids=[name for _, name in GOLDEN])
+def test_output_matches_golden_fixture(capsys, argv, name):
+    # The fixtures were recorded with CPython 3.11.7 and numpy 2.4.6; a
+    # refactor must reproduce them byte for byte, float digits included.
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and not err
+    assert out.encode("utf-8") == (FIXTURES / name).read_bytes()

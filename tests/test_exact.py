@@ -82,8 +82,11 @@ def test_eq3_12_lowering_first_step():
 
 
 def test_eq3_12_lowering_depth():
-    ys = [F(k, 3) for k in range(-3, 4)]
-    _run(exact.eq3_12_lowering(8, ys))
+    # 13 rational nodes pin the y-dependence: every polynomial the lowering
+    # check touches has y-degree below 11.
+    ys = [F(k, 3) for k in range(-6, 7)]
+    checks = _run(exact.eq3_12_lowering(10, ys))
+    assert len(checks) == 715
 
 
 def test_eq3_14_double_taylor_grid():

@@ -1,9 +1,14 @@
 """Case registry: lookup, mode dispatch, and report wiring."""
 
+import dataclasses
+import importlib
+
 import pytest
 
 from lacunary import (
     ModeUnsupported,
+    NonConvergence,
+    QuadratureFailure,
     UnknownIdentity,
     all_ids,
     check_coefficients,
@@ -12,6 +17,11 @@ from lacunary import (
     get_case,
     run_case,
 )
+from lacunary.identities import pointwise
+from lacunary.identities.pointwise import PointOutcome
+
+# The package re-exports a registry() function under the submodule's name.
+registry_mod = importlib.import_module("lacunary.identities.registry")
 
 EXPECTED_IDS = [
     "EQ1.7", "EQ1.9", "EQ1.11", "EQ1.12",
@@ -105,3 +115,84 @@ def test_case_descriptions_name_behavior():
         assert case.description
         assert "Eq." not in case.description
         assert case.paper_ref.startswith("Eq")
+
+
+# -- failing reports ----------------------------------------------------------
+
+
+def _swap_runner(monkeypatch, case_id, **runner):
+    case = get_case(case_id)
+    monkeypatch.setitem(registry_mod._BY_ID, case_id, dataclasses.replace(case, **runner))
+
+
+def test_exact_mismatch_fails_and_names_its_label(monkeypatch):
+    case = get_case("EQ2.13")
+    perturbed = []
+
+    def runner(order, rng):
+        for i, (label, lhs, rhs) in enumerate(case.exact_runner(order, rng)):
+            if i == 3:
+                perturbed.append(label)
+                rhs = rhs + 1
+            yield label, lhs, rhs
+
+    _swap_runner(monkeypatch, "EQ2.13", exact_runner=runner)
+    report = check_coefficients("EQ2.13")
+    assert not report.passed
+    assert report.max_abs_err == 1.0
+    assert 0.0 < report.max_rel_err <= 1.0
+    assert report.notes[-1] == f"1 coefficient mismatches (first: {perturbed[0]})"
+
+
+@pytest.mark.parametrize("field", ["tail", "drift"])
+def test_numeric_budget_overrun_fails_with_small_error(monkeypatch, field):
+    # The two sides agree exactly; only the series budget is blown.
+    bad = PointOutcome("P[bad]", 2.0, 2.0, 0.0, 0.0)
+    bad = dataclasses.replace(bad, **{field: 1e-6})
+
+    def runner(n_terms, scale, ctrl):
+        yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
+        yield bad
+
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
+    report = check_pointwise("EQ2.13")
+    assert not report.passed
+    assert report.grid_size == 2
+    assert report.max_abs_err == report.max_rel_err == 0.0
+    assert report.notes[-1] == f"failed points: P[bad] {field}=1.000e-06"
+
+
+def test_numeric_relative_error_is_reported_before_budgets(monkeypatch):
+    def runner(n_terms, scale, ctrl):
+        yield PointOutcome("P[off]", 1.0, 1.5, 1.0, 1.0)
+
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
+    report = check_pointwise("EQ2.13")
+    assert report.max_abs_err == 0.5
+    assert report.notes[-1] == "failed points: P[off] rel=3.333e-01"
+
+
+def test_numeric_nonconvergence_propagates(monkeypatch):
+    def runner(n_terms, scale, ctrl):
+        yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
+        raise NonConvergence("no convergence")
+
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
+    with pytest.raises(NonConvergence):
+        check_pointwise("EQ2.13")
+
+
+def test_quadrature_failure_keeps_rows_tallied_so_far(monkeypatch):
+    message = "node-count consistency 1.000e-06 exceeds 1.0e-08 at x=2.0"
+
+    def points(tol):
+        yield PointOutcome("EQ3.19[x=0]", 1.0, 1.0, 0.0, 0.0)
+        yield PointOutcome("EQ3.19[x=1]", 0.75, 0.75 + 1e-12, 0.0, 0.0)
+        raise QuadratureFailure(message)
+
+    monkeypatch.setattr(pointwise, "borel_points", points)
+    report = check_quadrature("EQ3.18")
+    assert not report.passed
+    assert report.grid_size == 2
+    assert 0.0 < report.max_abs_err < 1e-11
+    assert report.notes[-1] == f"failed points: {message}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lacunary import (
+    DomainError,
     ImaginaryResidue,
     as_real,
     binomial,
@@ -55,8 +56,9 @@ def test_rgamma_functional_equation(z):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_rgamma_complex_near_real_collapses():
-    assert rgamma(complex(3.0, 0.0)) == 0.5
+def test_rgamma_rejects_complex_argument():
+    with pytest.raises(DomainError):
+        rgamma(complex(3.0, 0.0))
 
 
 def test_pochhammer_values():

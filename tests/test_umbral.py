@@ -97,11 +97,13 @@ def test_dilate_needs_metadata():
         UmbralSeries.symbol(1).dilate(F(1, 2))
 
 
-def test_mode_mixing_is_rejected():
-    exact = UmbralSeries.scalar(F(1))
-    floating = UmbralSeries.scalar(0.5)
+def test_float_coefficient_is_rejected():
     with pytest.raises(ModeMismatch):
-        exact * floating
+        UmbralSeries.scalar(0.5)
+    with pytest.raises(ModeMismatch):
+        UmbralSeries.monomial(0.5, 1, x_degree=1)
+    with pytest.raises(ModeMismatch):
+        UmbralSeries.symbol(1).scale(0.5)
 
 
 def test_dilated_pseudo_gaussian_reduces_to_gaussian():
