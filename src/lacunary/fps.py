@@ -58,13 +58,6 @@ class FormalPowerSeries:
         tail = ", ..." if self.order >= 5 else ""
         return f"FormalPowerSeries([{head}{tail}], order={self.order})"
 
-    def truncate(self, order: int) -> "FormalPowerSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order >= self.order:
-            return self
-        return FormalPowerSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
         n = min(self.order, other.order)
         return FormalPowerSeries(

@@ -9,15 +9,17 @@ with p polynomial of degree 2m in r.  Scaling covariance under
 (x, y, t) -> (lx, ly, t/l^step) forces every monomial of p to look like
 r^d t^j x^a y^(step*j - a) with a <= step*j, so fitting at y = 1 and
 re-homogenizing afterwards loses nothing.  The fit matches coefficients of
-t^n x^w exactly (Fractions all the way down), which turns the template into
-a small dense linear system.
+t^n x^w exactly: a small dense rational system, solved by integer Bareiss
+elimination and a rational back substitution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from ..errors import DomainError, NoSolution
@@ -52,44 +54,67 @@ class AuxPolynomial:
         return {(j, a): c for (dd, j, a), c in self.coeffs.items() if dd == d}
 
 
+def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
+    """(values * scale, scale) with scale the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _first_miss(
+    equations: Iterable[tuple[int, int, list[Fraction], Fraction]],
+    vector: list[Fraction],
+) -> tuple[int, int] | None:
+    """(n, w) of the first equation row . vector = rhs that fails, or None."""
+    ints, scale = _cleared(vector)
+    for n, w, row, b in equations:
+        *coeffs, rhs = _cleared([*row, b])[0]
+        if sum(map(operator.mul, coeffs, ints)) != rhs * scale:
+            return n, w
+    return None
+
+
 def _solve_exact(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> tuple[list[Fraction], int]:
     """Particular solution of a consistent rational system.
 
-    Non-pivot coordinates are set to zero.  Returns (solution, n_free) where
-    n_free counts the unpinned coordinates; inconsistency raises NoSolution.
+    Bareiss elimination (Bareiss 1968) of the equations cleared to integers:
+    each step divides exactly by the previous pivot, so no fractions arise
+    before the back substitution.  Non-pivot coordinates are set to zero, as
+    in the reduced row echelon form.  Returns (solution, n_free) where n_free
+    counts the unpinned coordinates; inconsistency raises NoSolution.
     """
     n_unknowns = len(rows[0]) if rows else 0
-    mat = [row[:] + [b] for row, b in zip(rows, rhs)]
+    mat = [_cleared([*row, b])[0] for row, b in zip(rows, rhs)]
     pivot_cols: list[int] = []
-    row_at = 0
+    prev = 1
     for col in range(n_unknowns):
-        pivot = next(
-            (r for r in range(row_at, len(mat)) if mat[r][col] != 0), None
-        )
+        row_at = len(pivot_cols)
+        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        pv = mat[row_at][col]
-        mat[row_at] = [v / pv for v in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[row_at])]
+        top = mat[row_at][col:]
+        pv = top[0]
+        for r in range(row_at + 1, len(mat)):
+            f = mat[r][col]
+            mat[r][col:] = [
+                (pv * v - f * w) // prev for v, w in zip(mat[r][col:], top)
+            ]
+        prev = pv
         pivot_cols.append(col)
-        row_at += 1
-        if row_at == len(mat):
-            break
-    for r in range(row_at, len(mat)):
-        if mat[r][-1] != 0:
-            raise NoSolution("template cannot reproduce the series coefficients")
-    solution = [Fraction(0)] * n_unknowns
-    for idx, col in enumerate(pivot_cols):
-        solution[col] = mat[idx][-1]
-    return solution, n_unknowns - len(pivot_cols)
+    if any(row[-1] for row in mat[len(pivot_cols) :]):
+        raise NoSolution("template cannot reproduce the series coefficients")
+    # The last pivot, the determinant of the pivot block, clears every
+    # denominator of the solution (Cramer), so back-substitute prev * x.
+    scaled = [0] * n_unknowns
+    for row, col in reversed(list(zip(mat, pivot_cols))):
+        known = sum(map(operator.mul, row[col + 1 : -1], scaled[col + 1 :]))
+        scaled[col] = (prev * row[-1] - known) // row[col]
+    return [Fraction(y, prev) for y in scaled], n_unknowns - len(pivot_cols)
 
 
+@cache
 def _g_coeff_double(r: int, u: int, shift: int) -> Fraction:
     """[t^u x^r] of H_r^{(2)}(-2xt, t x^2) / (r! (r+shift)!) at y = 1."""
     k = r - u
@@ -101,6 +126,7 @@ def _g_coeff_double(r: int, u: int, shift: int) -> Fraction:
     )
 
 
+@cache
 def _g_coeff_triple(r: int, u: int, shift: int) -> Fraction:
     """[t^u x^r] of H_r^{(3)}(-3tx, 3tx^2, -t x^3) / (r! (r+shift)!) at y = 1."""
     total = Fraction(0)
@@ -146,7 +172,7 @@ _TEMPLATES = {
 }
 
 
-def derive_aux_polynomial(family: str, m: int, n_fit: int | None = None) -> AuxPolynomial:
+def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     """Fit the degree-bounded bridge polynomial for the given family.
 
     family "p": double-lacunary template for L_{2n}^{(m)}, any m >= 1.
@@ -164,9 +190,6 @@ def derive_aux_polynomial(family: str, m: int, n_fit: int | None = None) -> AuxP
     degree = tpl.r_degree(m)
     t_deg = tpl.t_degree(m)
     step = tpl.step
-    if n_fit is None:
-        n_fit = degree + 4
-    n_extra = degree + 3
     unknowns: list[Key] = [
         (d, j, a)
         for d in range(degree + 1)
@@ -177,7 +200,7 @@ def derive_aux_polynomial(family: str, m: int, n_fit: int | None = None) -> AuxP
     last_err: NoSolution | None = None
     for shift in tpl.shifts(m):
         try:
-            coeffs, n_free = _fit(m, tpl, shift, unknowns, n_fit, n_extra)
+            coeffs, n_free = _fit(m, tpl, shift, unknowns)
         except NoSolution as err:
             last_err = err
             notes.append(f"factorial shift {shift} failed: {err}")
@@ -207,58 +230,52 @@ def _equations(
     unknowns: list[Key],
     n_values: Iterable[int],
 ) -> Iterator[tuple[int, int, list[Fraction], Fraction]]:
-    """Yield (n, w, row, rhs): one equation per matched [t^n x^w] coefficient."""
-    step = tpl.step
+    """Yield (n, w, row, rhs): one equation per matched [t^n x^w] coefficient.
+
+    The entry for unknown (d, j, a) is r^d * s(r, n - j) with r = w - a and
+    s(r, k) = sum_u g(r, u, shift) / (k - u)!, summed once per (r, k).
+    """
+    step, g = tpl.step, tpl.g_coeff
     sup = tpl.lag_superscript(m)
+    max_d = max((d for d, _, _ in unknowns), default=0)
+    entries: dict[tuple[int, int], list[Fraction]] = {}
+
+    def powers(r: int, k: int) -> list[Fraction]:
+        if (r, k) not in entries:
+            terms = (g(r, u, shift) / math.factorial(k - u) for u in range(k + 1))
+            s = sum(terms, Fraction(0))
+            entries[r, k] = [r**d * s for d in range(max_d + 1)]
+        return entries[r, k]
+
     for n in n_values:
         poly = assoc_laguerre_xpoly(step * n, sup)
         n_fact = math.factorial(n)
         for w in range(step * n + 1):
-            row = []
-            for (d, j, a) in unknowns:
-                r = w - a
-                acc = Fraction(0)
-                if r >= 0:
-                    for u in range(n - j + 1):
-                        i = n - j - u
-                        g = tpl.g_coeff(r, u, shift)
-                        if g:
-                            acc += Fraction(r**d, math.factorial(i)) * g
-                row.append(acc)
+            row = [
+                powers(r, n - j)[d] if (r := w - a) >= 0 else Fraction(0)
+                for (d, j, a) in unknowns
+            ]
             yield n, w, row, Fraction(poly[w]) / n_fact
 
 
 def _fit(
-    m: int,
-    tpl: _Template,
-    shift: int,
-    unknowns: list[Key],
-    n_fit: int,
-    n_extra: int,
+    m: int, tpl: _Template, shift: int, unknowns: list[Key]
 ) -> tuple[dict[Key, Fraction], int]:
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for _, _, row, b in _equations(m, tpl, shift, unknowns, range(n_fit + 1)):
-        rows.append(row)
-        rhs.append(b)
-    solution, n_free = _solve_exact(rows, rhs)
-    coeffs = {
-        key: val for key, val in zip(unknowns, solution) if val != 0
-    }
-    # Confirm on orders beyond the fitting window.  A failure here with
+    n_fit = tpl.r_degree(m) + 4
+    eqs = list(_equations(m, tpl, shift, unknowns, range(n_fit + 1)))
+    solution, n_free = _solve_exact([e[2] for e in eqs], [e[3] for e in eqs])
+    coeffs = {key: val for key, val in zip(unknowns, solution) if val != 0}
+    # Confirm on the n_fit - 1 orders after the fitting window.  A failure with
     # n_free > 0 would mean the window was too small to pin a genuine
     # null direction, so the message calls that out.
-    extra_orders = range(n_fit + 1, n_fit + n_extra + 1)
-    for n, w, row, b in _equations(m, tpl, shift, unknowns, extra_orders):
-        got = sum(
-            (row[idx] * solution[idx] for idx in range(len(unknowns))),
-            Fraction(0),
+    extra_orders = range(n_fit + 1, 2 * n_fit)
+    miss = _first_miss(_equations(m, tpl, shift, unknowns, extra_orders), solution)
+    if miss is not None:
+        n, w = miss
+        hint = f" ({n_free} free directions left unpinned)" if n_free else ""
+        raise NoSolution(
+            f"fit breaks at series order {n} (coefficient of x^{w}){hint}"
         )
-        if got != b:
-            hint = " (try a larger n_fit)" if n_free else ""
-            raise NoSolution(
-                f"fit breaks at series order {n} (coefficient of x^{w}){hint}"
-            )
     return coeffs, n_free
 
 
@@ -341,19 +358,14 @@ def satisfies_template(candidate: AuxPolynomial, n_max: int | None = None) -> bo
     combination of the weight recurrences and induce identical sums.
     """
     tpl = _TEMPLATES[candidate.family]
-    degree = tpl.r_degree(candidate.m)
     if n_max is None:
-        n_max = 2 * degree + 7
+        n_max = 2 * tpl.r_degree(candidate.m) + 7
     unknowns = sorted(candidate.coeffs)
     vector = [candidate.coeffs[key] for key in unknowns]
     eqs = _equations(
         candidate.m, tpl, candidate.factorial_shift, unknowns, range(n_max + 1)
     )
-    for _, _, row, b in eqs:
-        got = sum((r * v for r, v in zip(row, vector)), Fraction(0))
-        if got != b:
-            return False
-    return True
+    return _first_miss(eqs, vector) is None
 
 
 def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
@@ -376,14 +388,7 @@ def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
         return "no_printed_display", f"no display to compare for {derived.family}, m={derived.m}"
     if derived.coeffs == printed:
         return "exact_match", f"derived coefficients match {label} term by term"
-    as_printed = AuxPolynomial(
-        family=derived.family,
-        m=derived.m,
-        step=derived.step,
-        factorial_shift=derived.factorial_shift,
-        coeffs=printed,
-    )
-    if satisfies_template(as_printed):
+    if satisfies_template(replace(derived, coeffs=printed)):
         return (
             "same_weighted_sum",
             f"derived differs from {label} by a null combination of the "

@@ -25,12 +25,9 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def ensure_finite(value: Scalar, where: str = "computation") -> Scalar:
+def ensure_finite(value: float, where: str = "computation") -> float:
     """Reject NaN/inf floats so they never propagate silently."""
-    if isinstance(value, complex):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise NumericError(f"non-finite value in {where}: {value!r}")
-    elif isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise NumericError(f"non-finite value in {where}: {value!r}")
     return value
 
@@ -47,10 +44,10 @@ def as_real(value: Scalar, where: str = "result", slack: float = IMAG_SLACK) -> 
             raise ImaginaryResidue(
                 f"{where}: imaginary residue {value.imag!r} exceeds {bound!r}"
             )
-        return ensure_finite(value.real, where)  # type: ignore[return-value]
+        return ensure_finite(value.real, where)
     if isinstance(value, Fraction):
         return float(value)
-    return float(ensure_finite(value, where))  # type: ignore[arg-type]
+    return float(ensure_finite(value, where))
 
 
 def rgamma_exact(n: int) -> Fraction:

@@ -213,6 +213,7 @@ GOLDEN = [
     (("verify", "--all", "--seed", "0", "--no-timestamp"), "verify_all_seed0.json"),
     (("derive-aux", "--family", "p", "--m", "1"), "derive_aux_p1.json"),
     (("derive-aux", "--family", "p", "--m", "2"), "derive_aux_p2.json"),
+    (("derive-aux", "--family", "p", "--m", "3"), "derive_aux_p3.json"),
     (("derive-aux", "--family", "q", "--m", "1"), "derive_aux_q1.json"),
 ]
 

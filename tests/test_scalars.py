@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from lacunary import (
     DomainError,
     ImaginaryResidue,
+    NumericError,
     as_real,
     binomial,
     is_exact,
@@ -94,6 +95,14 @@ def test_as_real_accepts_tiny_imaginary_part():
 def test_as_real_rejects_large_imaginary_part():
     with pytest.raises(ImaginaryResidue):
         as_real(complex(1.0, 1e-3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_as_real_rejects_non_finite_values(bad):
+    with pytest.raises(NumericError):
+        as_real(bad)
+    with pytest.raises(NumericError):
+        as_real(complex(bad, 0.0))
 
 
 def test_is_exact_classification():
