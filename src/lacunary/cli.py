@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, LacunaryError, UnknownIdentity
 from .identities import (
     DEFAULT_TOL,
+    MODES,
     compare_with_printed,
     derive_aux_polynomial,
     get_case,
@@ -34,7 +35,7 @@ from .identities import (
     run_case,
 )
 
-_MODES = ("exact", "numeric", "quadrature", "all")
+_MODES = (*MODES, "all")
 _FORMATS = ("json", "csv")
 _CONFIG_KEYS = {
     "ids",
@@ -94,40 +95,28 @@ def _render_json(document: dict) -> str:
     return _to_json(document) + "\n"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return " | ".join(value)
+    return _to_json(value).strip('"')
+
+
 def _render_csv(document: dict) -> str:
+    """One row per report: the run's seed and timestamp, then the report fields.
+
+    The columns are the keys of VerificationReport.to_dict(); the CLI never
+    renders a report with no results.
+    """
     run = document["run"]
+    results = document["results"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "seed",
-            "timestamp",
-            "id",
-            "paper_ref",
-            "mode",
-            "grid_size",
-            "truncation",
-            "max_abs_err",
-            "max_rel_err",
-            "pass",
-            "notes",
-        ]
-    )
-    for row in document["results"]:
+    writer.writerow(["seed", "timestamp", *results[0]])
+    for row in results:
         writer.writerow(
-            [
-                run["seed"],
-                run.get("timestamp", ""),
-                row["id"],
-                row["paper_ref"],
-                row["mode"],
-                row["grid_size"],
-                row["truncation"],
-                _float_repr(row["max_abs_err"]).strip('"'),
-                _float_repr(row["max_rel_err"]).strip('"'),
-                "true" if row["pass"] else "false",
-                " | ".join(row["notes"]),
-            ]
+            [run["seed"], run.get("timestamp", ""), *map(_csv_cell, row.values())]
         )
     return buf.getvalue()
 
@@ -243,7 +232,7 @@ def _select_cases(ids, mode: str) -> list:
             if explicit:
                 raise UsageError(
                     f"{case.case_id} has no {mode} mode; registered modes: "
-                    f"{', '.join(sorted(case.modes))}"
+                    f"{', '.join(case.modes)}"
                 )
             continue
         selected.append(case)
@@ -257,7 +246,7 @@ def _select_cases(ids, mode: str) -> list:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     for case in registry():
-        modes = ",".join(sorted(case.modes))
+        modes = ",".join(case.modes)
         print(f"{case.case_id} - {case.paper_ref} - {modes} - {case.description}")
     return 0
 
@@ -274,7 +263,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 mode=settings["mode"],
                 nmax=settings["nmax"],
                 tol=settings["tol"],
-                n_terms=settings["nmax"],
                 grid_scale=settings["grid_scale"],
                 seed=settings["seed"],
             )

@@ -9,6 +9,7 @@ from .auxpoly import (
 from .registry import (
     DEFAULT_TOL,
     EXACT,
+    MODES,
     NUMERIC,
     QUADRATURE,
     IdentityCase,
@@ -27,6 +28,7 @@ __all__ = [
     "DEFAULT_TOL",
     "EXACT",
     "IdentityCase",
+    "MODES",
     "NUMERIC",
     "QUADRATURE",
     "VerificationReport",

@@ -1,10 +1,11 @@
 """Case registry: one entry per numbered identity, with engine bindings.
 
-Each case carries up to three verification modes.  Exact mode streams
-(label, lhs, rhs) Fraction pairs from the coefficient engines and demands
-literal equality.  Numeric mode walks a registered grid of PointOutcomes
-and applies the relative-error, tail, and truncation-stability rules.
-Quadrature mode covers the single transform identity.
+Each case binds one runner per verification mode it has, and its modes are
+exactly the runners it sets.  Exact mode streams (label, lhs, rhs) Fraction
+pairs from the coefficient engines and demands literal equality.  Numeric
+mode walks a registered grid of PointOutcomes and applies the
+relative-error, tail, and truncation-stability rules.  Quadrature mode
+covers the single transform identity.
 
 Exact checks run on the case's base rational tuples plus two tuples drawn
 from a seeded generator, so a fixed seed reproduces the report exactly.
@@ -26,6 +27,8 @@ from .report import VerificationReport
 EXACT = "exact"
 NUMERIC = "numeric"
 QUADRATURE = "quadrature"
+#: Every mode, in the order a case's reports are produced.
+MODES = (EXACT, NUMERIC, QUADRATURE)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_EXACT_ORDER = 10
@@ -36,6 +39,7 @@ MAX_NOTED_FAILURES = 5
 _CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
 ExactRunner = Callable[[int, random.Random], Iterator[exact.Check]]
+QuadratureRunner = Callable[[float], Iterator[pointwise.PointOutcome]]
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,16 @@ class IdentityCase:
     case_id: str
     paper_ref: str
     description: str
-    modes: frozenset
     exact_runner: Optional[ExactRunner] = None
     numeric_runner: Optional[pointwise.Engine] = None
+    quadrature_runner: Optional[QuadratureRunner] = None
     exact_order: int = DEFAULT_EXACT_ORDER
-    numeric_terms: int = DEFAULT_TERMS
     notes: tuple = ()
+
+    @property
+    def modes(self) -> tuple:
+        """The modes whose runner is set, in MODES order."""
+        return tuple(m for m in MODES if getattr(self, f"{m}_runner") is not None)
 
 
 def _rat(rng: random.Random, zero_ok: bool = False) -> Fraction:
@@ -141,7 +149,6 @@ _CASES = (
         "EQ1.7", "Eq. 1.7",
         "exponential generating function of the two-index family, "
         "Wright-type closed form",
-        frozenset({EXACT, NUMERIC}),
         exact_runner=_tupled(exact.eq1_7, _AB_BASE, _ab_sample),
         numeric_runner=pointwise.eq1_7,
     ),
@@ -149,28 +156,24 @@ _CASES = (
         "EQ1.9", "Eq. 1.9",
         "ordinary generating function of the two-index family, "
         "Mittag-Leffler closed form",
-        frozenset({EXACT, NUMERIC}),
         exact_runner=_tupled(exact.eq1_9, _AB_BASE, _ab_sample),
         numeric_runner=pointwise.eq1_9,
     ),
     IdentityCase(
         "EQ1.11", "Eq. 1.11",
         "classical associated generating function via composed power series",
-        frozenset({EXACT}),
         exact_runner=_tupled(exact.eq1_11, _A_BASE, _a_sample),
     ),
     IdentityCase(
         "EQ1.12", "Eq. 1.12",
         "integer-order associated family, exponential weight, reduced to "
         "Wright blocks",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq1_12,
     ),
     IdentityCase(
         "EQ2.7", "Eq. 2.6/2.7",
         "even-index exponential generating function via a Hermite-weighted "
         "double sum",
-        frozenset({EXACT, NUMERIC}),
         exact_runner=_tupled(exact.eq2_7, _XY_BASE, _xy_sample),
         numeric_runner=pointwise.eq2_7,
     ),
@@ -178,7 +181,6 @@ _CASES = (
         "EQ2.8", "Eq. 2.8",
         "even-index associated generating function with derived even-degree "
         "weight polynomial",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq2_8,
         notes=(
             "the m=2 weight polynomial is fitted; it differs from the printed "
@@ -189,27 +191,23 @@ _CASES = (
     IdentityCase(
         "EQ2.9", "Eq. 2.9",
         "even-index two-index family against a two-variable Wright series",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq2_9,
     ),
     IdentityCase(
         "EQ2.10", "Eq. 2.10",
         "even-index ordinary generating function resummed over diagonal "
         "associated polynomials",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq2_10,
     ),
     IdentityCase(
         "EQ2.11", "Eq. 2.11",
         "triple-index ordinary generating function resummed over a nested "
         "diagonal sum",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq2_11,
     ),
     IdentityCase(
         "EQ2.13", "Eq. 2.13",
         "negative-offset associated family, binomial-exponential closed form",
-        frozenset({EXACT, NUMERIC}),
         exact_runner=_tupled(exact.eq2_13, _OFFSET_BASE, _offset_sample),
         numeric_runner=pointwise.eq2_13,
         notes=(
@@ -221,26 +219,22 @@ _CASES = (
         "EQ2.14", "Eq. 2.14",
         "even negative-offset family, trigonometric closed form evaluated "
         "through complex branches",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq2_14,
     ),
     IdentityCase(
         "EQ3.1", "Eq. 3.1",
         "shifted double-lacunary exponential generating function",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_1,
     ),
     IdentityCase(
         "EQ3.3", "Eq. 3.3",
         "shifted triple-lacunary exponential generating function",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_3,
     ),
     IdentityCase(
         "EQ3.4", "Eq. 3.4",
         "triple-lacunary associated generating function with derived cubic "
         "weight",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_4,
         notes=(
             "inner summation index in the printed display shadows the outer "
@@ -252,13 +246,11 @@ _CASES = (
         "EQ3.5", "Eq. 3.5",
         "m-fold lacunary exponential generating function via multi-variable "
         "Hermite blocks",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_5,
     ),
     IdentityCase(
         "EQ3.8", "Eq. 3.8",
         "bilateral product generating function via two commuting symbols",
-        frozenset({EXACT, NUMERIC}),
         exact_runner=_tupled(exact.eq3_8, _BILATERAL_BASE, _bilateral_sample),
         numeric_runner=pointwise.eq3_8,
     ),
@@ -266,14 +258,12 @@ _CASES = (
         "EQ3.9", "Eq. 3.9",
         "Pochhammer-weighted even-index generating function resummed over "
         "diagonals",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_9,
     ),
     IdentityCase(
         "EQ3.10", "Eq. 3.10",
         "Pochhammer-weighted even-index generating function, modified-Bessel "
         "closed form",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_10,
         notes=(
             "printed closed form omits a factorial normalization (small-t "
@@ -285,14 +275,12 @@ _CASES = (
         "EQ3.11", "Eq. 3.11",
         "Pochhammer-weighted triple-index generating function, nested closed "
         "form",
-        frozenset({NUMERIC}),
         numeric_runner=pointwise.eq3_11,
     ),
     IdentityCase(
         "EQ3.14", "Eq. 3.14",
         "exponential of the lowering derivative acting on the exponential "
         "kernel",
-        frozenset({EXACT}),
         exact_runner=_ordered(exact.eq3_14),
         exact_order=12,
     ),
@@ -300,14 +288,12 @@ _CASES = (
         "EQ3.15", "Eq. 3.15",
         "eigenfunction property of the zeroth Bessel-type kernel under the "
         "lowering-derivative flow",
-        frozenset({EXACT}),
         exact_runner=_ordered(exact.eq3_15),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.17", "Eq. 3.17",
         "zeroth Bessel function as a pseudo-Gaussian umbral exponential",
-        frozenset({EXACT}),
         exact_runner=_ordered(exact.eq3_17),
         exact_order=20,
     ),
@@ -315,21 +301,19 @@ _CASES = (
         "EQ3.18", "Eq. 3.18/3.19",
         "dilation of the pseudo-Gaussian to a Gaussian, with a transform "
         "quadrature cross-check",
-        frozenset({EXACT, QUADRATURE}),
         exact_runner=_ordered(exact.eq3_18_exact),
+        quadrature_runner=pointwise.borel_points,
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.20", "Eq. 3.20",
         "Gaussian as a geometric umbral series",
-        frozenset({EXACT}),
         exact_runner=_ordered(exact.eq3_20),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.21", "Eq. 3.21",
         "error-function integral as an umbral arctangent",
-        frozenset({EXACT}),
         exact_runner=_ordered(exact.eq3_21),
         exact_order=20,
     ),
@@ -408,10 +392,10 @@ def _tally(
     )
 
 
-def _case_with(case_id: str, mode: str, mode_name: str) -> IdentityCase:
+def _case_with(case_id: str, mode: str) -> IdentityCase:
     case = get_case(case_id)
     if mode not in case.modes:
-        raise ModeUnsupported(f"{case_id} has no {mode_name} mode")
+        raise ModeUnsupported(f"{case_id} has no {mode} mode")
     return case
 
 
@@ -447,7 +431,7 @@ def check_coefficients(
     case_id: str, nmax: Optional[int] = None, seed: int = 0
 ) -> VerificationReport:
     """Exact mode: every streamed coefficient pair must be literally equal."""
-    case = _case_with(case_id, EXACT, "exact-coefficient")
+    case = _case_with(case_id, EXACT)
     order = case.exact_order if nmax is None else nmax
     rows = case.exact_runner(order, random.Random(seed))
     return _tally(case, EXACT, order, rows, _exact_rule)
@@ -460,16 +444,16 @@ def check_pointwise(
     grid_scale: float = 1.0,
 ) -> VerificationReport:
     """Numeric mode: relative error, tail, and stability rules per point."""
-    case = _case_with(case_id, NUMERIC, "numeric-pointwise")
-    terms = case.numeric_terms if n_terms is None else n_terms
+    case = _case_with(case_id, NUMERIC)
+    terms = DEFAULT_TERMS if n_terms is None else n_terms
     rows = case.numeric_runner(terms, grid_scale, _CTRL)
     return _tally(case, NUMERIC, terms, rows, _point_rule(tol, budgeted=True))
 
 
 def check_quadrature(case_id: str, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Quadrature mode: transform integral against its closed form."""
-    case = _case_with(case_id, QUADRATURE, "quadrature")
-    rows = pointwise.borel_points(tol)
+    case = _case_with(case_id, QUADRATURE)
+    rows = case.quadrature_runner(tol)
     return _tally(case, QUADRATURE, 0, rows, _point_rule(tol, budgeted=False))
 
 
@@ -478,27 +462,26 @@ def run_case(
     mode: str = "all",
     nmax: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    n_terms: Optional[int] = None,
     grid_scale: float = 1.0,
     seed: int = 0,
 ) -> list:
     """All reports for one case, restricted to a mode filter.
 
-    The filter accepts "exact", "numeric", "quadrature", or "all"; a mode
-    the case does not register is skipped silently under "all" and raises
-    ModeUnsupported when requested explicitly.
+    The filter accepts a name from MODES or "all"; a mode the case does not
+    register is skipped silently under "all" and raises ModeUnsupported
+    when requested explicitly.  nmax sets both the exact order and the
+    numeric term count.  The checks are looked up as module globals at
+    call time, so a wrapper installed on them sees every report.
     """
     case = get_case(case_id)
-    wanted = {EXACT, NUMERIC, QUADRATURE} if mode == "all" else {mode}
-    if mode != "all" and mode not in (EXACT, NUMERIC, QUADRATURE):
+    if mode != "all" and mode not in MODES:
         raise ModeUnsupported(f"unknown mode {mode!r}")
-    reports = []
-    if EXACT in wanted and (mode == EXACT or EXACT in case.modes):
-        reports.append(check_coefficients(case_id, nmax=nmax, seed=seed))
-    if NUMERIC in wanted and (mode == NUMERIC or NUMERIC in case.modes):
-        reports.append(
-            check_pointwise(case_id, tol=tol, n_terms=n_terms, grid_scale=grid_scale)
-        )
-    if QUADRATURE in wanted and (mode == QUADRATURE or QUADRATURE in case.modes):
-        reports.append(check_quadrature(case_id, tol=tol))
-    return reports
+    checks = {
+        EXACT: lambda: check_coefficients(case_id, nmax=nmax, seed=seed),
+        NUMERIC: lambda: check_pointwise(
+            case_id, tol=tol, n_terms=nmax, grid_scale=grid_scale
+        ),
+        QUADRATURE: lambda: check_quadrature(case_id, tol=tol),
+    }
+    wanted = case.modes if mode == "all" else (mode,)
+    return [checks[m]() for m in wanted]

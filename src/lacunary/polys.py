@@ -136,18 +136,9 @@ def laguerre_sequence(nmax: int, x: Scalar, y: Scalar = 1) -> list:
     (n+1) L_{n+1} = ((2n+1) y - x) L_n - n y^2 L_{n-1}.  Exact for exact
     inputs; for floats this is far cheaper than the explicit sums once the
     degree runs into the hundreds (lacunary series evaluate L_{mn+l}).
+    It is the associated recurrence at offset 0.
     """
-    if nmax < 0:
-        raise DomainError("degree must be >= 0")
-    exact = is_exact(x) and is_exact(y)
-    out = [Fraction(1) if exact else 1.0]
-    if nmax >= 1:
-        out.append(y - x if exact else float(y) - float(x))
-    y2 = y * y
-    for n in range(1, nmax):
-        nxt = (((2 * n + 1) * y - x) * out[n] - n * y2 * out[n - 1]) / (n + 1)
-        out.append(nxt if exact else float(nxt))
-    return out
+    return assoc_laguerre_sequence(nmax, 0, x, y)
 
 
 def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) -> list:

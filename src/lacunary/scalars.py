@@ -39,12 +39,13 @@ def as_real(value: Scalar, where: str = "result", slack: float = IMAG_SLACK) -> 
     slack * (1 + |real part|).
     """
     if isinstance(value, complex):
-        bound = slack * (1.0 + abs(value.real))
-        if abs(value.imag) > bound:
+        real = ensure_finite(value.real, where)
+        bound = slack * (1.0 + abs(real))
+        if not abs(value.imag) <= bound:  # a NaN imaginary part fails too
             raise ImaginaryResidue(
                 f"{where}: imaginary residue {value.imag!r} exceeds {bound!r}"
             )
-        return ensure_finite(value.real, where)
+        return real
     if isinstance(value, Fraction):
         return float(value)
     return float(ensure_finite(value, where))

@@ -80,14 +80,7 @@ def bessel_j0(x: float, control: SumControl | None = None) -> float:
     """J_0(x) by its Taylor series (adequate for moderate |x|)."""
     ctrl = control or SumControl(max_terms=600, rel_tol=1e-15)
     q = -(x * x) / 4.0
-
-    def gen() -> Iterator[float]:
-        term = 1.0
-        for k in count():
-            yield term
-            term *= q / ((k + 1.0) * (k + 1.0))
-
-    value, _ = sum_series(gen(), ctrl)
+    value, _ = sum_series(_ratio_sequence(lambda k: q / ((k + 1.0) * (k + 1.0))), ctrl)
     return value
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import count
+from typing import Callable, Iterable
 
 from .errors import NonConvergence, NumericError
 
@@ -82,12 +83,4 @@ def sum_shells(
 
     Used for multi-index series grouped by total index order.
     """
-    ctrl = control or SumControl()
-
-    def shells() -> Iterator[complex | float]:
-        n = 0
-        while True:
-            yield shell_total(n)
-            n += 1
-
-    return sum_series(shells(), ctrl)
+    return sum_series(map(shell_total, count()), control)

@@ -28,6 +28,7 @@ from .scalars import is_exact, rgamma_exact
 Key = tuple[Fraction, Fraction, int]
 
 #: Hard cap on stored terms; expansions beyond this raise TermBudgetExceeded.
+#: Read at each check, so a caller may lower it for one computation.
 DEFAULT_TERM_CAP = 200_000
 
 
@@ -42,12 +43,12 @@ def _as_exponent(e) -> Fraction:
 class UmbralSeries:
     """Immutable finite umbral sum; construct via the module helpers."""
 
-    __slots__ = ("terms", "term_cap")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, Fraction], term_cap: int = DEFAULT_TERM_CAP):
-        if len(terms) > term_cap:
+    def __init__(self, terms: Mapping[Key, Fraction]):
+        if len(terms) > DEFAULT_TERM_CAP:
             raise TermBudgetExceeded(
-                f"{len(terms)} terms exceed the cap of {term_cap}"
+                f"{len(terms)} terms exceed the cap of {DEFAULT_TERM_CAP}"
             )
         clean: dict[Key, Fraction] = {}
         for key, coeff in terms.items():
@@ -58,7 +59,6 @@ class UmbralSeries:
                 continue
             clean[key] = coeff
         self.terms: dict[Key, Fraction] = clean
-        self.term_cap = term_cap
 
     # -- constructors ------------------------------------------------------
 
@@ -96,20 +96,18 @@ class UmbralSeries:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + coeff
-        return UmbralSeries(out, self.term_cap)
+        return UmbralSeries(out)
 
     def __sub__(self, other: "UmbralSeries") -> "UmbralSeries":
         return self + (-other)
 
     def __neg__(self) -> "UmbralSeries":
-        return UmbralSeries({k: -c for k, c in self.terms.items()}, self.term_cap)
+        return UmbralSeries({k: -c for k, c in self.terms.items()})
 
     def scale(self, factor: Fraction) -> "UmbralSeries":
         if not is_exact(factor):
             raise ModeMismatch("cannot scale an umbral series by a float")
-        return UmbralSeries(
-            {k: c * factor for k, c in self.terms.items()}, self.term_cap
-        )
+        return UmbralSeries({k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other: "UmbralSeries") -> "UmbralSeries":
         out: dict[Key, Fraction] = {}
@@ -121,11 +119,11 @@ class UmbralSeries:
                     out[key] += prod
                 else:
                     out[key] = prod
-            if len(out) > self.term_cap:
+            if len(out) > DEFAULT_TERM_CAP:
                 raise TermBudgetExceeded(
-                    f"product exceeded the {self.term_cap}-term cap"
+                    f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
                 )
-        return UmbralSeries(out, self.term_cap)
+        return UmbralSeries(out)
 
     def pow(self, exponent: int) -> "UmbralSeries":
         if exponent < 0:
@@ -187,14 +185,10 @@ class UmbralSeries:
         for (e1, e2, d), coeff in self.terms.items():
             key = (e1 + s * d, e2, d)
             out[key] = out.get(key, Fraction(0)) + coeff
-        return UmbralSeries(out, self.term_cap)
+        return UmbralSeries(out)
 
 
-def umb_exp(
-    argument: UmbralSeries,
-    order: int,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> UmbralSeries:
+def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
     """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term."""
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -207,6 +201,4 @@ def umb_exp(
         power = power * argument
         kfact *= k
         acc = acc + power.scale(Fraction(1, kfact))
-        if len(acc.terms) > term_cap:
-            raise TermBudgetExceeded("umb_exp exceeded its term cap")
     return acc

@@ -215,6 +215,11 @@ GOLDEN = [
     (("derive-aux", "--family", "p", "--m", "2"), "derive_aux_p2.json"),
     (("derive-aux", "--family", "p", "--m", "3"), "derive_aux_p3.json"),
     (("derive-aux", "--family", "q", "--m", "1"), "derive_aux_q1.json"),
+    (("list",), "list.txt"),
+    (
+        ("verify", "--all", "--seed", "0", "--no-timestamp", "--format", "csv"),
+        "verify_all_seed0.csv",
+    ),
 ]
 
 

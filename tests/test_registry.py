@@ -17,7 +17,6 @@ from lacunary import (
     get_case,
     run_case,
 )
-from lacunary.identities import pointwise
 from lacunary.identities.pointwise import PointOutcome
 
 # The package re-exports a registry() function under the submodule's name.
@@ -125,6 +124,14 @@ def _swap_runner(monkeypatch, case_id, **runner):
     monkeypatch.setitem(registry_mod._BY_ID, case_id, dataclasses.replace(case, **runner))
 
 
+def test_modes_follow_runners(monkeypatch):
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=None)
+    assert get_case("EQ2.13").modes == ("exact",)
+    assert [r.mode for r in run_case("EQ2.13")] == ["exact"]
+    with pytest.raises(ModeUnsupported, match="EQ2.13 has no numeric mode"):
+        run_case("EQ2.13", mode="numeric")
+
+
 def test_exact_mismatch_fails_and_names_its_label(monkeypatch):
     case = get_case("EQ2.13")
     perturbed = []
@@ -190,7 +197,7 @@ def test_quadrature_failure_keeps_rows_tallied_so_far(monkeypatch):
         yield PointOutcome("EQ3.19[x=1]", 0.75, 0.75 + 1e-12, 0.0, 0.0)
         raise QuadratureFailure(message)
 
-    monkeypatch.setattr(pointwise, "borel_points", points)
+    _swap_runner(monkeypatch, "EQ3.18", quadrature_runner=points)
     report = check_quadrature("EQ3.18")
     assert not report.passed
     assert report.grid_size == 2

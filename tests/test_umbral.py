@@ -10,6 +10,7 @@ from lacunary import (
     DomainError,
     MissingDegreeMetadata,
     ModeMismatch,
+    TermBudgetExceeded,
     UmbralSeries,
     assoc_laguerre,
     laguerre,
@@ -17,6 +18,7 @@ from lacunary import (
     rgamma_exact,
     umb_exp,
 )
+from lacunary import umbral as umbral_mod
 
 F = Fraction
 
@@ -57,6 +59,17 @@ def test_umb_exp_small_order():
         (F(1), F(0), 1): F(-2),
         (F(2), F(0), 2): F(2),
     }
+
+
+def test_term_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(umbral_mod, "DEFAULT_TERM_CAP", 3)
+    three = UmbralSeries({(F(k), F(0), 0): F(1) for k in range(3)})
+    with pytest.raises(TermBudgetExceeded, match="product"):
+        three * three  # five exponents; the product loop stops at the fourth
+    with pytest.raises(TermBudgetExceeded, match="exceed the cap of 3"):
+        UmbralSeries({(F(k), F(0), 0): F(1) for k in range(4)})
+    with pytest.raises(TermBudgetExceeded, match="exceed the cap of 3"):
+        umb_exp(UmbralSeries.monomial(F(1), 1, x_degree=1), 5)
 
 
 def test_umb_exp_zero_argument():
