@@ -8,7 +8,7 @@ truncation never manufactures spurious high-order coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError
 

@@ -409,18 +409,21 @@ def _exact_rule(row: exact.Check) -> tuple[float, float, Optional[str]]:
 
 
 def _point_rule(tol: float, budgeted: bool) -> Rule:
-    """Relative error against tol; with budgets, then tail and then drift."""
+    """Relative error against tol; with budgets, then tail and then drift.
+
+    Each test is written `not value <= bound`, so a NaN fails it.
+    """
 
     def rule(o: pointwise.PointOutcome) -> tuple[float, float, Optional[str]]:
         err = abs(o.lhs - o.rhs)
         rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
-        if rel > tol:
+        if not rel <= tol:
             return err, rel, f"{o.label} rel={rel:.3e}"
         if budgeted:
             budget = STABILITY_FRACTION * tol * max(1.0, abs(o.lhs))
-            if o.tail > budget:
+            if not o.tail <= budget:
                 return err, rel, f"{o.label} tail={o.tail:.3e}"
-            if o.drift > budget:
+            if not o.drift <= budget:
                 return err, rel, f"{o.label} drift={o.drift:.3e}"
         return err, rel, None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,6 +54,57 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
         g = _gamma_weight(beta * r + 1 + alpha)
         total = total + w * g * (-x) ** r * y ** (n - r)
     return total
+
+
+def lambda_sequence(nmax: int, alpha: float, beta: float, x: float, y: float = 1.0) -> list:
+    """[lambda_poly(n, alpha, beta, x, y) for n = 0..nmax] for int or float
+    alpha and beta and float x and y.
+
+    Bit for bit the same floats: the binomial rows come from Pascal's rule
+    on ints, and the powers and one Gamma weight per r are computed once.
+    As in _gamma_weight, a positive int argument beta r + 1 + alpha divides
+    the binomial by (beta r + alpha)! in one int true division (the float
+    of the exact Fraction); any other argument multiplies by rgamma.
+    Products and sums keep lambda_poly's left-to-right order.
+    """
+    if nmax < 0:
+        raise DomainError("degree must be >= 0")
+    powx = [(-x) ** r for r in range(nmax + 1)]
+    powy = [y**k for k in range(nmax + 1)]
+    weights = []  # the factorial divisor (int) or the rgamma factor (float)
+    for r in range(nmax + 1):
+        arg = beta * r + 1 + alpha
+        integral = isinstance(arg, int) and arg > 0
+        weights.append(math.factorial(arg - 1) if integral else rgamma(arg))
+    out = []
+    row = [1]
+    for n in range(nmax + 1):
+        if n:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        total = 0.0
+        for r, c in enumerate(row):
+            g = weights[r]
+            w = c / g if isinstance(g, int) else float(c) * g
+            total += w * powx[r] * powy[n - r]
+        out.append(total)
+    return out
+
+
+def assoc_laguerre_diagonal(kmax: int, alpha: float, x: float, y: float = 1.0) -> list:
+    """[L_k^(alpha-k)(x, y) for k = 0..kmax], the coefficients of
+    (1 + y t)^alpha e^(-x t), as the Cauchy product of
+    b_m = C(alpha, m) y^m and e_r = (-x)^r / r!, each by its ratio.
+
+    The per-k assoc_laguerre on floats overflows its product and
+    underflows its weights from k = 173 up; both factors here stay finite.
+    """
+    if kmax < 0:
+        raise DomainError("degree must be >= 0")
+    b, e = [1.0], [1.0]
+    for m in range(kmax):
+        b.append(b[m] * (alpha - m) / (m + 1) * y)
+        e.append(e[m] * -x / (m + 1))
+    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(kmax + 1)]
 
 
 def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):

@@ -220,6 +220,11 @@ GOLDEN = [
         ("verify", "--all", "--seed", "0", "--no-timestamp", "--format", "csv"),
         "verify_all_seed0.csv",
     ),
+    (
+        ("verify", "--mode", "numeric", "--nmax", "160", "--id", "EQ1.7",
+         "--id", "EQ1.9", "--id", "EQ2.9", "--seed", "0", "--no-timestamp"),
+        "verify_lambda_n160.json",
+    ),
 ]
 
 

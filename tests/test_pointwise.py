@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from lacunary import SumControl
+from lacunary import SumControl, check_pointwise
 from lacunary.identities import pointwise
 
 CTRL = SumControl(max_terms=400, rel_tol=1e-16)
@@ -84,6 +84,18 @@ def test_eq2_14_degenerate_scale_is_finite():
     for row in pointwise.eq2_14(40, 1e-6, CTRL):
         assert row.lhs == pytest.approx(1.0, abs=1e-4)
         assert _rel(row) <= 1e-10
+
+
+def test_eq2_14_deep_left_sides_are_finite():
+    # At 160 terms the diagonal reaches L_338^(alpha-338); evaluated per
+    # index in floats it was NaN there.
+    rows = list(pointwise.eq2_14(160, 1.0, CTRL))
+    assert len(rows) == 4
+    assert all(math.isfinite(row.lhs) for row in rows)
+
+
+def test_eq2_9_passes_at_400_terms():
+    assert check_pointwise("EQ2.9", n_terms=400).passed
 
 
 def test_borel_points_grid():

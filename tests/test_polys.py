@@ -23,7 +23,11 @@ from lacunary import (
     lambda_poly,
     rgamma_exact,
 )
-from lacunary.polys import hermite2_from_classical
+from lacunary.polys import (
+    assoc_laguerre_diagonal,
+    hermite2_from_classical,
+    lambda_sequence,
+)
 
 F = Fraction
 
@@ -156,6 +160,48 @@ def test_sequences_float_path_is_stable():
     seq = laguerre_sequence(250, 1.0)
     ref = float(laguerre(250, F(1)))
     assert abs(seq[250] - ref) <= 1e-12 * abs(ref)
+
+
+coord = st.floats(min_value=-3.0, max_value=3.0) | st.just(0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=-3, max_value=3) | st.floats(min_value=-2.5, max_value=3.0),
+    st.integers(min_value=1, max_value=3),
+    coord,
+    coord,
+    st.integers(min_value=0, max_value=60),
+)
+def test_lambda_sequence_is_lambda_poly_bit_for_bit(alpha, beta, x, y, nmax):
+    seq = lambda_sequence(nmax, alpha, beta, x, y)
+    assert len(seq) == nmax + 1
+    for n, value in enumerate(seq):
+        want = lambda_poly(n, alpha, beta, x, y)
+        assert value == want and type(value) is type(want), n
+
+
+def test_lambda_sequence_at_the_eq2_9_grid():
+    grid = ((0, 1, 1.0, 1.0), (1, 1, 0.5, 1.2), (1, 2, 1.0, 0.8), (2, 2, 0.7, 1.0))
+    for alpha, beta, x, y in grid:
+        seq = lambda_sequence(340, alpha, beta, x, y)
+        for n in (*range(0, 340, 17), 340):
+            assert seq[n] == lambda_poly(n, alpha, beta, x, y), (alpha, beta, n)
+
+
+def test_assoc_laguerre_diagonal_matches_exact_offsets():
+    for alpha in (0.5, 2.5, 3.0, -1.25):
+        for x, y in ((1.0, 1.0), (0.5, 2.0), (2.0, -0.75), (-1.5, 0.5), (0.0, 1.25)):
+            diag = assoc_laguerre_diagonal(60, alpha, x, y)
+            for k, value in enumerate(diag):
+                want = float(assoc_laguerre(k, F(alpha) - k, F(x), F(y)))
+                assert abs(value - want) <= 1e-12 * abs(want), (alpha, x, y, k)
+
+
+def test_assoc_laguerre_diagonal_stays_finite():
+    # The per-k float evaluation turns to -inf at k = 174 and NaN at 180.
+    for alpha, x, y in ((0.5, 1.0, 1.0), (2.5, 0.5, 1.2), (1.5, 0.0, 1.0), (1.0, 2.0, 1.0)):
+        assert all(map(math.isfinite, assoc_laguerre_diagonal(820, alpha, x, y)))
 
 
 def test_xpoly_coefficient_lists():

@@ -169,6 +169,22 @@ def test_numeric_budget_overrun_fails_with_small_error(monkeypatch, field):
     assert report.notes[-1] == f"failed points: P[bad] {field}=1.000e-06"
 
 
+@pytest.mark.parametrize("field", ["lhs", "tail", "drift"])
+def test_numeric_nan_fails_the_report(monkeypatch, field):
+    nan = float("nan")
+    bad = dataclasses.replace(PointOutcome("P[nan]", 1.0, 1.0, 0.0, 0.0), **{field: nan})
+
+    def runner(n_terms, scale, ctrl):
+        yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
+        yield bad
+
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
+    report = check_pointwise("EQ2.13")
+    assert not report.passed
+    name = "rel" if field == "lhs" else field
+    assert report.notes[-1] == f"failed points: P[nan] {name}=nan"
+
+
 def test_numeric_relative_error_is_reported_before_budgets(monkeypatch):
     def runner(n_terms, scale, ctrl):
         yield PointOutcome("P[off]", 1.0, 1.5, 1.0, 1.0)
