@@ -1,101 +1,117 @@
 """Truncated formal power series with exact rational coefficients.
 
-A series is a dense list of Fractions c[0..order]; all arithmetic is exact.
+A series c[0..order] is stored as int numerators over one common
+denominator, kept in lowest terms, so every kernel runs on ints and two
+equal series have equal storage.  `coeffs` and indexing hand out Fractions.
 The order of a binary result is the minimum of the operand orders, so
 truncation never manufactures spurious high-order coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import DomainError
+from .scalars import is_exact
 
 __all__ = ["FormalPowerSeries", "fps_exp", "fps_geometric", "fps_one", "fps_x"]
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient required, got {type(value).__name__}")
+    if not is_exact(value):
+        raise TypeError(f"exact coefficient required, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _make(num: Sequence[int], den: int) -> "FormalPowerSeries":
+    """Series num[k]/den, brought to lowest terms with a positive denominator."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    series = object.__new__(FormalPowerSeries)
+    series._num = tuple(c // g for c in num) if g != 1 else tuple(num)
+    series._den = den // g
+    return series
 
 
 class FormalPowerSeries:
     """Exact truncated power series sum_k c[k] t^k, k <= order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = [_as_fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        den = math.lcm(*(c.denominator for c in cs))
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("negative coefficient index")
         if k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self._num[k], self._den)
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, FormalPowerSeries) and self.coeffs == other.coeffs
+            isinstance(other, FormalPowerSeries)
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"FormalPowerSeries([{head}{tail}], order={self.order})"
 
+    def _combine(self, other: "FormalPowerSeries", sign: int) -> "FormalPowerSeries":
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
+
     def __add__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        n = min(self.order, other.order)
-        return FormalPowerSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        n = min(self.order, other.order)
-        return FormalPowerSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "FormalPowerSeries":
-        return FormalPowerSeries([-c for c in self.coeffs])
+        return _make([-c for c in self._num], self._den)
 
     def scale(self, factor: Fraction | int) -> "FormalPowerSeries":
         f = _as_fraction(factor)
-        return FormalPowerSeries([f * c for c in self.coeffs])
+        return _make([f.numerator * c for c in self._num], self._den * f.denominator)
 
     def __mul__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return FormalPowerSeries(out)
+        a, b = self._num, other._num
+        out = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
+        return _make(out, self._den * other._den)
 
     def shift(self, k: int) -> "FormalPowerSeries":
         """Multiply by t^k (keeps the truncation order)."""
         if k < 0:
             raise ValueError("shift must be >= 0")
         n = self.order
-        return FormalPowerSeries(
-            [Fraction(0)] * min(k, n + 1) + list(self.coeffs[: max(0, n + 1 - k)])
+        return _make(
+            [0] * min(k, n + 1) + list(self._num[: max(0, n + 1 - k)]), self._den
         )
 
     def pow(self, exponent: int) -> "FormalPowerSeries":
@@ -112,79 +128,86 @@ class FormalPowerSeries:
         return out
 
     def reciprocal(self) -> "FormalPowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Over L = N0^(order+1) the inverse of N/D has integer numerators
+        C_0 = D N0^order, C_k = -(sum_{j>=1} N_j C_{k-j}) / N0, exactly.
+        """
+        num, n = self._num, self.order
+        lead = num[0]
+        if lead == 0:
             raise DomainError("reciprocal needs a nonzero constant term")
-        n = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
+        out = [self._den * lead**n]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j <= self.order and self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return FormalPowerSeries(out)
+            out.append(-sum(map(mul, num[1 : k + 1], out[::-1])) // lead)
+        return _make(out, lead ** (n + 1))
 
     def exp(self) -> "FormalPowerSeries":
-        """exp of a series with zero constant term (h' = f' h recursion)."""
-        if self.coeffs[0] != 0:
+        """exp of a series with zero constant term (h' = f' h recursion).
+
+        Over L = order! D^order the numerators C of exp(N/D) are integers with
+        k D C_k = sum_{j>=1} j N_j C_{k-j}, so each step divides exactly.
+        """
+        num, n, den = self._num, self.order, self._den
+        if num[0] != 0:
             raise DomainError("exp needs a zero constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
+        weighted = [j * c for j, c in enumerate(num)]
+        out = [math.factorial(n) * den**n]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
-        return FormalPowerSeries(out)
+            out.append(sum(map(mul, weighted[1 : k + 1], out[::-1])) // (k * den))
+        return _make(out, out[0])
 
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
-        """self(inner(t)); requires inner(0) = 0."""
-        if inner.coeffs[0] != 0:
+        """self(inner(t)); requires inner(0) = 0.
+
+        Horner on numerators: with inner = I/Di, A <- A*I + S_k Di^(n-k)
+        from the top coefficient down leaves self(inner) = A / (Ds Di^n).
+        """
+        if inner._num[0] != 0:
             raise DomainError("compose needs inner constant term zero")
         n = min(self.order, inner.order)
-        # Horner from the top coefficient down.
-        acc = FormalPowerSeries([Fraction(0)] * (n + 1))
+        rest = inner._num[1 : n + 1]  # I_1..I_n; I_0 = 0 drops from A*I
+        acc = [0] * (n + 1)
         for k in range(n, -1, -1):
-            acc = acc * inner
-            acc = acc + FormalPowerSeries([self.coeffs[k]] + [Fraction(0)] * n)
-        return acc
-
-    def evaluate(self, t):
-        """Horner evaluation at a numeric point (exact for exact input)."""
-        acc = self.coeffs[self.order] * 1
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * t + self.coeffs[k]
-        return acc
+            # [t^m] of A*I is sum_{i<m} A_i I_{m-i}.
+            acc = [self._num[k] * inner._den ** (n - k)] + [
+                sum(map(mul, acc[:m], rest[m - 1 :: -1])) for m in range(1, n + 1)
+            ]
+        return _make(acc, self._den * inner._den**n)
 
 
 def fps_one(order: int) -> FormalPowerSeries:
-    return FormalPowerSeries([Fraction(1)] + [Fraction(0)] * order)
+    return _make([1] + [0] * order, 1)
 
 
 def fps_x(order: int, coefficient: Fraction | int = 1) -> FormalPowerSeries:
     if order < 1:
         raise ValueError("order must be >= 1 to hold a linear term")
-    out = [Fraction(0)] * (order + 1)
-    out[1] = _as_fraction(coefficient)
-    return FormalPowerSeries(out)
+    c = _as_fraction(coefficient)
+    return _make([0, c.numerator] + [0] * (order - 1), c.denominator)
 
 
 def fps_exp(order: int, rate: Fraction | int = 1) -> FormalPowerSeries:
-    """Series of exp(rate * t) through `order`."""
+    """Series of exp(rate * t) through `order`.
+
+    With rate = p/q, [t^k] is p^k q^(order-k) order!/k! over q^order order!.
+    """
     r = _as_fraction(rate)
-    out = [Fraction(1)]
+    p, q = r.numerator, r.denominator
+    out = [q**order * math.factorial(order)]
     for k in range(1, order + 1):
-        out.append(out[-1] * r / k)
-    return FormalPowerSeries(out)
+        out.append(out[-1] * p // (q * k))
+    return _make(out, out[0])
 
 
 def fps_geometric(order: int, ratio: Fraction | int = 1) -> FormalPowerSeries:
-    """Series of 1/(1 - ratio * t) through `order`."""
+    """Series of 1/(1 - ratio * t) through `order`.
+
+    With ratio = p/q, [t^k] is p^k q^(order-k) over q^order.
+    """
     r = _as_fraction(ratio)
-    out = [Fraction(1)]
+    p, q = r.numerator, r.denominator
+    out = [q**order]
     for _ in range(order):
-        out.append(out[-1] * r)
-    return FormalPowerSeries(out)
+        out.append(out[-1] * p // q)
+    return _make(out, out[0])

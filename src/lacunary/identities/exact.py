@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ..fps import FormalPowerSeries, fps_geometric, fps_x
+from ..fps import FormalPowerSeries, fps_exp, fps_geometric, fps_x
 from ..polys import assoc_laguerre, laguerre, lambda_poly
 from ..scalars import binomial, rgamma_exact
 from ..umbral import UmbralSeries, umb_exp
@@ -27,13 +27,15 @@ Check = tuple[str, Fraction, Fraction]
 # generating-function engines below: each factor of t tags one unit.
 
 
-def _exp_conv(poly: dict[int, Fraction], rate: Fraction, n: int) -> Fraction:
-    """[t^n] of (sum_k poly[k] t^k) * exp(rate * t)."""
-    total = Fraction(0)
-    for k, c in poly.items():
-        if k <= n:
-            total += c * rate ** (n - k) * rgamma_exact(n - k + 1)
-    return total
+def _exp_conv(
+    poly: dict[int, Fraction], rate: Fraction, nmax: int
+) -> FormalPowerSeries:
+    """(sum_k poly[k] t^k) * exp(rate * t) through t^nmax.
+
+    The weights rate^j / j! are built once, as the series exp(rate * t).
+    """
+    dense = FormalPowerSeries([poly.get(k, 0) for k in range(nmax + 1)])
+    return dense * fps_exp(nmax, rate)
 
 
 def _label(name: str, binding: dict, n: int) -> str:
@@ -54,10 +56,10 @@ def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
         arg = UmbralSeries.monomial(-x, beta, x_degree=1)
         reduced = (UmbralSeries.symbol(alpha) * umb_exp(arg, nmax)).reduce_poly()
+        rhs = _exp_conv(reduced, y, nmax)
         for n in range(nmax + 1):
             lhs = lambda_poly(n, alpha, beta, x, y) * rgamma_exact(n + 1)
-            rhs = _exp_conv(reduced, y, n)
-            yield _label("EQ1.7", binding, n), lhs, rhs
+            yield _label("EQ1.7", binding, n), lhs, rhs[n]
 
 
 def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
@@ -100,11 +102,10 @@ def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         arg = UmbralSeries.monomial(x * x, 2, x_degree=1) + UmbralSeries.monomial(
             -2 * x * y, 1, x_degree=1
         )
-        reduced = umb_exp(arg, nmax).reduce_poly()
+        rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), y * y, nmax)
         for n in range(nmax + 1):
             lhs = laguerre(2 * n, x, y) * rgamma_exact(n + 1)
-            rhs = _exp_conv(reduced, y * y, n)
-            yield _label("EQ2.7", binding, n), lhs, rhs
+            yield _label("EQ2.7", binding, n), lhs, rhs[n]
 
 
 def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
@@ -120,10 +121,10 @@ def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         reduced = (UmbralSeries.symbol(alpha) * umb_exp(arg, nmax)).reduce_poly()
         gamma_alpha = Fraction(math.factorial(alpha))
         binom = {k: gamma_alpha * c for k, c in reduced.items()}
+        rhs = _exp_conv(binom, -x, nmax)
         for n in range(nmax + 1):
             lhs = assoc_laguerre(n, alpha - n, x, y)
-            rhs = _exp_conv(binom, -x, n)
-            yield _label("EQ2.13", binding, n), lhs, rhs
+            yield _label("EQ2.13", binding, n), lhs, rhs[n]
 
 
 def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Check]:
@@ -150,11 +151,10 @@ def eq3_8(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             + UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
             * UmbralSeries.symbol(1, which=2)
         )
-        reduced = umb_exp(arg, nmax).reduce_poly()
+        rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), u * y, nmax)
         for n in range(nmax + 1):
             lhs = laguerre(n, x, y) * laguerre(n, z, u) * rgamma_exact(n + 1)
-            rhs = _exp_conv(reduced, u * y, n)
-            yield _label("EQ3.8", binding, n), lhs, rhs
+            yield _label("EQ3.8", binding, n), lhs, rhs[n]
 
 
 # -- Laguerre derivative ---------------------------------------------------

@@ -349,6 +349,13 @@ def _safe_float(v: Fraction) -> float:
 Rule = Callable[[object], tuple[float, float, Optional[str]]]
 
 
+def _worse(worst, err):
+    """The larger error; a NaN wins and then stays, where max() would drop it."""
+    if worst != worst or err <= worst:
+        return worst
+    return err
+
+
 def _tally(
     case: IdentityCase, mode: str, truncation: int, rows: Iterable, rule: Rule
 ) -> VerificationReport:
@@ -366,8 +373,8 @@ def _tally(
         for row in rows:
             count += 1
             abs_err, rel_err, failure = rule(row)
-            max_abs = max(max_abs, abs_err)
-            max_rel = max(max_rel, rel_err)
+            max_abs = _worse(max_abs, abs_err)
+            max_rel = _worse(max_rel, rel_err)
             if failure is not None:
                 failures.append(failure)
     except QuadratureFailure as exc:

@@ -7,13 +7,22 @@ through its degree d.  Exponents add under multiplication; the vacuum rule is
     c^a |0>  ->  1 / Gamma(1 + a)
 
 applied independently per symbol, so negative-integer exponents annihilate a
-term exactly.  Coefficients are exact (Fraction) and reduction demands
-integer exponents, so every reduced value is rational.
+term exactly.  Reduction demands integer exponents, so every reduced value is
+rational.
+
+Storage is integer: each series keeps its exponents as int numerators over
+one exponent denominator (1 unless a half-integer symbol or a non-integer
+dilation brought one in) and its coefficients as int numerators over one
+common denominator.  The kernels work on those ints; `Fraction` appears only
+at the public boundary, in the constructor's input, the `terms` view and the
+reduced values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -23,13 +32,16 @@ from .errors import (
     ModeMismatch,
     TermBudgetExceeded,
 )
-from .scalars import is_exact, rgamma_exact
+from .scalars import is_exact
 
-Key = tuple[Fraction, Fraction, int]
+#: (c1 exponent numerator, c2 exponent numerator, x-degree).
+Key = tuple[int, int, int]
 
 #: Hard cap on stored terms; expansions beyond this raise TermBudgetExceeded.
 #: Read at each check, so a caller may lower it for one computation.
 DEFAULT_TERM_CAP = 200_000
+
+_ONE: Key = (0, 0, 0)
 
 
 def _as_exponent(e) -> Fraction:
@@ -40,42 +52,109 @@ def _as_exponent(e) -> Fraction:
     raise TypeError("umbral exponents must be int or Fraction")
 
 
+def _check_cap(n_terms: int) -> None:
+    if n_terms > DEFAULT_TERM_CAP:
+        raise TermBudgetExceeded(
+            f"{n_terms} terms exceed the cap of {DEFAULT_TERM_CAP}"
+        )
+
+
+def _product(left: dict[Key, int], right: list[tuple[Key, int]]) -> dict[Key, int]:
+    """Int numerators of a product, zeros kept; the cap is checked per left term."""
+    out: dict[Key, int] = {}
+    for (a1, a2, da), ca in left.items():
+        for (b1, b2, db), cb in right:
+            key = (a1 + b1, a2 + b2, da + db)
+            if key in out:
+                out[key] += ca * cb
+            else:
+                out[key] = ca * cb
+        if len(out) > DEFAULT_TERM_CAP:
+            raise TermBudgetExceeded(
+                f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
+            )
+    return out
+
+
+def _make(num: dict[Key, int], den: int, eden: int) -> "UmbralSeries":
+    """Series from int numerators; drops zeros and cancels the common factor."""
+    num = {k: c for k, c in num.items() if c}
+    _check_cap(len(num))
+    g = math.gcd(den, *num.values())
+    if g > 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    series = object.__new__(UmbralSeries)
+    series._num, series._den, series._eden = num, den, eden
+    return series
+
+
+def _over(series: "UmbralSeries", eden: int) -> dict[Key, int]:
+    """The series' numerators with exponents over the multiple `eden`."""
+    f = eden // series._eden
+    if f == 1:
+        return series._num
+    return {(a * f, b * f, d): c for (a, b, d), c in series._num.items()}
+
+
 class UmbralSeries:
     """Immutable finite umbral sum; construct via the module helpers."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_eden")
 
-    def __init__(self, terms: Mapping[Key, Fraction]):
-        if len(terms) > DEFAULT_TERM_CAP:
-            raise TermBudgetExceeded(
-                f"{len(terms)} terms exceed the cap of {DEFAULT_TERM_CAP}"
-            )
-        clean: dict[Key, Fraction] = {}
-        for key, coeff in terms.items():
+    def __init__(self, terms: Mapping[tuple, Fraction]):
+        _check_cap(len(terms))
+        rows = []
+        for (e1, e2, d), coeff in terms.items():
             if not is_exact(coeff):
                 raise ModeMismatch("umbral series require Fraction coefficients")
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            clean[key] = coeff
-        self.terms: dict[Key, Fraction] = clean
+            if coeff:
+                rows.append((_as_exponent(e1), _as_exponent(e2), d, Fraction(coeff)))
+        eden = math.lcm(*(e.denominator for row in rows for e in row[:2]))
+        den = math.lcm(*(row[3].denominator for row in rows))
+        self._num: dict[Key, int] = {
+            (
+                e1.numerator * (eden // e1.denominator),
+                e2.numerator * (eden // e2.denominator),
+                d,
+            ): c.numerator * (den // c.denominator)
+            for e1, e2, d, c in rows
+        }
+        self._den, self._eden = den, eden
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only {(e1, e2, d): coefficient} view with Fraction values.
+
+        Exponents are ints when the exponent denominator is 1; an int equals
+        and hashes like the same Fraction, so lookups work either way.
+        """
+        den, eden = self._den, self._eden
+        if eden == 1:
+            view = {key: Fraction(c, den) for key, c in self._num.items()}
+        else:
+            view = {
+                (Fraction(a, eden), Fraction(b, eden), d): Fraction(c, den)
+                for (a, b, d), c in self._num.items()
+            }
+        return MappingProxyType(view)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def scalar(value: Fraction) -> "UmbralSeries":
-        return UmbralSeries({(Fraction(0), Fraction(0), 0): value})
+        return UmbralSeries({(0, 0, 0): value})
 
     @staticmethod
     def symbol(exponent, which: int = 1) -> "UmbralSeries":
         e = _as_exponent(exponent)
         if which == 1:
-            key = (e, Fraction(0), 0)
+            key = (e, 0, 0)
         elif which == 2:
-            key = (Fraction(0), e, 0)
+            key = (0, e, 0)
         else:
             raise DomainError("symbol index must be 1 or 2")
-        return UmbralSeries({key: Fraction(1)})
+        return UmbralSeries({key: 1})
 
     @staticmethod
     def monomial(
@@ -85,50 +164,45 @@ class UmbralSeries:
         if x_degree < 0:
             raise DomainError("x_degree must be >= 0")
         e = _as_exponent(exponent)
-        key = (
-            (e, Fraction(0), x_degree) if which == 1 else (Fraction(0), e, x_degree)
-        )
+        key = (e, 0, x_degree) if which == 1 else (0, e, x_degree)
         return UmbralSeries({key: coeff})
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "UmbralSeries") -> "UmbralSeries":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return UmbralSeries(out)
+        eden = math.lcm(self._eden, other._eden)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {k: c * fa for k, c in _over(self, eden).items()}
+        for key, c in _over(other, eden).items():
+            out[key] = out.get(key, 0) + c * fb
+        return _make(out, den, eden)
 
     def __sub__(self, other: "UmbralSeries") -> "UmbralSeries":
         return self + (-other)
 
     def __neg__(self) -> "UmbralSeries":
-        return UmbralSeries({k: -c for k, c in self.terms.items()})
+        return _make({k: -c for k, c in self._num.items()}, self._den, self._eden)
 
     def scale(self, factor: Fraction) -> "UmbralSeries":
         if not is_exact(factor):
             raise ModeMismatch("cannot scale an umbral series by a float")
-        return UmbralSeries({k: c * factor for k, c in self.terms.items()})
+        f = Fraction(factor)
+        return _make(
+            {k: c * f.numerator for k, c in self._num.items()},
+            self._den * f.denominator,
+            self._eden,
+        )
 
     def __mul__(self, other: "UmbralSeries") -> "UmbralSeries":
-        out: dict[Key, Fraction] = {}
-        for (a1, a2, da), ca in self.terms.items():
-            for (b1, b2, db), cb in other.terms.items():
-                key = (a1 + b1, a2 + b2, da + db)
-                prod = ca * cb
-                if key in out:
-                    out[key] += prod
-                else:
-                    out[key] = prod
-            if len(out) > DEFAULT_TERM_CAP:
-                raise TermBudgetExceeded(
-                    f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
-                )
-        return UmbralSeries(out)
+        eden = math.lcm(self._eden, other._eden)
+        out = _product(_over(self, eden), list(_over(other, eden).items()))
+        return _make(out, self._den * other._den, eden)
 
     def pow(self, exponent: int) -> "UmbralSeries":
         if exponent < 0:
             raise DomainError("umbral pow needs an integer exponent >= 0")
-        out = UmbralSeries.scalar(Fraction(1))
+        out = _make({_ONE: 1}, 1, 1)
         base = self
         e = exponent
         while e:
@@ -140,34 +214,43 @@ class UmbralSeries:
 
     # -- reduction ---------------------------------------------------------
 
-    def _weight(self, e1: Fraction, e2: Fraction) -> Fraction:
-        if e1.denominator != 1 or e2.denominator != 1:
-            raise ExactnessViolation(
-                f"exact reduction needs integer exponents, got ({e1}, {e2})"
-            )
-        return rgamma_exact(int(e1) + 1) * rgamma_exact(int(e2) + 1)
+    def _reduce_by_degree(self, scalar_only: bool) -> dict[int, Fraction]:
+        """{degree: reduced coefficient}, zeros dropped, degrees ascending.
+
+        Each term weighs 1/(e1! e2!) = (top1!/e1!)(top2!/e2!) / (top1! top2!),
+        so the sums stay integer and each degree divides once.
+        """
+        eden = self._eden
+        rows = []
+        for (n1, n2, d), c in self._num.items():
+            if scalar_only and d != 0:
+                raise DomainError("series carries x-degree terms; use reduce_poly()")
+            if n1 % eden or n2 % eden:
+                raise ExactnessViolation(
+                    "exact reduction needs integer exponents, got "
+                    f"({Fraction(n1, eden)}, {Fraction(n2, eden)})"
+                )
+            e1, e2 = n1 // eden, n2 // eden
+            if e1 >= 0 and e2 >= 0:  # 1/Gamma vanishes at the poles
+                rows.append((e1, e2, d, c))
+        top1 = max((row[0] for row in rows), default=0)
+        top2 = max((row[1] for row in rows), default=0)
+        f1, f2 = math.factorial(top1), math.factorial(top2)
+        w1 = [f1 // math.factorial(e) for e in range(top1 + 1)]
+        w2 = [f2 // math.factorial(e) for e in range(top2 + 1)]
+        sums: dict[int, int] = {}
+        for e1, e2, d, c in rows:
+            sums[d] = sums.get(d, 0) + c * w1[e1] * w2[e2]
+        scale = self._den * f1 * f2
+        return {d: Fraction(s, scale) for d, s in sorted(sums.items()) if s}
 
     def reduce(self) -> Fraction:
         """Vacuum-reduce a series with no x-dependence to a scalar."""
-        total = Fraction(0)
-        for (e1, e2, d), coeff in self.terms.items():
-            if d != 0:
-                raise DomainError(
-                    "series carries x-degree terms; use reduce_poly()"
-                )
-            total += coeff * self._weight(e1, e2)
-        return total
+        return self._reduce_by_degree(scalar_only=True).get(0, Fraction(0))
 
     def reduce_poly(self) -> dict[int, Fraction]:
         """Vacuum-reduce, keeping x-degrees: returns {degree: coefficient}."""
-        out: dict[int, Fraction] = {}
-        for (e1, e2, d), coeff in self.terms.items():
-            w = coeff * self._weight(e1, e2)
-            if d in out:
-                out[d] += w
-            else:
-                out[d] = w
-        return {d: c for d, c in sorted(out.items()) if c != 0}
+        return self._reduce_by_degree(scalar_only=False)
 
     def dilate(self, sigma) -> "UmbralSeries":
         """Apply c^(sigma * x d/dx): shift each c1-exponent by sigma * x-degree.
@@ -177,28 +260,39 @@ class UmbralSeries:
         and bare symbols that were never tagged) is rejected.
         """
         s = _as_exponent(sigma)
-        if self.terms and all(d == 0 for (_, _, d) in self.terms):
+        if self._num and all(d == 0 for (_, _, d) in self._num):
             raise MissingDegreeMetadata(
                 "dilation needs x-degree metadata on at least one term"
             )
-        out: dict[Key, Fraction] = {}
-        for (e1, e2, d), coeff in self.terms.items():
-            key = (e1 + s * d, e2, d)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return UmbralSeries(out)
+        eden = math.lcm(self._eden, s.denominator)
+        step = s.numerator * (eden // s.denominator)
+        out: dict[Key, int] = {}
+        for (n1, n2, d), c in _over(self, eden).items():
+            key = (n1 + step * d, n2, d)
+            out[key] = out.get(key, 0) + c
+        return _make(out, self._den, eden)
 
 
 def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
-    """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term."""
+    """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term.
+
+    With the argument's numerators over D, the k-th power's numerators are
+    over D^k; every power is added into one int dict over D^order * order!.
+    """
     if order < 0:
         raise DomainError("order must be >= 0")
-    if (Fraction(0), Fraction(0), 0) in argument.terms:
+    if _ONE in argument._num:
         raise DomainError("umb_exp needs the pure-scalar term split off first")
-    acc = UmbralSeries.scalar(Fraction(1))
-    power = acc
-    kfact = 1
+    arg = list(argument._num.items())
+    den = argument._den
+    scale = den**order * math.factorial(order)
+    acc: dict[Key, int] = {_ONE: scale}
+    power: dict[Key, int] = {_ONE: 1}
+    weight = scale
     for k in range(1, order + 1):
-        power = power * argument
-        kfact *= k
-        acc = acc + power.scale(Fraction(1, kfact))
-    return acc
+        power = {key: c for key, c in _product(power, arg).items() if c}
+        weight //= den * k  # den^(order-k) * order!/k!
+        for key, c in power.items():
+            acc[key] = acc.get(key, 0) + c * weight
+        _check_cap(len(acc))
+    return _make(acc, scale, argument._eden)

@@ -225,6 +225,11 @@ GOLDEN = [
          "--id", "EQ1.9", "--id", "EQ2.9", "--seed", "0", "--no-timestamp"),
         "verify_lambda_n160.json",
     ),
+    (
+        ("verify", "--all", "--mode", "exact", "--nmax", "30", "--seed", "3",
+         "--no-timestamp"),
+        "verify_exact_n30_seed3.json",
+    ),
 ]
 
 

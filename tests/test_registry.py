@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 
 import pytest
 
@@ -183,6 +184,11 @@ def test_numeric_nan_fails_the_report(monkeypatch, field):
     assert not report.passed
     name = "rel" if field == "lhs" else field
     assert report.notes[-1] == f"failed points: P[nan] {name}=nan"
+    if field == "lhs":
+        # A NaN error must win the fold, not read as 0.0.
+        assert math.isnan(report.max_abs_err) and math.isnan(report.max_rel_err)
+    else:
+        assert report.max_abs_err == 0.0 and report.max_rel_err == 0.0
 
 
 def test_numeric_relative_error_is_reported_before_budgets(monkeypatch):

@@ -18,9 +18,72 @@ from lacunary import (
     rgamma_exact,
     umb_exp,
 )
+from lacunary import ExactnessViolation
 from lacunary import umbral as umbral_mod
 
 F = Fraction
+
+
+# -- Fraction oracle ---------------------------------------------------------
+# The umbral algebra as it stood over Fraction keys and coefficients, kept as
+# a reference for the integer kernels: series are {(e1, e2, d): Fraction}.
+
+
+def _oracle(terms):
+    return {(F(e1), F(e2), d): F(c) for (e1, e2, d), c in terms.items() if c != 0}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, F(0)) + coeff
+    return _oracle(out)
+
+
+def _o_mul(a, b):
+    out = {}
+    for (a1, a2, da), ca in a.items():
+        for (b1, b2, db), cb in b.items():
+            key = (a1 + b1, a2 + b2, da + db)
+            out[key] = out.get(key, F(0)) + ca * cb
+    return _oracle(out)
+
+
+def _o_umb_exp(argument, order):
+    acc = {(F(0), F(0), 0): F(1)}
+    power = acc
+    for k in range(1, order + 1):
+        power = _o_mul(power, argument)
+        acc = _o_add(acc, {key: c / math.factorial(k) for key, c in power.items()})
+    return acc
+
+
+def _o_reduce_poly(series):
+    out = {}
+    for (e1, e2, d), coeff in series.items():
+        if e1.denominator != 1 or e2.denominator != 1:
+            raise ExactnessViolation(f"non-integer exponents ({e1}, {e2})")
+        w = coeff * rgamma_exact(int(e1) + 1) * rgamma_exact(int(e2) + 1)
+        out[d] = out.get(d, F(0)) + w
+    return {d: c for d, c in sorted(out.items()) if c != 0}
+
+
+def _assert_reduces_like_oracle(series, oracle):
+    try:
+        want = _o_reduce_poly(oracle)
+    except ExactnessViolation:
+        with pytest.raises(ExactnessViolation):
+            series.reduce_poly()
+    else:
+        assert series.reduce_poly() == want
+
+
+def _o_dilate(series, sigma):
+    out = {}
+    for (e1, e2, d), coeff in series.items():
+        key = (e1 + sigma * d, e2, d)
+        out[key] = out.get(key, F(0)) + coeff
+    return _oracle(out)
 
 
 def _linear(y, x, beta=1):
@@ -174,3 +237,107 @@ def test_inverse_symbol_block_gives_binomial_power(alpha, b):
 def test_alpha_zero_associated_matches_plain():
     for n in range(6):
         assert assoc_laguerre(n, 0, F(1, 2), F(2, 3)) == laguerre(n, F(1, 2), F(2, 3))
+
+
+# -- integer kernels against the Fraction oracle -------------------------------
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+exponents = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-7, max_value=7).map(lambda k: F(k, 2)),
+)
+series_terms = st.dictionaries(
+    st.tuples(exponents, exponents, st.integers(min_value=0, max_value=3)),
+    coeffs,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_terms, series_terms, coeffs)
+def test_algebra_matches_oracle(a, b, factor):
+    sa, sb = UmbralSeries(a), UmbralSeries(b)
+    oa, ob = _oracle(a), _oracle(b)
+    assert sa.terms == oa
+    assert (sa + sb).terms == _o_add(oa, ob)
+    assert (sa - sb).terms == _o_add(oa, {k: -c for k, c in ob.items()})
+    assert (sa * sb).terms == _o_mul(oa, ob)
+    _assert_reduces_like_oracle(sa * sb, _o_mul(oa, ob))
+    assert sa.scale(factor).terms == _oracle({k: c * factor for k, c in oa.items()})
+    assert sa.pow(2).terms == _o_mul(oa, oa)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs, coeffs, coeffs, coeffs, st.integers(min_value=0, max_value=8))
+def test_two_symbols_with_cross_term_match_oracle(x, y, z, u, order):
+    # EQ3.8's argument: -x u c1 t - y z c2 t + x z c1 c2 t.
+    terms = {(1, 0, 1): -x * u, (0, 1, 1): -y * z, (1, 1, 1): x * z}
+    got = umb_exp(UmbralSeries(terms), order)
+    want = _o_umb_exp(_oracle(terms), order)
+    assert got.terms == want
+    assert got.reduce_poly() == _o_reduce_poly(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    coeffs,
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=8),
+)
+def test_negative_exponents_match_oracle(alpha, b, degree, order):
+    # EQ2.13 (degree 1) and the EQ2.12 block (degree 0): c^alpha e^{b t / c}.
+    arg = {(-1, 0, degree): b}
+    got = UmbralSeries.symbol(alpha) * umb_exp(UmbralSeries(arg), order)
+    want = _o_mul({(F(alpha), F(0), 0): F(1)}, _o_umb_exp(_oracle(arg), order))
+    assert got.terms == want
+    assert got.reduce_poly() == _o_reduce_poly(want)
+    if degree == 0:
+        assert got.reduce() == _o_reduce_poly(want).get(0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(coeffs, min_size=1, max_size=8))
+def test_half_integer_exponents_match_oracle(cs):
+    # EQ3.21: sum_k a_k c^{(2k+1)/2} x^{2k+1}, times c^{-1/2}.
+    terms = {(F(2 * k + 1, 2), 0, 2 * k + 1): c for k, c in enumerate(cs)}
+    series = UmbralSeries(terms)
+    got = UmbralSeries.symbol(F(-1, 2)) * series
+    want = _o_mul({(F(-1, 2), F(0), 0): F(1)}, _oracle(terms))
+    assert got.terms == want
+    assert got.reduce_poly() == _o_reduce_poly(want)
+    if any(cs):
+        with pytest.raises(ExactnessViolation):
+            series.reduce_poly()
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_terms, st.sampled_from([F(-1, 2), F(3, 2), -2, 0, 1, 3]))
+def test_dilate_matches_oracle(terms, sigma):
+    # EQ3.18 dilates by -1/2; integer dilations keep integer exponents.
+    oracle = _oracle(terms)
+    series = UmbralSeries(terms)
+    if oracle and not any(d for (_, _, d) in oracle):
+        with pytest.raises(MissingDegreeMetadata):
+            series.dilate(sigma)
+        return
+    got = series.dilate(sigma)
+    want = _o_dilate(oracle, F(sigma))
+    assert got.terms == want
+    _assert_reduces_like_oracle(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs, coeffs, exponents, st.integers(min_value=0, max_value=3))
+def test_cancelled_terms_are_dropped_as_in_oracle(s, m, e, d):
+    # (s + m c^e x^d)(s - m c^e x^d): the cross terms cancel exactly.
+    plus = UmbralSeries({(0, 0, 0): s, (e, 0, d): m})
+    minus = UmbralSeries({(0, 0, 0): s, (e, 0, d): -m})
+    got = plus * minus
+    want = _o_mul(
+        _oracle({(0, 0, 0): s, (e, 0, d): m}), _oracle({(0, 0, 0): s, (e, 0, d): -m})
+    )
+    assert got.terms == want
+    assert set(got.terms) == set(want)
+    assert not (plus - plus).terms
+    assert not (plus * UmbralSeries.scalar(F(0))).terms
