@@ -37,17 +37,21 @@ from .identities import (
 
 _MODES = (*MODES, "all")
 _FORMATS = ("json", "csv")
-_CONFIG_KEYS = {
-    "ids",
-    "mode",
-    "nmax",
-    "tol",
-    "grid_scale",
-    "seed",
-    "report",
-    "format",
-    "no_timestamp",
+#: Every config key with its default, in `run.config` order.  The keys in
+#: _UNREPORTED stay out of `run.config`; `ids` and `no_timestamp` have flags
+#: of another shape (`--id`/`--all`, a store-true switch) and resolve apart.
+_CONFIG = {
+    "ids": None,
+    "mode": "all",
+    "nmax": None,
+    "tol": DEFAULT_TOL,
+    "grid_scale": 1.0,
+    "format": "json",
+    "seed": 0,
+    "report": None,
+    "no_timestamp": False,
 }
+_UNREPORTED = ("seed", "report", "no_timestamp")
 
 
 class UsageError(Exception):
@@ -153,11 +157,11 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(loaded) - _CONFIG_KEYS)
+    unknown = sorted(set(loaded) - set(_CONFIG))
     if unknown:
         raise UsageError(
             f"config {path} has unknown keys: {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(_CONFIG_KEYS))}"
+            f"known keys: {', '.join(sorted(_CONFIG))}"
         )
     return loaded
 
@@ -165,31 +169,13 @@ def _load_config(path: str) -> dict:
 def _resolve_verify_settings(args: argparse.Namespace) -> dict:
     """Merge config-file values under the explicit command line flags."""
     config = _load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return config.get(key, default)
-
-    ids = args.id if args.id else None
-    if ids is None and args.all:
-        ids = "all"
-    if ids is None:
-        ids = config.get("ids")
-    if ids is None:
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG and v is not None}
+    settings = {**_CONFIG, **config, **flags}
+    if args.id or args.all:
+        settings["ids"] = args.id or "all"
+    if settings["ids"] is None:
         raise UsageError("select cases with --id/--all (or ids in --config)")
-
-    settings = {
-        "ids": ids,
-        "mode": pick(args.mode, "mode", "all"),
-        "nmax": pick(args.nmax, "nmax", None),
-        "tol": pick(args.tol, "tol", DEFAULT_TOL),
-        "grid_scale": pick(args.grid_scale, "grid_scale", 1.0),
-        "seed": pick(args.seed, "seed", 0),
-        "report": pick(args.report, "report", None),
-        "format": pick(args.format, "format", "json"),
-        "no_timestamp": args.no_timestamp or bool(config.get("no_timestamp")),
-    }
+    settings["no_timestamp"] = args.no_timestamp or bool(config.get("no_timestamp"))
 
     if settings["mode"] not in _MODES:
         raise UsageError(f"mode must be one of {', '.join(_MODES)}")
@@ -273,14 +259,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         run_info["timestamp"] = datetime.now(timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         )
-    run_info["config"] = {
-        "ids": [c.case_id for c in cases],
-        "mode": settings["mode"],
-        "nmax": settings["nmax"],
-        "tol": settings["tol"],
-        "grid_scale": settings["grid_scale"],
-        "format": settings["format"],
-    }
+    run_info["config"] = {k: settings[k] for k in _CONFIG if k not in _UNREPORTED}
+    run_info["config"]["ids"] = [c.case_id for c in cases]
     document = {"run": run_info, "results": [r.to_dict() for r in reports]}
 
     failed = [r for r in reports if not r.passed]

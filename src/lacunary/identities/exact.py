@@ -17,7 +17,13 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ..fps import FormalPowerSeries, fps_exp, fps_geometric, fps_x
-from ..polys import assoc_laguerre, laguerre, lambda_poly
+from ..polys import (
+    assoc_laguerre_diagonal,
+    assoc_laguerre_sequence,
+    lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
+    lambda_sequence,
+    laguerre_sequence,
+)
 from ..scalars import binomial, rgamma_exact
 from ..umbral import UmbralSeries, umb_exp
 
@@ -57,8 +63,9 @@ def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         arg = UmbralSeries.monomial(-x, beta, x_degree=1)
         reduced = (UmbralSeries.symbol(alpha) * umb_exp(arg, nmax)).reduce_poly()
         rhs = _exp_conv(reduced, y, nmax)
+        seq = lambda_sequence(nmax, alpha, beta, x, y)
         for n in range(nmax + 1):
-            lhs = lambda_poly(n, alpha, beta, x, y) * rgamma_exact(n + 1)
+            lhs = seq[n] * rgamma_exact(n + 1)
             yield _label("EQ1.7", binding, n), lhs, rhs[n]
 
 
@@ -73,9 +80,9 @@ def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
         )
         rhs_series = outer.compose(inner) * geom
+        seq = lambda_sequence(nmax, alpha, beta, x, y)
         for n in range(nmax + 1):
-            lhs = lambda_poly(n, alpha, beta, x, y)
-            yield _label("EQ1.9", binding, n), lhs, rhs_series[n]
+            yield _label("EQ1.9", binding, n), seq[n], rhs_series[n]
 
 
 def eq1_11(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
@@ -85,9 +92,9 @@ def eq1_11(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
         geom = fps_geometric(nmax, y)
         rhs_series = (geom * fps_x(nmax, -x)).exp() * geom.pow(1 + alpha)
+        seq = assoc_laguerre_sequence(nmax, alpha, x, y)
         for n in range(nmax + 1):
-            lhs = assoc_laguerre(n, alpha, x, y)
-            yield _label("EQ1.11", binding, n), lhs, rhs_series[n]
+            yield _label("EQ1.11", binding, n), seq[n], rhs_series[n]
 
 
 def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
@@ -103,8 +110,9 @@ def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             -2 * x * y, 1, x_degree=1
         )
         rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), y * y, nmax)
+        seq = laguerre_sequence(2 * nmax, x, y)
         for n in range(nmax + 1):
-            lhs = laguerre(2 * n, x, y) * rgamma_exact(n + 1)
+            lhs = seq[2 * n] * rgamma_exact(n + 1)
             yield _label("EQ2.7", binding, n), lhs, rhs[n]
 
 
@@ -122,9 +130,9 @@ def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         gamma_alpha = Fraction(math.factorial(alpha))
         binom = {k: gamma_alpha * c for k, c in reduced.items()}
         rhs = _exp_conv(binom, -x, nmax)
+        diag = assoc_laguerre_diagonal(nmax, alpha, x, y)
         for n in range(nmax + 1):
-            lhs = assoc_laguerre(n, alpha - n, x, y)
-            yield _label("EQ2.13", binding, n), lhs, rhs[n]
+            yield _label("EQ2.13", binding, n), diag[n], rhs[n]
 
 
 def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Check]:
@@ -152,8 +160,9 @@ def eq3_8(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             * UmbralSeries.symbol(1, which=2)
         )
         rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), u * y, nmax)
+        seq_a, seq_b = laguerre_sequence(nmax, x, y), laguerre_sequence(nmax, z, u)
         for n in range(nmax + 1):
-            lhs = laguerre(n, x, y) * laguerre(n, z, u) * rgamma_exact(n + 1)
+            lhs = seq_a[n] * seq_b[n] * rgamma_exact(n + 1)
             yield _label("EQ3.8", binding, n), lhs, rhs[n]
 
 

@@ -3,7 +3,10 @@ higher-order Hermite, and the lacunary decompositions that tie them together.
 
 All closed forms are written over the exact numeric tower (Fraction binomials
 times powers of the inputs), so rational inputs give exact values and float
-inputs flow through unchanged.
+inputs flow through unchanged.  The row kernels (`laguerre_sequence`,
+`assoc_laguerre_sequence`, `lambda_sequence`, `assoc_laguerre_diagonal`)
+serve both verification modes by one rule: exact when every input is exact,
+float otherwise.  The per-index sums are their definitional reference.
 """
 
 from __future__ import annotations
@@ -56,51 +59,61 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
     return total
 
 
-def lambda_sequence(nmax: int, alpha: float, beta: float, x: float, y: float = 1.0) -> list:
-    """[lambda_poly(n, alpha, beta, x, y) for n = 0..nmax] for int or float
-    alpha and beta and float x and y.
+def lambda_sequence(nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1) -> list:
+    """[lambda_poly(n, alpha, beta, x, y) for n = 0..nmax], the same values
+    and types for int or float alpha and beta: exact when every input is
+    exact, float otherwise.
 
-    Bit for bit the same floats: the binomial rows come from Pascal's rule
-    on ints, and the powers and one Gamma weight per r are computed once.
-    As in _gamma_weight, a positive int argument beta r + 1 + alpha divides
-    the binomial by (beta r + alpha)! in one int true division (the float
-    of the exact Fraction); any other argument multiplies by rgamma.
-    Products and sums keep lambda_poly's left-to-right order.
+    The binomial rows come from Pascal's rule on ints, and the powers and
+    one Gamma weight per r are computed once.  Exact inputs take the exact
+    weights of _gamma_weight.  For float inputs, as in _gamma_weight, a
+    positive int argument beta r + 1 + alpha divides the binomial by
+    (beta r + alpha)! in one int true division (the float of the exact
+    Fraction); any other argument multiplies by rgamma.  Products and sums
+    keep lambda_poly's left-to-right order, so floats agree bit for bit.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
+    exact = all(map(is_exact, (alpha, beta, x, y)))
     powx = [(-x) ** r for r in range(nmax + 1)]
     powy = [y**k for k in range(nmax + 1)]
-    weights = []  # the factorial divisor (int) or the rgamma factor (float)
+    weights = []  # the exact weight, the factorial divisor (int) or rgamma
     for r in range(nmax + 1):
         arg = beta * r + 1 + alpha
-        integral = isinstance(arg, int) and arg > 0
-        weights.append(math.factorial(arg - 1) if integral else rgamma(arg))
+        if exact:
+            weights.append(_gamma_weight(arg))
+        elif isinstance(arg, int) and arg > 0:
+            weights.append(math.factorial(arg - 1))
+        else:
+            weights.append(rgamma(arg))
     out = []
     row = [1]
     for n in range(nmax + 1):
         if n:
             row = [1, *map(operator.add, row, row[1:]), 1]
-        total = 0.0
+        total = 0
         for r, c in enumerate(row):
             g = weights[r]
-            w = c / g if isinstance(g, int) else float(c) * g
+            w = c / g if isinstance(g, int) else c * g
             total += w * powx[r] * powy[n - r]
         out.append(total)
     return out
 
 
-def assoc_laguerre_diagonal(kmax: int, alpha: float, x: float, y: float = 1.0) -> list:
+def assoc_laguerre_diagonal(kmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) -> list:
     """[L_k^(alpha-k)(x, y) for k = 0..kmax], the coefficients of
     (1 + y t)^alpha e^(-x t), as the Cauchy product of
     b_m = C(alpha, m) y^m and e_r = (-x)^r / r!, each by its ratio.
 
-    The per-k assoc_laguerre on floats overflows its product and
-    underflows its weights from k = 173 up; both factors here stay finite.
+    This regroups assoc_laguerre(k, alpha - k, x, y): exact values when
+    every input is exact, floats otherwise.  The per-k assoc_laguerre on
+    floats overflows its product and underflows its weights from k = 173
+    up; both factors here stay finite.
     """
     if kmax < 0:
         raise DomainError("degree must be >= 0")
-    b, e = [1.0], [1.0]
+    one = Fraction(1) if is_exact(alpha) and is_exact(x) and is_exact(y) else 1.0
+    b, e = [one], [one]
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
@@ -177,8 +190,7 @@ def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
         acc = 0
         for s in range(1, min(m, n + 1) + 1):
             acc = acc + s * xs[s - 1] * coeffs[n + 1 - s]
-        nxt = Fraction(acc, n + 1) if exact and isinstance(acc, (int, Fraction)) else acc / (n + 1)
-        coeffs.append(nxt)
+        coeffs.append(acc / (n + 1))
     return coeffs
 
 

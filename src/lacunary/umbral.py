@@ -147,14 +147,7 @@ class UmbralSeries:
 
     @staticmethod
     def symbol(exponent, which: int = 1) -> "UmbralSeries":
-        e = _as_exponent(exponent)
-        if which == 1:
-            key = (e, 0, 0)
-        elif which == 2:
-            key = (0, e, 0)
-        else:
-            raise DomainError("symbol index must be 1 or 2")
-        return UmbralSeries({key: 1})
+        return UmbralSeries.monomial(1, exponent, which=which)
 
     @staticmethod
     def monomial(
@@ -164,6 +157,8 @@ class UmbralSeries:
         if x_degree < 0:
             raise DomainError("x_degree must be >= 0")
         e = _as_exponent(exponent)
+        if which not in (1, 2):
+            raise DomainError("symbol index must be 1 or 2")
         key = (e, 0, x_degree) if which == 1 else (0, e, x_degree)
         return UmbralSeries({key: coeff})
 

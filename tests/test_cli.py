@@ -44,6 +44,7 @@ def test_verify_all_passes(capsys):
     assert len(doc["results"]) == 31
     assert all(r["pass"] for r in doc["results"])
     assert "timestamp" not in doc["run"]
+    assert doc["run"]["seed"] == 0
 
 
 def test_unknown_id_is_usage_error(capsys):
@@ -155,6 +156,27 @@ def test_flags_override_config(tmp_path, capsys):
     assert code == 0
     (result,) = json.loads(out)["results"]
     assert result["mode"] == "exact"
+    # A config that sets every key reads like the same settings as flags.
+    report = tmp_path / "report.json"
+    settings = {
+        "ids": ["EQ2.13", "EQ1.7"],
+        "mode": "numeric",
+        "nmax": 40,
+        "tol": 1e-9,
+        "grid_scale": 0.5,
+        "seed": 2,
+        "report": str(report),
+        "format": "json",
+        "no_timestamp": True,
+    }
+    cfg.write_text(json.dumps(settings))
+    by_config = _run(capsys, "verify", "--config", str(cfg)), report.read_text()
+    flags = ["--id", "EQ2.13", "--id", "EQ1.7", "--mode", "numeric", "--nmax", "40"]
+    flags += ["--tol", "1e-9", "--grid-scale", "0.5", "--seed", "2"]
+    flags += ["--report", str(report), "--format", "json", "--no-timestamp"]
+    report.unlink()
+    assert (_run(capsys, "verify", *flags), report.read_text()) == by_config
+    assert '"nmax": 40' in by_config[1]
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

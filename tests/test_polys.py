@@ -138,22 +138,23 @@ def test_homogeneity(x, y, n):
 
 
 @settings(max_examples=15, deadline=None)
-@given(small, small, st.integers(min_value=0, max_value=25))
+@given(small, small, st.integers(min_value=0, max_value=60))
 def test_laguerre_sequence_matches_explicit(x, y, n):
+    # EQ2.7's exact left side reads index 2 nmax = 60 at nmax 30.
     seq = laguerre_sequence(n, x, y)
-    assert seq[n] == laguerre(n, x, y)
+    assert seq == [laguerre(k, x, y) for k in range(n + 1)]
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     small,
     small,
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=30),
 )
 def test_assoc_sequence_matches_explicit(x, y, alpha, n):
     seq = assoc_laguerre_sequence(n, alpha, x, y)
-    assert seq[n] == assoc_laguerre(n, alpha, x, y)
+    assert seq == [assoc_laguerre(k, alpha, x, y) for k in range(n + 1)]
 
 
 def test_sequences_float_path_is_stable():
@@ -163,17 +164,25 @@ def test_sequences_float_path_is_stable():
 
 
 coord = st.floats(min_value=-3.0, max_value=3.0) | st.just(0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
+float_draw = st.tuples(
     st.integers(min_value=-3, max_value=3) | st.floats(min_value=-2.5, max_value=3.0),
     st.integers(min_value=1, max_value=3),
     coord,
     coord,
-    st.integers(min_value=0, max_value=60),
 )
-def test_lambda_sequence_is_lambda_poly_bit_for_bit(alpha, beta, x, y, nmax):
+# The exact left sides of EQ1.7 and EQ1.9 sample these ranges.
+exact_draw = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    small | st.just(F(0)),
+    small | st.just(F(0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_draw | exact_draw, st.integers(min_value=0, max_value=60))
+def test_lambda_sequence_is_lambda_poly_bit_for_bit(draw, nmax):
+    alpha, beta, x, y = draw
     seq = lambda_sequence(nmax, alpha, beta, x, y)
     assert len(seq) == nmax + 1
     for n, value in enumerate(seq):
@@ -196,6 +205,13 @@ def test_assoc_laguerre_diagonal_matches_exact_offsets():
             for k, value in enumerate(diag):
                 want = float(assoc_laguerre(k, F(alpha) - k, F(x), F(y)))
                 assert abs(value - want) <= 1e-12 * abs(want), (alpha, x, y, k)
+    # Exact inputs, over EQ2.13's exact ranges, give the exact values.
+    for alpha in (*range(6), F(-3, 2)):
+        for x, y in ((F(1), F(1)), (F(1, 2), F(2)), (F(-2, 3), F(0)), (F(0), F(-3, 4))):
+            diag = assoc_laguerre_diagonal(30, alpha, x, y)
+            for k, value in enumerate(diag):
+                want = assoc_laguerre(k, alpha - k, x, y)
+                assert value == want and type(value) is Fraction, (alpha, x, y, k)
 
 
 def test_assoc_laguerre_diagonal_stays_finite():

@@ -173,6 +173,14 @@ def test_dilate_needs_metadata():
         UmbralSeries.symbol(1).dilate(F(1, 2))
 
 
+def test_symbol_index_outside_one_and_two_is_rejected():
+    for which in (0, 3):
+        with pytest.raises(DomainError, match="symbol index must be 1 or 2"):
+            UmbralSeries.symbol(1, which=which)
+        with pytest.raises(DomainError, match="symbol index must be 1 or 2"):
+            UmbralSeries.monomial(F(1), 1, x_degree=1, which=which)
+
+
 def test_float_coefficient_is_rejected():
     with pytest.raises(ModeMismatch):
         UmbralSeries.scalar(0.5)
