@@ -166,6 +166,11 @@ def _load_config(path: str) -> dict:
     return loaded
 
 
+def _is_number(value, kinds: tuple = (int, float)) -> bool:
+    """isinstance(value, kinds) without bool, which Python counts as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _resolve_verify_settings(args: argparse.Namespace) -> dict:
     """Merge config-file values under the explicit command line flags."""
     config = _load_config(args.config) if args.config else {}
@@ -182,19 +187,19 @@ def _resolve_verify_settings(args: argparse.Namespace) -> dict:
     if settings["format"] not in _FORMATS:
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
     tol = settings["tol"]
-    if not (isinstance(tol, (int, float)) and 0.0 < float(tol) <= DEFAULT_TOL):
+    if not (_is_number(tol) and 0.0 < float(tol) <= DEFAULT_TOL):
         raise UsageError(
             f"tolerance override must tighten: 0 < tol <= {DEFAULT_TOL:g}"
         )
     settings["tol"] = float(tol)
     gs = settings["grid_scale"]
-    if not (isinstance(gs, (int, float)) and 0.0 < float(gs) <= 1.0):
+    if not (_is_number(gs) and 0.0 < float(gs) <= 1.0):
         raise UsageError("grid scale must stay inside (0, 1]: it can only shrink grids")
     settings["grid_scale"] = float(gs)
     if settings["nmax"] is not None:
-        if not (isinstance(settings["nmax"], int) and settings["nmax"] >= 1):
+        if not (_is_number(settings["nmax"], int) and settings["nmax"] >= 1):
             raise UsageError("nmax must be a positive integer")
-    if not isinstance(settings["seed"], int):
+    if not _is_number(settings["seed"], int):
         raise UsageError("seed must be an integer")
     return settings
 

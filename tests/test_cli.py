@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,11 +190,53 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("nmax", "nmax must be a positive integer"),
+        ("seed", "seed must be an integer"),
+        ("tol", "tolerance override must tighten"),
+        ("grid_scale", "grid scale must stay inside (0, 1]"),
+    ],
+)
+def test_boolean_config_value_is_rejected(tmp_path, capsys, key, message):
+    # JSON true and false load as bool, which Python counts as an int.
+    cfg = tmp_path / "cfg.json"
+    for value in (True, False):
+        cfg.write_text(json.dumps({"ids": ["EQ1.7"], "mode": "exact", key: value}))
+        code, out, err = _run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and not out
+        assert message in err
+
+
 def test_non_dict_config_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(["EQ2.13"]))
     code, _, err = _run(capsys, "verify", "--config", str(cfg))
     assert code == 2
+
+
+def test_verify_all_never_imports_numpy(tmp_path):
+    # numpy is a test oracle only; a fresh process running every case,
+    # the quadrature included, must not load it.
+    report = tmp_path / "report.json"
+    script = (
+        "import sys\n"
+        "from lacunary import cli\n"
+        f"argv = ['verify', '--all', '--no-timestamp', '--report', {str(report)!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(report.read_text())["results"]
 
 
 def test_derive_aux_reports_matches(capsys):
@@ -257,8 +302,9 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, name", GOLDEN, ids=[name for _, name in GOLDEN])
 def test_output_matches_golden_fixture(capsys, argv, name):
-    # The fixtures were recorded with CPython 3.11.7 and numpy 2.4.6; a
-    # refactor must reproduce them byte for byte, float digits included.
+    # The fixtures were recorded with CPython 3.11.7 (no output depends on
+    # numpy); a refactor must reproduce them byte for byte, float digits
+    # included.
     code, out, err = _run(capsys, *argv)
     assert code == 0 and not err
     assert out.encode("utf-8") == (FIXTURES / name).read_bytes()

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from lacunary import SumControl, check_pointwise
+from lacunary import QuadratureFailure, SumControl, check_pointwise
 from lacunary.identities import pointwise
 
 CTRL = SumControl(max_terms=400, rel_tol=1e-16)
@@ -107,6 +107,41 @@ def test_borel_points_grid():
     by_x = {row.label: row for row in rows}
     (two,) = [row for label, row in by_x.items() if "x=2" in label]
     assert two.rhs == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_is_a_gauss_laguerre_rule(n):
+    nodes, weights = pointwise._laggauss(n)
+    assert len(nodes) == len(weights) == n
+    assert 0.0 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert all(w > 0.0 for w in weights)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+    # Exact up to degree 2n - 1: the moments of e^-x are k!.
+    for k in range(13):
+        moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        assert moment == pytest.approx(math.factorial(k), rel=1e-12), k
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_matches_numpy(n):
+    from numpy.polynomial.laguerre import laggauss
+
+    want_nodes, want_weights = laggauss(n)
+    nodes, weights = pointwise._laggauss(n)
+    for got, want in zip(nodes, want_nodes):
+        assert got == pytest.approx(float(want), rel=1e-12)
+    # numpy's own weights at the two smallest nodes of the 100-point rule
+    # sit about 5e-12 off a 60-digit reference (this rule's, about 7e-14),
+    # so the comparison allows 1e-11.
+    for got, want in zip(weights, want_weights):
+        if want > 1e-200:
+            assert got == pytest.approx(float(want), rel=1e-11)
+
+
+def test_laggauss_node_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(pointwise, "_NEWTON_STEPS", 1)
+    with pytest.raises(QuadratureFailure, match="did not converge in 1 Newton steps"):
+        pointwise._laggauss.__wrapped__(80)
 
 
 def test_point_outcome_labels_are_unique():

@@ -18,6 +18,7 @@ from lacunary import (
     get_case,
     run_case,
 )
+from lacunary.identities import pointwise
 from lacunary.identities.pointwise import PointOutcome
 
 # The package re-exports a registry() function under the submodule's name.
@@ -225,3 +226,18 @@ def test_quadrature_failure_keeps_rows_tallied_so_far(monkeypatch):
     assert report.grid_size == 2
     assert 0.0 < report.max_abs_err < 1e-11
     assert report.notes[-1] == f"failed points: {message}"
+
+
+def test_nan_consistency_estimate_fails_quadrature(monkeypatch):
+    borel_value = pointwise._borel_value
+
+    def value(x, n_nodes):
+        return math.nan if n_nodes == 100 else borel_value(x, n_nodes)
+
+    monkeypatch.setattr(pointwise, "_borel_value", value)
+    report = check_quadrature("EQ3.18")
+    assert not report.passed
+    assert report.grid_size == 0
+    assert report.notes[-1] == (
+        "failed points: node-count consistency nan exceeds 1.0e-08 at x=0.0"
+    )
