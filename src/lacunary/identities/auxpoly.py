@@ -9,12 +9,15 @@ with p polynomial of degree 2m in r.  Scaling covariance under
 (x, y, t) -> (lx, ly, t/l^step) forces every monomial of p to look like
 r^d t^j x^a y^(step*j - a) with a <= step*j, so fitting at y = 1 and
 re-homogenizing afterwards loses nothing.  The fit matches coefficients of
-t^n x^w exactly: a small dense rational system, solved by integer Bareiss
-elimination and a rational back substitution.
+t^n x^w exactly, one integer equation each.  The system is solved modulo
+word-size primes, lifted to rationals by Chinese remaindering and rational
+reconstruction, and the lift is kept only once exact integer arithmetic
+certifies it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -22,15 +25,20 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from ..errors import DomainError, NoSolution
+from ..errors import DomainError, ExactnessViolation, NoSolution
 from ..polys import assoc_laguerre_xpoly
 
 Key = tuple[int, int, int]  # (r-power d, t-power j, x-power a); y-power = step*j - a
+Vector = tuple[list[int], int]  # (numerators, common denominator)
 
 
 @dataclass(frozen=True)
 class AuxPolynomial:
-    """Polynomial in r with (t, x, y)-monomial coefficients."""
+    """Polynomial in r with (t, x, y)-monomial coefficients.
+
+    null_basis spans the directions the fitting window leaves free: adding
+    any combination of them to coeffs satisfies the same fitted equations.
+    """
 
     family: str
     m: int
@@ -38,6 +46,7 @@ class AuxPolynomial:
     factorial_shift: int
     coeffs: dict[Key, Fraction]
     notes: tuple[str, ...] = ()
+    null_basis: tuple[dict[Key, Fraction], ...] = ()
 
     @property
     def degree(self) -> int:
@@ -54,92 +63,249 @@ class AuxPolynomial:
         return {(j, a): c for (dd, j, a), c in self.coeffs.items() if dd == d}
 
 
-def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
-    """(values * scale, scale) with scale the lcm of their denominators."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _first_miss(
-    equations: Iterable[tuple[int, int, list[Fraction], Fraction]],
-    vector: list[Fraction],
+    equations: Iterable[tuple[int, int, list[int], int]], vector: Vector
 ) -> tuple[int, int] | None:
     """(n, w) of the first equation row . vector = rhs that fails, or None."""
-    ints, scale = _cleared(vector)
+    nums, den = vector
     for n, w, row, b in equations:
-        *coeffs, rhs = _cleared([*row, b])[0]
-        if sum(map(operator.mul, coeffs, ints)) != rhs * scale:
+        if sum(map(operator.mul, row, nums)) != b * den:
             return n, w
     return None
 
 
-def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], int]:
-    """Particular solution of a consistent rational system.
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact for odd 37 < n < 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Bareiss elimination (Bareiss 1968) of the equations cleared to integers:
-    each step divides exactly by the previous pivot, so no fractions arise
-    before the back substitution.  Non-pivot coordinates are set to zero, as
-    in the reduced row echelon form.  Returns (solution, n_free) where n_free
-    counts the unpinned coordinates; inconsistency raises NoSolution.
+
+def _primes() -> Iterator[int]:
+    """The primes below 2**61 in descending order, from 2**61 - 1 on."""
+    p = (1 << 61) - 1
+    while True:
+        if _is_prime(p):
+            yield p
+        p -= 2
+
+
+def _rref_mod(mat: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """(pivot columns, reduced rows) of the reduced row echelon form over GF(p).
+
+    Gauss-Jordan in column order.  Each row is packed into one integer, entry
+    i in bytes [i*size, (i+1)*size), so that a row operation is one
+    big-integer multiply-add (Kronecker substitution).  Entries are reduced
+    only when a row becomes a pivot: an update adds (p - f) * w < p**2 to an
+    entry, a row takes at most one update per pivot, so len(mat) updates fit
+    in the size.  A row that is zero modulo p never enters the elimination.
     """
-    n_unknowns = len(rows[0]) if rows else 0
-    mat = [_cleared([*row, b])[0] for row, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(n_unknowns):
-        row_at = len(pivot_cols)
-        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
+    if not mat:
+        return [], []
+    width = len(mat[0])
+    size = (2 * p.bit_length() + len(mat).bit_length() + 8) // 8
+    slot, mask = 8 * size, (1 << 8 * size) - 1
+
+    def pack(values: list[int]) -> int:
+        raw = b"".join(v.to_bytes(size, "little") for v in values)
+        return int.from_bytes(raw, "little")
+
+    def unpack(packed: int) -> list[int]:
+        raw = packed.to_bytes(width * size, "little")
+        return [
+            int.from_bytes(raw[i : i + size], "little") % p
+            for i in range(0, width * size, size)
+        ]
+
+    live = [pack(row) for row in ([v % p for v in r] for r in mat) if any(row)]
+    reduced: list[int] = []
+    pivots: list[int] = []
+    for col in range(width):
+        shift = col * slot
+        heads = [(row >> shift & mask) % p for row in live]
+        at = next((i for i, f in enumerate(heads) if f), None)
+        if at is None:
             continue
-        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        top = mat[row_at][col:]
-        pv = top[0]
-        for r in range(row_at + 1, len(mat)):
-            f = mat[r][col]
-            mat[r][col:] = [
-                (pv * v - f * w) // prev for v, w in zip(mat[r][col:], top)
-            ]
-        prev = pv
-        pivot_cols.append(col)
-    if any(row[-1] for row in mat[len(pivot_cols) :]):
+        del heads[at]
+        top = unpack(live.pop(at))
+        inv = pow(top[col], -1, p)
+        top = pack([v * inv % p for v in top])
+        live = [row + (p - f) * top if f else row for row, f in zip(live, heads)]
+        reduced = [
+            row + (p - f) * top if (f := (row >> shift & mask) % p) else row
+            for row in reduced
+        ]
+        reduced.append(top)
+        pivots.append(col)
+    return pivots, [unpack(row) for row in reduced]
+
+
+def _lift(residues: list[int], modulus: int) -> Vector | None:
+    """(nums, den) with nums[i] / den = residues[i] mod modulus, or None.
+
+    Rational reconstruction (Wang 1981): every value is the unique fraction
+    with numerator and denominator at most sqrt(modulus / 2) in its residue
+    class, if there is one.  A residue is tried over the denominator found
+    so far before the extended Euclidean algorithm runs on it.
+    """
+    half = modulus >> 1
+    bound = math.isqrt(half)
+    nums: list[int] = []
+    den = 1
+    for u in residues:
+        v = u * den % modulus
+        if v > half:
+            v -= modulus
+        if abs(v) > bound:
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            scale = abs(s1) // math.gcd(den, s1)
+            nums = [x * scale for x in nums]
+            den *= scale
+            v = r1 * (den // s1)
+        nums.append(v)
+    return nums, den
+
+
+def _certified(
+    rows: list[list[int]],
+    rhs: list[int],
+    pivots: list[int],
+    free: list[int],
+    table: list[list[int]],
+    modulus: int,
+) -> tuple[Vector, list[Vector]] | None:
+    """The lifted solution and null basis if exact arithmetic confirms them."""
+    width = len(rows[0]) if rows else 0
+    columns = list(zip(*rows))
+
+    def holds(vec: list[int], target: list[int]) -> bool:
+        # rows . vec == target, one column per nonzero entry of vec.
+        residual = [-b for b in target]
+        for col, v in enumerate(vec):
+            if v:
+                residual = [r + v * a for r, a in zip(residual, columns[col])]
+        return not any(residual)
+
+    solution, basis = None, []
+    for c, residues in zip(free, table):
+        lifted = _lift(residues, modulus)
+        if lifted is None:
+            return None
+        nums, den = lifted
+        vec = [0] * width
+        if c == width:
+            for col, v in zip(pivots, nums):
+                vec[col] = v
+            if not holds(vec, [b * den for b in rhs]):
+                return None
+            solution = (vec, den)
+        else:
+            for col, v in zip(pivots, nums):
+                vec[col] = -v
+            vec[c] = den
+            if not holds(vec, [0] * len(rows)):
+                return None
+            basis.append((vec, den))
+    if solution is None:
         raise NoSolution("template cannot reproduce the series coefficients")
-    # The last pivot, the determinant of the pivot block, clears every
-    # denominator of the solution (Cramer), so back-substitute prev * x.
-    scaled = [0] * n_unknowns
-    for row, col in reversed(list(zip(mat, pivot_cols))):
-        known = sum(map(operator.mul, row[col + 1 : -1], scaled[col + 1 :]))
-        scaled[col] = (prev * row[-1] - known) // row[col]
-    return [Fraction(y, prev) for y in scaled], n_unknowns - len(pivot_cols)
+    return solution, basis
 
 
-@cache
-def _g_coeff_double(r: int, u: int, shift: int) -> Fraction:
-    """[t^u x^r] of H_r^{(2)}(-2xt, t x^2) / (r! (r+shift)!) at y = 1."""
-    k = r - u
-    if k < 0 or r - 2 * k < 0:
-        return Fraction(0)
-    return Fraction(
-        (-2) ** (r - 2 * k),
-        math.factorial(r - 2 * k) * math.factorial(k) * math.factorial(r + shift),
-    )
+def _solve_exact(
+    rows: list[list[int]], rhs: list[int]
+) -> tuple[Vector, list[Vector]]:
+    """(solution, null basis) of a consistent integer system.
 
+    The augmented rows are reduced modulo word-size primes in turn.  A prime
+    can only lose rank, so the pivots of a prime with more rank, or with the
+    same rank on earlier columns, replace those of every prime before it;
+    primes with the same pivots are combined by Chinese remaindering.  The
+    non-pivot columns are lifted to rationals and kept only if exact integer
+    arithmetic certifies them:
 
-@cache
-def _g_coeff_triple(r: int, u: int, shift: int) -> Fraction:
-    """[t^u x^r] of H_r^{(3)}(-3tx, 3tx^2, -t x^3) / (r! (r+shift)!) at y = 1."""
-    total = Fraction(0)
-    for k in range((r - u) // 2 + 1):
-        j = r - u - 2 * k
-        i = 2 * u - r + k
-        if j < 0 or i < 0:
+    - the solution, zero off the pivots, satisfies every row;
+    - the null vector of each free column (1 there, 0 at every other free
+      column) makes every row vanish.
+
+    Pivot columns independent modulo p are independent over Q, and the null
+    vectors put every free column in the span of the pivot columns before
+    it.  So the pivots are those of exact elimination, the solution is its
+    representative with the free coordinates zero, and the null vectors are
+    a basis of the kernel.  An inconsistent system raises NoSolution once
+    its null basis is certified and the prime put a pivot in the right-hand
+    column: the augmented rows then have more rank over Q than the
+    coefficients.
+
+    Every minor of the augmented rows is below 2**bits (Hadamard).  A prime
+    that loses rank divides one of them, so at most bits / 60 primes do; the
+    others share the right pivots, and 2 * bits / 60 + 1 of them make a lift
+    that certifies.  Past that many primes the solver gives up, not hangs.
+    """
+    width = len(rows[0]) if rows else 0
+    mat = [[*row, b] for row, b in zip(rows, rhs)]
+    bits = sum(max(map(abs, row)).bit_length() + len(row).bit_length() for row in mat)
+    best, modulus, table = None, 1, []
+    for p in itertools.islice(_primes(), (3 * bits + 2) // 60 + 2):
+        pivots, reduced = _rref_mod(mat, p)
+        key = (-len(pivots), pivots)
+        free = sorted(set(range(width + 1)).difference(pivots))
+        if pivots[-1:] == [width]:  # inconsistent modulo p
+            pivots, reduced = pivots[:-1], reduced[:-1]
+        residues = [[row[c] for row in reduced] for c in free]
+        if best is None or key < best:
+            best, modulus, table = key, p, residues
+        elif key == best:
+            inv = pow(modulus, -1, p)
+            table = [
+                [a + modulus * ((b - a) * inv % p) for a, b in zip(old, new)]
+                for old, new in zip(table, residues)
+            ]
+            modulus *= p
+        else:
             continue
-        total += Fraction(
-            (-3) ** i * 3**j * (-1) ** k,
-            math.factorial(i) * math.factorial(j) * math.factorial(k),
-        )
-    return total / math.factorial(r + shift)
+        found = _certified(rows, rhs, pivots, free, table, modulus)
+        if found is not None:
+            return found
+    raise ArithmeticError("no certified solution within the Hadamard bound")
+
+
+@cache
+def _g_double(r: int, u: int) -> int:
+    """u! (r+shift)! [t^u x^r] of H_r^{(2)}(-2xt, t x^2) / (r! (r+shift)!) at y = 1."""
+    k = r - u
+    return (-2) ** (u - k) * math.comb(u, k) if 0 <= k <= u else 0
+
+
+@cache
+def _g_triple(r: int, u: int) -> int:
+    """u! (r+shift)! [t^u x^r] of H_r^{(3)}(-3tx, 3tx^2, -t x^3) / (r! (r+shift)!) at y = 1."""
+    total = 0
+    for k in range(max(0, r - 2 * u), (r - u) // 2 + 1):
+        i, j = 2 * u - r + k, r - u - 2 * k
+        total += (-3) ** i * 3**j * (-1) ** k * math.comb(u, i) * math.comb(u - i, j)
+    return total
+
+
+@cache
+def _s(g: Callable[[int, int], int], r: int, k: int) -> int:
+    """k! (r+shift)! s(r, k), where s(r, k) = sum_u [t^u x^r] G_r / (k - u)!."""
+    return sum(g(r, u) * math.comb(k, u) for u in range(k + 1))
 
 
 @dataclass(frozen=True)
@@ -149,7 +315,7 @@ class _Template:
     r_degree: Callable[[int], int]
     t_degree: Callable[[int], int]
     shifts: Callable[[int], tuple[int, ...]]  # candidate factorial shifts
-    g_coeff: Callable[[int, int, int], Fraction]
+    g_coeff: Callable[[int, int], int]
 
 
 _TEMPLATES = {
@@ -159,7 +325,7 @@ _TEMPLATES = {
         r_degree=lambda m: 2 * m,
         t_degree=lambda m: m,
         shifts=lambda m: (3 * m, 2 * m),
-        g_coeff=_g_coeff_double,
+        g_coeff=_g_double,
     ),
     "q": _Template(
         step=3,
@@ -167,7 +333,7 @@ _TEMPLATES = {
         r_degree=lambda m: 3,
         t_degree=lambda m: 1,
         shifts=lambda m: (3 * m + 1,),
-        g_coeff=_g_coeff_triple,
+        g_coeff=_g_triple,
     ),
 }
 
@@ -184,6 +350,8 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     """
     if family not in _TEMPLATES:
         raise DomainError("family must be 'p' or 'q'")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"m must be an int, not {type(m).__name__}")
     if m < 1 or (family == "q" and m != 1):
         raise DomainError("m must be >= 1 ('q' supports only m = 1)")
     tpl = _TEMPLATES[family]
@@ -200,16 +368,16 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     last_err: NoSolution | None = None
     for shift in tpl.shifts(m):
         try:
-            coeffs, n_free = _fit(m, tpl, shift, unknowns)
+            coeffs, null_basis = _fit(m, tpl, shift, unknowns)
         except NoSolution as err:
             last_err = err
             notes.append(f"factorial shift {shift} failed: {err}")
             continue
         if shift != tpl.shifts(m)[0]:
             notes.append(f"primary factorial shift failed; using (r+{shift})!")
-        if n_free:
+        if null_basis:
             notes.append(
-                f"solution space has {n_free} free directions; "
+                f"solution space has {len(null_basis)} free directions; "
                 "representative with free coordinates zeroed"
             )
         return AuxPolynomial(
@@ -219,6 +387,7 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
             factorial_shift=shift,
             coeffs=coeffs,
             notes=tuple(notes),
+            null_basis=null_basis,
         )
     raise last_err if last_err is not None else NoSolution("no candidate shift")
 
@@ -229,54 +398,72 @@ def _equations(
     shift: int,
     unknowns: list[Key],
     n_values: Iterable[int],
-) -> Iterator[tuple[int, int, list[Fraction], Fraction]]:
-    """Yield (n, w, row, rhs): one equation per matched [t^n x^w] coefficient.
+) -> Iterator[tuple[int, int, list[int], int]]:
+    """Yield (n, w, row, rhs): one integer equation per matched [t^n x^w] coefficient.
 
-    The entry for unknown (d, j, a) is r^d * s(r, n - j) with r = w - a and
-    s(r, k) = sum_u g(r, u, shift) / (k - u)!, summed once per (r, k).
+    The matched coefficient reads sum over unknowns (d, j, a) of
+    r^d s(r, n - j) = [x^w] L_{step n}^{(sup)}(x) / n!, with r = w - a and
+    s(r, k) = sum_u g(r, u, shift) / (k - u)!.  The row is that equation
+    times n! (w+shift)!: its entry r^d S(r, k) n!/k! (w+shift)!/(r+shift)!,
+    with S = k! (r+shift)! s from `_s`, is an integer by construction, and
+    the right side is checked to be one.
     """
     step, g = tpl.step, tpl.g_coeff
     sup = tpl.lag_superscript(m)
-    max_d = max((d for d, _, _ in unknowns), default=0)
-    entries: dict[tuple[int, int], list[Fraction]] = {}
+    max_d, max_j, max_a = map(max, zip((0, 0, 0), *unknowns))
+    entries: dict[tuple[int, int], list[int]] = {}
 
-    def powers(r: int, k: int) -> list[Fraction]:
+    def powers(r: int, k: int) -> list[int]:
         if (r, k) not in entries:
-            terms = (g(r, u, shift) / math.factorial(k - u) for u in range(k + 1))
-            s = sum(terms, Fraction(0))
+            s = _s(g, r, k)
             entries[r, k] = [r**d * s for d in range(max_d + 1)]
         return entries[r, k]
 
     for n in n_values:
         poly = assoc_laguerre_xpoly(step * n, sup)
-        n_fact = math.factorial(n)
+        by_j = [math.perm(n, j) for j in range(max_j + 1)]  # n!/(n-j)!, 0 past n
         for w in range(step * n + 1):
+            rhs, rem = divmod(
+                poly[w].numerator * math.factorial(w + shift), poly[w].denominator
+            )
+            if rem:
+                raise ExactnessViolation(
+                    f"[x^{w}] L_{step * n}^({sup}) times {w + shift}! is not an integer"
+                )
+            by_a = [math.perm(w + shift, a) for a in range(min(w, max_a) + 1)]
             row = [
-                powers(r, n - j)[d] if (r := w - a) >= 0 else Fraction(0)
+                powers(w - a, n - j)[d] * by_j[j] * by_a[a] if a <= w and j <= n else 0
                 for (d, j, a) in unknowns
             ]
-            yield n, w, row, Fraction(poly[w]) / n_fact
+            yield n, w, row, rhs
 
 
 def _fit(
     m: int, tpl: _Template, shift: int, unknowns: list[Key]
-) -> tuple[dict[Key, Fraction], int]:
+) -> tuple[dict[Key, Fraction], tuple[dict[Key, Fraction], ...]]:
     n_fit = tpl.r_degree(m) + 4
     eqs = list(_equations(m, tpl, shift, unknowns, range(n_fit + 1)))
-    solution, n_free = _solve_exact([e[2] for e in eqs], [e[3] for e in eqs])
-    coeffs = {key: val for key, val in zip(unknowns, solution) if val != 0}
-    # Confirm on the n_fit - 1 orders after the fitting window.  A failure with
-    # n_free > 0 would mean the window was too small to pin a genuine
-    # null direction, so the message calls that out.
+    (nums, den), basis = _solve_exact([e[2] for e in eqs], [e[3] for e in eqs])
+    coeffs = {key: Fraction(v, den) for key, v in zip(unknowns, nums) if v}
+    # Confirm on the n_fit - 1 orders after the fitting window, over the
+    # nonzero coordinates only.  A failure with free directions would mean
+    # the window was too small to pin a genuine null direction, so the
+    # message calls that out.
     extra_orders = range(n_fit + 1, 2 * n_fit)
-    miss = _first_miss(_equations(m, tpl, shift, unknowns, extra_orders), solution)
+    miss = _first_miss(
+        _equations(m, tpl, shift, list(coeffs), extra_orders),
+        ([v for v in nums if v], den),
+    )
     if miss is not None:
         n, w = miss
-        hint = f" ({n_free} free directions left unpinned)" if n_free else ""
+        hint = f" ({len(basis)} free directions left unpinned)" if basis else ""
         raise NoSolution(
             f"fit breaks at series order {n} (coefficient of x^{w}){hint}"
         )
-    return coeffs, n_free
+    null_basis = tuple(
+        {key: Fraction(v, d) for key, v in zip(unknowns, vec) if v} for vec, d in basis
+    )
+    return coeffs, null_basis
 
 
 # Bridge polynomials as printed in the source displays, in the same
@@ -361,11 +548,13 @@ def satisfies_template(candidate: AuxPolynomial, n_max: int | None = None) -> bo
     if n_max is None:
         n_max = 2 * tpl.r_degree(candidate.m) + 7
     unknowns = sorted(candidate.coeffs)
-    vector = [candidate.coeffs[key] for key in unknowns]
+    values = [candidate.coeffs[key] for key in unknowns]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     eqs = _equations(
         candidate.m, tpl, candidate.factorial_shift, unknowns, range(n_max + 1)
     )
-    return _first_miss(eqs, vector) is None
+    return _first_miss(eqs, (nums, den)) is None
 
 
 def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:

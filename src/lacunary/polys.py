@@ -213,16 +213,17 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     if nmax < 0:
         raise DomainError("degree must be >= 0")
     exact = is_exact(x) and is_exact(y) and is_exact(alpha)
+    if not exact:
+        alpha, x, y = float(alpha), float(x), float(y)
     out = [Fraction(1) if exact else 1.0]
     if nmax >= 1:
-        first = (1 + alpha) * y - x
-        out.append(first if exact else float(first))
+        out.append((1 + alpha) * y - x)
     y2 = y * y
     for n in range(1, nmax):
-        nxt = (((2 * n + 1 + alpha) * y - x) * out[n] - (n + alpha) * y2 * out[n - 1]) / (
-            n + 1
+        out.append(
+            (((2 * n + 1 + alpha) * y - x) * out[n] - (n + alpha) * y2 * out[n - 1])
+            / (n + 1)
         )
-        out.append(nxt if exact else float(nxt))
     return out
 
 

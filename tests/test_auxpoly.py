@@ -1,10 +1,15 @@
 """Bridge polynomial fitting and comparison with the printed displays."""
 
+import itertools
+import math
+import operator
+import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lacunary import DomainError, NoSolution
 from lacunary.identities import (
@@ -13,7 +18,15 @@ from lacunary.identities import (
     derive_aux_polynomial,
     satisfies_template,
 )
-from lacunary.identities.auxpoly import _solve_exact
+from lacunary.identities import auxpoly
+from lacunary.identities.auxpoly import (
+    _TEMPLATES,
+    _certified,
+    _equations,
+    _rref_mod,
+    _solve_exact,
+)
+from lacunary.polys import assoc_laguerre_xpoly
 
 F = Fraction
 
@@ -54,8 +67,70 @@ def _gauss_jordan(rows, rhs):
     return solution, n_unknowns - len(pivot_cols)
 
 
+def _bareiss(rows, rhs):
+    """Reference solver: fraction-free Bareiss elimination of integer rows.
+
+    Each step divides exactly by the previous pivot (Bareiss 1968); the last
+    pivot clears every denominator of the back substitution.  Returns
+    (solution, n_free) with the free coordinates zero.
+    """
+    n_unknowns = len(rows[0]) if rows else 0
+    mat = [[*row, b] for row, b in zip(rows, rhs)]
+    pivot_cols = []
+    prev = 1
+    for col in range(n_unknowns):
+        row_at = len(pivot_cols)
+        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
+        top = mat[row_at][col:]
+        pv = top[0]
+        for r in range(row_at + 1, len(mat)):
+            f = mat[r][col]
+            mat[r][col:] = [
+                (pv * v - f * w) // prev for v, w in zip(mat[r][col:], top)
+            ]
+        prev = pv
+        pivot_cols.append(col)
+    if any(row[-1] for row in mat[len(pivot_cols) :]):
+        raise NoSolution("inconsistent")
+    scaled = [0] * n_unknowns
+    for row, col in reversed(list(zip(mat, pivot_cols))):
+        known = sum(map(operator.mul, row[col + 1 : -1], scaled[col + 1 :]))
+        scaled[col] = (prev * row[-1] - known) // row[col]
+    return [F(y, prev) for y in scaled], n_unknowns - len(pivot_cols)
+
+
 def _dot(row, vector):
     return sum((a * b for a, b in zip(row, vector)), F(0))
+
+
+def _cleared(rows, rhs):
+    """Integer rows and right sides: each equation times its denominators' lcm."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = math.lcm(*(v.denominator for v in (*row, b)))
+        out_rows.append([int(v * scale) for v in row])
+        out_rhs.append(int(b * scale))
+    return out_rows, out_rhs
+
+
+def _solved(rows, rhs):
+    """_solve_exact as (solution, n_free, null basis), in Fractions."""
+    (nums, den), basis = _solve_exact(rows, rhs)
+    vectors = [[F(v, d) for v in vec] for vec, d in basis]
+    return [F(v, den) for v in nums], len(basis), vectors
+
+
+def _check_null_basis(rows, solution, vectors):
+    """Each vector is a kernel vector with 1 at its own free column and 0 at
+    every other free column; the solution is 0 at every free column."""
+    free = [max(i for i, v in enumerate(vec) if v) for vec in vectors]
+    for vec, col in zip(vectors, free):
+        assert all(_dot(row, vec) == 0 for row in rows)
+        assert [vec[c] for c in free] == [int(c == col) for c in free]
+    assert all(solution[c] == 0 for c in free)
 
 
 _entries = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
@@ -63,7 +138,7 @@ _nonzero = st.builds(F, st.integers(1, 6), st.integers(1, 7))
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, entries=_entries):
     """(rows, x0): up to 7 x 5 rows of rank <= min(shape), some zeroed.
 
     A product of a tall and a wide random factor gives rank deficiency.
@@ -75,8 +150,8 @@ def _systems(draw):
         return [], []
     n_cols = draw(st.integers(1, 5))
     rank = draw(st.integers(0, min(n_rows, n_cols)))
-    left = [[draw(_entries) for _ in range(rank)] for _ in range(n_rows)]
-    right = [[draw(_entries) for _ in range(n_cols)] for _ in range(rank)]
+    left = [[draw(entries) for _ in range(rank)] for _ in range(n_rows)]
+    right = [[draw(entries) for _ in range(n_cols)] for _ in range(rank)]
     columns = [[f[c] for f in right] for c in range(n_cols)]
     rows = [[_dot(lrow, col) for col in columns] for lrow in left]
     for r in draw(st.sets(st.integers(0, n_rows - 1), max_size=2)):
@@ -86,7 +161,7 @@ def _systems(draw):
             row[c] = F(0)
     if draw(st.booleans()):
         rows[0][0] = F(0)
-    return rows, [draw(_entries) for _ in range(n_cols)]
+    return rows, [draw(entries) for _ in range(n_cols)]
 
 
 _SWAP = ([[F(0), F(1)], [F(2), F(3)], [F(4), F(6)]], [F(1, 2), F(-3)])
@@ -101,8 +176,10 @@ def test_solve_exact_matches_gauss_jordan_on_consistent_systems(system):
     rows, x0 = system
     rhs = [_dot(row, x0) for row in rows]
     want = _gauss_jordan(rows, rhs)
-    assert _solve_exact(rows, rhs) == want
+    solution, n_free, vectors = _solved(*_cleared(rows, rhs))
+    assert (solution, n_free) == want
     assert [_dot(row, want[0]) for row in rows] == rhs
+    _check_null_basis(rows, solution, vectors)
 
 
 @given(_systems(), st.integers(0, 6), _nonzero)
@@ -117,9 +194,128 @@ def test_solve_exact_rejects_inconsistent_systems(system, at, delta):
         _gauss_jordan(rows, rhs)
     except NoSolution:
         with pytest.raises(NoSolution):
-            _solve_exact(rows, rhs)
+            _solve_exact(*_cleared(rows, rhs))
     else:
         assume(False)
+
+
+# Integer entries of up to 80 bits: minors and solutions outgrow one prime.
+_big = st.integers(-(2**80), 2**80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems(entries=_big), st.booleans(), st.integers(0, 6), _big)
+def test_solve_exact_agrees_with_bareiss(system, perturb, at, delta):
+    rows, x0 = system
+    rows, x0 = [[int(v) for v in row] for row in rows], [int(v) for v in x0]
+    rhs = [sum(map(operator.mul, row, x0)) for row in rows]
+    if perturb and rows:
+        rhs[at % len(rows)] += delta
+    try:
+        want = _bareiss(rows, rhs)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            _solve_exact(rows, rhs)
+        return
+    solution, n_free, vectors = _solved(rows, rhs)
+    assert (solution, n_free) == want
+    _check_null_basis(rows, solution, vectors)
+
+
+@pytest.mark.parametrize("family, m", [("p", 1), ("p", 2), ("q", 1), ("p", 3)])
+def test_fit_systems_agree_with_bareiss(family, m):
+    tpl = _TEMPLATES[family]
+    unknowns = [
+        (d, j, a)
+        for d in range(tpl.r_degree(m) + 1)
+        for j in range(tpl.t_degree(m) + 1)
+        for a in range(tpl.step * j + 1)
+    ]
+    eqs = list(
+        _equations(m, tpl, tpl.shifts(m)[0], unknowns, range(tpl.r_degree(m) + 5))
+    )
+    rows, rhs = [e[2] for e in eqs], [e[3] for e in eqs]
+    solution, n_free, _ = _solved(rows, rhs)
+    assert (solution, n_free) == _bareiss(rows, rhs)
+    assert [c for c in solution if c] == list(_derived(family, m).coeffs.values())
+
+
+def _counting_primes(monkeypatch, first=()):
+    """Make _solve_exact draw `first`, then the usual primes; count the draws."""
+    drawn = []
+    usual = auxpoly._primes
+
+    def primes():
+        for p in itertools.chain(first, usual()):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(auxpoly, "_primes", primes)
+    return drawn
+
+
+def test_large_solutions_combine_several_primes(monkeypatch):
+    drawn = _counting_primes(monkeypatch)
+    rows = [
+        [3**50 + 1, 2**70, 5**20],
+        [7**30, -(2**65) + 3, 11],
+        [13**15, 17**12, -(19**10) + 1],
+    ]
+    x0 = [F(2**100 + 1, 3**40), F(-7, 5**30), F(11**20)]
+    rows, rhs = _cleared(rows, [_dot(row, x0) for row in rows])
+    want = _bareiss(rows, rhs)
+    assert want == (x0, 0)
+    assert _solved(rows, rhs)[:2] == want
+    assert len(drawn) >= 3
+
+
+def test_rank_deficient_and_inconsistent_systems():
+    rows = [[2, 4, 6, 1], [1, 2, 3, 0], [3, 6, 9, 1], [0, 0, 0, 0]]
+    rhs = [3, 1, 4, 0]
+    solution, n_free, vectors = _solved(rows, rhs)
+    assert (solution, n_free) == _bareiss(rows, rhs)
+    assert n_free == 2
+    _check_null_basis(rows, solution, vectors)
+    rhs[2] += 1
+    with pytest.raises(NoSolution):
+        _bareiss(rows, rhs)
+    with pytest.raises(NoSolution):
+        _solve_exact(rows, rhs)
+
+
+UNLUCKY = 1_000_003  # a prime
+
+
+def test_unlucky_prime_is_rejected_by_the_certificate(monkeypatch):
+    # det = UNLUCKY, so the system has rank 1 modulo UNLUCKY and rank 2 over Q.
+    rows, rhs = [[1, 1], [1, 1 + UNLUCKY]], [2, 2 + UNLUCKY]
+    pivots, reduced = _rref_mod([[*row, b] for row, b in zip(rows, rhs)], UNLUCKY)
+    assert pivots == [0]
+    table = [[row[c] for row in reduced] for c in (1, 2)]
+    assert _certified(rows, rhs, pivots, [1, 2], table, UNLUCKY) is None
+    drawn = _counting_primes(monkeypatch, first=(UNLUCKY,))
+    assert _solved(rows, rhs)[:2] == _bareiss(rows, rhs) == ([F(1), F(1)], 0)
+    assert drawn[0] == UNLUCKY and len(drawn) == 2
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        [0, UNLUCKY],  # inconsistent over Q, consistent modulo UNLUCKY
+        [0, 1],  # consistent over Q, inconsistent modulo UNLUCKY
+    ],
+)
+def test_unlucky_prime_cannot_decide_consistency(monkeypatch, rhs):
+    rows = [[1, 1], [1, 1 + UNLUCKY * (rhs[1] == 1)]]
+    drawn = _counting_primes(monkeypatch, first=(UNLUCKY,))
+    try:
+        want = _bareiss(rows, rhs)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            _solve_exact(rows, rhs)
+    else:
+        assert _solved(rows, rhs)[:2] == want
+    assert drawn[0] == UNLUCKY and len(drawn) == 2
 
 
 # Display for the double-lacunary m = 1 case, keyed (r-power, t-power,
@@ -215,3 +411,92 @@ def test_corrupted_candidate_fails_template():
         coeffs=broken,
     )
     assert not satisfies_template(candidate, n_max=6)
+    assert not satisfies_template(replace(candidate, coeffs={}), n_max=6)
+
+
+def test_m_must_be_an_int():
+    for m in (True, 1.0, "1", F(1)):
+        with pytest.raises(DomainError):
+            derive_aux_polynomial("p", m)
+
+
+def _g_double_reference(r, u, shift):
+    k = r - u
+    if k < 0 or r - 2 * k < 0:
+        return F(0)
+    return F(
+        (-2) ** (r - 2 * k),
+        math.factorial(r - 2 * k) * math.factorial(k) * math.factorial(r + shift),
+    )
+
+
+def _g_triple_reference(r, u, shift):
+    total = F(0)
+    for k in range((r - u) // 2 + 1):
+        j, i = r - u - 2 * k, 2 * u - r + k
+        if j >= 0 and i >= 0:
+            total += F(
+                (-3) ** i * 3**j * (-1) ** k,
+                math.factorial(i) * math.factorial(j) * math.factorial(k),
+            )
+    return total / math.factorial(r + shift)
+
+
+@pytest.mark.parametrize(
+    "family, m, g", [("p", 1, _g_double_reference), ("p", 2, _g_double_reference),
+                     ("q", 1, _g_triple_reference)]
+)
+def test_integer_rows_are_the_rational_equations_times_n_factorial_w_shift_factorial(
+    family, m, g
+):
+    """Row (n, w) is the rational equation sum r^d s(r, n-j) = [x^w] L / n!
+    scaled by n! (w+shift)!, with s(r, k) = sum_u g(r, u) / (k-u)!."""
+    tpl = _TEMPLATES[family]
+    shift = tpl.shifts(m)[0]
+    unknowns = sorted(_derived(family, m).coeffs)
+    for n, w, row, rhs in _equations(m, tpl, shift, unknowns, range(9)):
+        scale = math.factorial(n) * math.factorial(w + shift)
+        poly = assoc_laguerre_xpoly(tpl.step * n, tpl.lag_superscript(m))
+        assert rhs == poly[w] / math.factorial(n) * scale
+        for (d, j, a), entry in zip(unknowns, row):
+            r, k = w - a, n - j
+            s = sum((g(r, u, shift) / math.factorial(k - u) for u in range(k + 1)), F(0))
+            assert entry == (r**d * s * scale if r >= 0 else 0), (n, w, d, j, a)
+
+
+def _free_dirs(poly):
+    notes = " ".join(poly.notes)
+    found = re.search(r"(\d+) free directions", notes)
+    return int(found.group(1)) if found else 0
+
+
+@pytest.mark.parametrize(
+    "family, m, n_free", [("p", 1, 0), ("p", 2, 8), ("q", 1, 0), ("p", 3, 36)]
+)
+def test_null_basis_is_certified_and_holds_beyond_the_window(family, m, n_free):
+    poly = _derived(family, m)
+    assert _free_dirs(poly) == len(poly.null_basis) == n_free
+    tpl = _TEMPLATES[family]
+    n_fit = tpl.r_degree(m) + 4
+    for vec in poly.null_basis:
+        unknowns = sorted(vec)
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        nums = [int(vec[key] * den) for key in unknowns]
+        for n, w, row, _ in _equations(
+            m, tpl, poly.factorial_shift, unknowns, range(2 * n_fit)
+        ):
+            assert sum(map(operator.mul, row, nums)) == 0, (vec, n, w)
+
+
+def test_printed_p4_minus_derived_lies_in_the_null_span():
+    poly = _derived("p", 2)
+    diff = {
+        key: auxpoly.PRINTED_P4.get(key, 0) - poly.coeffs.get(key, 0)
+        for key in {*auxpoly.PRINTED_P4, *poly.coeffs}
+    }
+    assert any(diff.values())
+    for vec in poly.null_basis:
+        weight = diff.get(max(vec), 0)  # the free coordinate of vec is its last key
+        for key, v in vec.items():
+            diff[key] = diff.get(key, 0) - weight * v
+    assert not any(diff.values())

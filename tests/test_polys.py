@@ -157,6 +157,53 @@ def test_assoc_sequence_matches_explicit(x, y, alpha, n):
     assert seq == [assoc_laguerre(k, alpha, x, y) for k in range(n + 1)]
 
 
+def _assoc_sequence_per_step_float(nmax, alpha, x, y=1):
+    """The float recurrence as it ran before the inputs were converted once:
+    the mixed int/float expression, rounded by float() at every step."""
+    out = [1.0]
+    if nmax >= 1:
+        out.append(float((1 + alpha) * y - x))
+    y2 = y * y
+    for n in range(1, nmax):
+        nxt = (((2 * n + 1 + alpha) * y - x) * out[n] - (n + alpha) * y2 * out[n - 1]) / (
+            n + 1
+        )
+        out.append(float(nxt))
+    return out
+
+
+# The engines pass an int offset (or a float one) with float or int x and y.
+float_args = st.tuples(
+    st.integers(min_value=0, max_value=6) | st.floats(min_value=-0.9, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=12.0) | st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-2.0, max_value=2.0) | st.just(1),
+).filter(lambda a: not all(isinstance(v, int) for v in a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_args, st.integers(min_value=0, max_value=200))
+def test_assoc_sequence_float_path_is_bit_identical_to_per_step_float(args, nmax):
+    alpha, x, y = args
+    seq = assoc_laguerre_sequence(nmax, alpha, x, y)
+    assert seq == _assoc_sequence_per_step_float(nmax, alpha, x, y)
+    assert all(type(v) is float for v in seq)
+
+
+def test_assoc_sequence_float_path_at_the_quadrature_degrees():
+    for n in (80, 100):
+        for z in (0.0179, 0.5, 3.7, 41.0, 370.0):
+            assert laguerre_sequence(n + 1, z) == _assoc_sequence_per_step_float(
+                n + 1, 0, z
+            )
+
+
+def test_assoc_sequence_rejects_complex_input():
+    with pytest.raises(TypeError):
+        assoc_laguerre_sequence(5, 0, 1.0 + 2.0j)
+    with pytest.raises(TypeError):
+        laguerre_sequence(5, 0.5, 1j)
+
+
 def test_sequences_float_path_is_stable():
     seq = laguerre_sequence(250, 1.0)
     ref = float(laguerre(250, F(1)))
