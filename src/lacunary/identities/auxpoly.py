@@ -53,9 +53,13 @@ class AuxPolynomial:
         return max((d for (d, _, _) in self.coeffs), default=0)
 
     def evaluate(self, r, x, y, t):
+        """Sum of c r^d t^j x^a y^(step j - a); an int r with a float t
+        rounds c r^d once, by int true division, as its Fraction would."""
+        fast = isinstance(r, int) and isinstance(t, float)
         total = 0
         for (d, j, a), c in self.coeffs.items():
-            total = total + c * r**d * t**j * x**a * y ** (self.step * j - a)
+            w = (c.numerator * r**d) / c.denominator if fast else c * r**d
+            total = total + w * t**j * x**a * y ** (self.step * j - a)
         return total
 
     def r_coefficient(self, d: int) -> dict[tuple[int, int], Fraction]:

@@ -242,12 +242,12 @@ def eq2_8(g, t, top, ctrl):
 ))
 def eq2_9(g, t, top, ctrl):
     alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
-    seq = lambda_sequence(2 * top, alpha, beta, x, y)
+    seq = lambda_sequence(2 * top, alpha, beta, x, y, step=2)
     fac = _egf_factors(t, top)
     rhs = math.exp(y * y * t) * h_wright(
         float(beta), alpha + 1.0, -2.0 * x * y * t, x * x * t, ctrl
     )
-    return lambda n: fac[n] * seq[2 * n], rhs
+    return lambda n: fac[n] * seq[n], rhs
 
 
 @_engine("EQ2.10", (
@@ -323,12 +323,12 @@ def eq2_13(g, t, top, ctrl):
 ))
 def eq2_14(g, t, top, ctrl):
     alpha, x, y = g["alpha"], g["x"], g["y"]
-    diag = assoc_laguerre_diagonal(2 * top, alpha, x, y)
+    diag = assoc_laguerre_diagonal(2 * top, alpha, x, y, step=2)
     st = cmath.sqrt(t)
     big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
     val = (1.0 - t * y * y) ** (alpha / 2.0) * cmath.cosh(st * x - 1j * big_t)
     rhs = as_real(val, "EQ2.14 rhs", COMPLEX_SLACK)
-    return lambda n: t**n * diag[2 * n], rhs
+    return lambda n: t**n * diag[n], rhs
 
 
 # -- shifted, weighted, and bilateral forms ----------------------------------

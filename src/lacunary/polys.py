@@ -3,15 +3,20 @@ higher-order Hermite, and the lacunary decompositions that tie them together.
 
 All closed forms are written over the exact numeric tower (Fraction binomials
 times powers of the inputs), so rational inputs give exact values and float
-inputs flow through unchanged.  The row kernels (`laguerre_sequence`,
-`assoc_laguerre_sequence`, `lambda_sequence`, `assoc_laguerre_diagonal`)
-serve both verification modes by one rule: exact when every input is exact,
-float otherwise.  The per-index sums are their definitional reference.
+inputs flow through unchanged.  A float weight of an int ratio is one int
+true division, correctly rounded and so the float of the exact Fraction.
+The row kernels (`laguerre_sequence`, `assoc_laguerre_sequence`,
+`lambda_sequence`, `assoc_laguerre_diagonal`) serve both verification modes
+by one rule: exact when every input is exact, float otherwise; the last two
+take the index step of a lacunary sum and sum only the rows it reads.  The
+per-index `laguerre` and `lambda_poly` are their definitional reference;
+`assoc_laguerre` serves the right sides that expand over L_s^(s+a).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -59,21 +64,28 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
     return total
 
 
-def lambda_sequence(nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1) -> list:
-    """[lambda_poly(n, alpha, beta, x, y) for n = 0..nmax], the same values
-    and types for int or float alpha and beta: exact when every input is
-    exact, float otherwise.
+def lambda_sequence(
+    nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1, step: int = 1
+) -> list:
+    """[lambda_poly(n, alpha, beta, x, y) for n = 0, step, 2 step, ... <= nmax],
+    the same values and types for int or float alpha and beta: exact when
+    every input is exact, float otherwise.
 
-    The binomial rows come from Pascal's rule on ints, and the powers and
-    one Gamma weight per r are computed once.  Exact inputs take the exact
-    weights of _gamma_weight.  For float inputs, as in _gamma_weight, a
-    positive int argument beta r + 1 + alpha divides the binomial by
-    (beta r + alpha)! in one int true division (the float of the exact
-    Fraction); any other argument multiplies by rgamma.  Products and sums
-    keep lambda_poly's left-to-right order, so floats agree bit for bit.
+    The binomial rows come from Pascal's rule on ints, advanced through
+    every n, and the powers and one Gamma weight per r are computed once;
+    only the rows a lacunary sum reads (n a multiple of step) are summed.
+    Exact inputs take the exact weights of _gamma_weight.  For float
+    inputs, as in _gamma_weight, a positive int argument beta r + 1 + alpha
+    divides the binomial by (beta r + alpha)! in one int true division (the
+    float of the exact Fraction); any other argument multiplies by rgamma.
+    Products and sums keep lambda_poly's left-to-right order, so floats
+    agree bit for bit.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
+    if step < 1:
+        raise DomainError("step must be >= 1")
+    nmax -= nmax % step
     exact = all(map(is_exact, (alpha, beta, x, y)))
     powx = [(-x) ** r for r in range(nmax + 1)]
     powy = [y**k for k in range(nmax + 1)]
@@ -91,6 +103,8 @@ def lambda_sequence(nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar
     for n in range(nmax + 1):
         if n:
             row = [1, *map(operator.add, row, row[1:]), 1]
+        if n % step:
+            continue
         total = 0
         for r, c in enumerate(row):
             g = weights[r]
@@ -100,44 +114,59 @@ def lambda_sequence(nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar
     return out
 
 
-def assoc_laguerre_diagonal(kmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) -> list:
-    """[L_k^(alpha-k)(x, y) for k = 0..kmax], the coefficients of
-    (1 + y t)^alpha e^(-x t), as the Cauchy product of
-    b_m = C(alpha, m) y^m and e_r = (-x)^r / r!, each by its ratio.
+def assoc_laguerre_diagonal(
+    kmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1, step: int = 1
+) -> list:
+    """[L_k^(alpha-k)(x, y) for k = 0, step, 2 step, ... <= kmax], the
+    coefficients of (1 + y t)^alpha e^(-x t), as the Cauchy product of
+    b_m = C(alpha, m) y^m and e_r = (-x)^r / r!, each by its ratio.  The
+    factor tables run through every index; only the coefficients a
+    lacunary sum reads (k a multiple of step) are summed.
 
     This regroups assoc_laguerre(k, alpha - k, x, y): exact values when
-    every input is exact, floats otherwise.  The per-k assoc_laguerre on
-    floats overflows its product and underflows its weights from k = 173
-    up; both factors here stay finite.
+    every input is exact, floats otherwise.  The per-k assoc_laguerre with
+    a float alpha overflows its product and underflows its weights from
+    k = 173 up; both factors here stay finite.
     """
     if kmax < 0:
         raise DomainError("degree must be >= 0")
+    if step < 1:
+        raise DomainError("step must be >= 1")
+    kmax -= kmax % step
     one = Fraction(1) if is_exact(alpha) and is_exact(x) and is_exact(y) else 1.0
     b, e = [one], [one]
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
-    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(kmax + 1)]
+    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
 
 
 def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     """Associated Laguerre L_n^(alpha)(x, y) valid for any rational offset.
 
     The Gamma prefactor is distributed termwise as the finite product
-    Gamma(1+alpha+n)/Gamma(1+alpha+r) = prod_{j=r+1..n} (alpha + j), which
-    stays exact (and finite) for negative integer offsets such as alpha - n.
+    prods[r] = Gamma(1+alpha+n)/Gamma(1+alpha+r) = prod_{j=r+1..n} (alpha + j),
+    which stays exact (and finite) for negative integer offsets such as
+    alpha - n.  Each weight prods[r] / (r! (n-r)!) is an exact Fraction
+    unless x is a float; then an int product takes one int true division,
+    correctly rounded as the Fraction's float is, and a float product
+    (float alpha) is scaled by the float 1 / (r! (n-r)!).
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    prods = [1] * (n + 1)
+    for r in range(n - 1, -1, -1):
+        prods[r] = prods[r + 1] * (alpha + (r + 1))  # one rounding for a float alpha
+    fact = [1, *itertools.accumulate(range(1, n + 1), operator.mul)]
+    inexact = not is_exact(x)
     total = 0
-    prod = 1  # prod_{j=r+1..n}(alpha+j), built from r=n downward
-    terms = []
-    for r in range(n, -1, -1):
-        w = Fraction(1, math.factorial(r) * math.factorial(n - r))
-        terms.append(w * prod * (-x) ** r * y ** (n - r))
-        prod = prod * (alpha + r)
-    for t in reversed(terms):
-        total = total + t
+    for r, p in enumerate(prods):
+        d = fact[r] * fact[n - r]
+        if isinstance(p, float):
+            w = 1 / d * p
+        else:
+            w = p / d if inexact else Fraction(p, d)
+        total = total + w * (-x) ** r * y ** (n - r)
     return total
 
 

@@ -356,6 +356,36 @@ def test_p1_evaluate_matches_expanded_form():
         assert poly.evaluate(r, x, y, t) == want
 
 
+def _evaluate_fraction_loop(poly, r, x, y, t):
+    """AuxPolynomial.evaluate as it ran before the float path: Fraction
+    products c r^d, rounded where the first float factor enters."""
+    total = 0
+    for (d, j, a), c in poly.coeffs.items():
+        total = total + c * r**d * t**j * x**a * y ** (poly.step * j - a)
+    return total
+
+
+@pytest.mark.parametrize("family, m", [("p", 1), ("p", 2), ("q", 1)])
+def test_evaluate_float_path_is_the_fraction_loop_bit_for_bit(family, m):
+    # The EQ2.8 and EQ3.4 right sides pass an int r and float x, y, t.  The
+    # fitted coefficients are integers; the copy over 7 rounds c r^d too.
+    fitted = _derived(family, m)
+    sevenths = replace(fitted, coeffs={k: c / 7 for k, c in fitted.coeffs.items()})
+    xs, ys, ts = (1.0, 0.6, 1.5, -0.7), (1.0, 0.8, 0.5, -1.3), (0.1, 0.2, 0.12, 0.08)
+    for poly in (fitted, sevenths):
+        for x, y, t in itertools.product(xs, ys, ts):
+            for r in range(0, 120, 7):
+                value = poly.evaluate(r, x, y, t)
+                want = _evaluate_fraction_loop(poly, r, x, y, t)
+                assert type(value) is float and value.hex() == want.hex(), (r, x, y, t)
+    poly = sevenths
+    # Exact inputs keep the exact path.
+    for r, x, y, t in [(4, F(1, 2), F(3), F(-1, 3)), (7, 2, 1, F(1, 5))]:
+        value = poly.evaluate(r, x, y, t)
+        assert value == _evaluate_fraction_loop(poly, r, x, y, t)
+        assert type(value) is Fraction
+
+
 def test_p1_r_coefficient_slices():
     poly = _derived("p", 1)
     assert poly.r_coefficient(2) == {(0, 0): F(1), (1, 0): F(2)}

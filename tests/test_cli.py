@@ -293,6 +293,14 @@ GOLDEN = [
         "verify_lambda_n160.json",
     ),
     (
+        ("verify", "--mode", "numeric", "--nmax", "160",
+         *(a for cid in ("EQ1.12", "EQ2.7", "EQ2.10", "EQ2.11", "EQ2.13", "EQ2.14",
+                         "EQ3.1", "EQ3.3", "EQ3.5", "EQ3.8", "EQ3.9", "EQ3.10",
+                         "EQ3.11") for a in ("--id", cid)),
+         "--seed", "0", "--no-timestamp"),
+        "verify_rhs_n160.json",
+    ),
+    (
         ("verify", "--all", "--mode", "exact", "--nmax", "30", "--seed", "3",
          "--no-timestamp"),
         "verify_exact_n30_seed3.json",

@@ -1,10 +1,11 @@
 """Polynomial families: explicit sums, recurrences, decompositions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
     DomainError,
@@ -23,6 +24,7 @@ from lacunary import (
     lambda_poly,
     rgamma_exact,
 )
+from lacunary.identities import check_pointwise, pointwise
 from lacunary.polys import (
     assoc_laguerre_diagonal,
     hermite2_from_classical,
@@ -65,6 +67,96 @@ def test_assoc_laguerre_negative_offset_is_finite():
     assert assoc_laguerre(2, -1, x, y) == x * x / 2 - x * y
     val = assoc_laguerre(4, 2 - 4, F(1), F(1))
     assert isinstance(val, Fraction)
+
+
+def _assoc_laguerre_fraction_loop(n, alpha, x, y=1):
+    """assoc_laguerre as it ran before the integer weights: a Fraction
+    weight per term, times the product built from r = n downward, the
+    terms summed for r upward."""
+    prod = 1
+    terms = []
+    for r in range(n, -1, -1):
+        w = Fraction(1, math.factorial(r) * math.factorial(n - r))
+        terms.append(w * prod * (-x) ** r * y ** (n - r))
+        prod = prod * (alpha + r)
+    total = 0
+    for t in reversed(terms):
+        total = total + t
+    return total
+
+
+def _same(value, want):
+    """Equal and of the same type; floats compared by float.hex."""
+    if type(want) is float:
+        return type(value) is float and value.hex() == want.hex()
+    return value == want and type(value) is type(want)
+
+
+def _fraction_constructions(fn):
+    """(fn(), the number of Fraction.__new__ calls it made)."""
+    count = 0
+    code = Fraction.__new__.__code__
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        value = fn()
+    finally:
+        sys.setprofile(None)
+    return value, count
+
+
+exact_scalar = st.integers(min_value=-4, max_value=4) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=5
+)
+float_scalar = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-45, max_value=8)
+    | st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    | st.floats(min_value=-6.0, max_value=6.0),
+    exact_scalar | float_scalar,
+    exact_scalar | float_scalar | st.just(1),
+    st.booleans(),
+)
+@example(12, 1 / 3, 0.5, 1, False)  # (alpha + 7) + 1 != alpha + 8 in floats
+def test_assoc_laguerre_matches_the_fraction_loop(n, alpha, x, y, offset_by_n):
+    if offset_by_n:
+        alpha = alpha - n  # the negative offsets alpha - n of the diagonal
+    value = assoc_laguerre(n, alpha, x, y)
+    want = _assoc_laguerre_fraction_loop(n, alpha, x, y)
+    assert _same(value, want), (value, want)
+
+
+def test_assoc_laguerre_matches_the_fraction_loop_on_the_engine_calls(monkeypatch):
+    # The (n, alpha, x) the right sides of EQ2.10, EQ2.11, EQ3.1, EQ3.3,
+    # EQ3.9 and EQ3.11 pass over one default run.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return assoc_laguerre(*args)
+
+    monkeypatch.setattr(pointwise, "assoc_laguerre", recording)
+    for case_id in ("EQ2.10", "EQ2.11", "EQ3.1", "EQ3.3", "EQ3.9", "EQ3.11"):
+        assert check_pointwise(case_id).passed, case_id
+    assert len(calls) > 500
+    for args in calls:
+        assert _same(assoc_laguerre(*args), _assoc_laguerre_fraction_loop(*args)), args
+
+
+def test_assoc_laguerre_int_offset_float_x_constructs_no_fraction():
+    value, count = _fraction_constructions(lambda: assoc_laguerre(30, 17, 0.4))
+    assert count == 0 and type(value) is float
+    want, count = _fraction_constructions(lambda: _assoc_laguerre_fraction_loop(30, 17, 0.4))
+    assert count > 30 and value.hex() == want.hex()
 
 
 def test_hermite_values():
@@ -243,6 +335,9 @@ def test_lambda_sequence_at_the_eq2_9_grid():
         seq = lambda_sequence(340, alpha, beta, x, y)
         for n in (*range(0, 340, 17), 340):
             assert seq[n] == lambda_poly(n, alpha, beta, x, y), (alpha, beta, n)
+        # EQ2.9 reads the even rows only.
+        rows = lambda_sequence(340, alpha, beta, x, y, step=2)
+        assert [v.hex() for v in rows] == [v.hex() for v in seq[::2]]
 
 
 def test_assoc_laguerre_diagonal_matches_exact_offsets():
@@ -264,7 +359,11 @@ def test_assoc_laguerre_diagonal_matches_exact_offsets():
 def test_assoc_laguerre_diagonal_stays_finite():
     # The per-k float evaluation turns to -inf at k = 174 and NaN at 180.
     for alpha, x, y in ((0.5, 1.0, 1.0), (2.5, 0.5, 1.2), (1.5, 0.0, 1.0), (1.0, 2.0, 1.0)):
-        assert all(map(math.isfinite, assoc_laguerre_diagonal(820, alpha, x, y)))
+        diag = assoc_laguerre_diagonal(820, alpha, x, y)
+        assert all(map(math.isfinite, diag))
+        # EQ2.14 reads the even coefficients only.
+        rows = assoc_laguerre_diagonal(820, alpha, x, y, step=2)
+        assert [v.hex() for v in rows] == [v.hex() for v in diag[::2]]
 
 
 def test_xpoly_coefficient_lists():
@@ -277,3 +376,28 @@ def test_xpoly_coefficient_lists():
         assert sum(c * x**k for k, c in enumerate(coeffs)) == assoc_laguerre(
             n, 2, x, 1
         )
+
+
+@pytest.mark.parametrize("step", (1, 2, 3))
+def test_step_rows_are_every_step_th_row(step):
+    # Float draws, bit for bit, then exact draws, value and type.
+    for alpha, beta, x, y in ((0.5, 1, 1.0, 1.0), (1, 2, 2.0, 0.5), (-1.5, 3, 0.7, -1.0),
+                              (2, 1, F(1, 2), F(-3, 2)), (0, 2, F(2), F(1))):
+        full = lambda_sequence(61, alpha, beta, x, y)
+        rows = lambda_sequence(61, alpha, beta, x, y, step=step)
+        assert len(rows) == 61 // step + 1
+        assert all(_same(v, full[step * k]) for k, v in enumerate(rows))
+    for alpha, x, y in ((0.5, 1.0, 1.0), (2.5, 0.5, 1.2), (-1.25, 2.0, -0.75),
+                        (3, F(1, 2), F(2)), (F(-3, 2), F(-2, 3), F(1))):
+        full = assoc_laguerre_diagonal(61, alpha, x, y)
+        rows = assoc_laguerre_diagonal(61, alpha, x, y, step=step)
+        assert len(rows) == 61 // step + 1
+        assert all(_same(v, full[step * k]) for k, v in enumerate(rows))
+
+
+def test_step_below_one_is_rejected():
+    for step in (0, -1):
+        with pytest.raises(DomainError):
+            lambda_sequence(10, 1, 1, 1.0, 1.0, step=step)
+        with pytest.raises(DomainError):
+            assoc_laguerre_diagonal(10, 0.5, 1.0, 1.0, step=step)
