@@ -44,9 +44,7 @@ from .polys import (
     assoc_laguerre,
     assoc_laguerre_sequence,
     assoc_laguerre_xpoly,
-    hermite,
     hermite_coeff_sequence,
-    hermite_h,
     hermite_h_sequence,
     lacunary_decomposition,
     laguerre,
@@ -113,9 +111,7 @@ __all__ = [
     "h_tricomi",
     "h_tricomi_bilateral",
     "h_wright",
-    "hermite",
     "hermite_coeff_sequence",
-    "hermite_h",
     "hermite_h_sequence",
     "is_exact",
     "lacunary_decomposition",

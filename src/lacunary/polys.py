@@ -1,37 +1,34 @@
 """Polynomial families: two-variable Laguerre, Gamma-weighted variants,
 higher-order Hermite, and the lacunary decompositions that tie them together.
 
-All closed forms are written over the exact numeric tower (Fraction binomials
-times powers of the inputs), so rational inputs give exact values and float
-inputs flow through unchanged.  A float weight of an int ratio is one int
-true division, correctly rounded and so the float of the exact Fraction.
 The row kernels (`laguerre_sequence`, `assoc_laguerre_sequence`,
 `lambda_sequence`, `assoc_laguerre_diagonal`) serve both verification modes
 by one rule: exact when every input is exact, float otherwise; the last two
-take the index step of a lacunary sum and sum only the rows it reads.  The
-per-index `laguerre` and `lambda_poly` are their definitional reference;
-`assoc_laguerre` serves the right sides that expand over L_s^(s+a).
+take the index step of a lacunary sum and sum only the rows it reads.  Exact
+rows run on int numerators over one known denominator per row (a factorial
+times powers of the input denominators) and make one Fraction per value.  A
+float weight of an int ratio is one int true division, correctly rounded and
+so the float of the exact Fraction.  The per-index `laguerre` and
+`lambda_poly` are the definitional reference; `assoc_laguerre` serves the
+right sides that expand over L_s^(s+a).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
-from .scalars import Scalar, as_real, is_exact, rgamma, rgamma_exact
+from .errors import DomainError, ExactnessViolation
+from .scalars import Scalar, is_exact, rgamma, rgamma_exact
 
 
 def _gamma_weight(arg: Scalar):
     """rgamma dispatch: exact for integral arguments, floating otherwise."""
-    if isinstance(arg, Fraction) and arg.denominator == 1:
-        return rgamma_exact(int(arg))
-    if isinstance(arg, int):
-        return rgamma_exact(arg)
+    if is_exact(arg) and arg.denominator == 1:
+        return rgamma_exact(arg.numerator)
     return rgamma(arg)
 
 
@@ -46,16 +43,26 @@ def laguerre(n: int, x: Scalar, y: Scalar = 1):
     return total
 
 
+def _integral(value: Scalar, name: str) -> int:
+    """The int of an integral int or Fraction; ExactnessViolation otherwise."""
+    if value.denominator != 1:
+        raise ExactnessViolation(f"exact Gamma weights need an integer {name}, got {value}")
+    return value.numerator
+
+
 def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
     """Gamma-weighted companion polynomial
 
         n! sum_r (-x)^r y^(n-r) / (r! (n-r)! Gamma(beta r + 1 + alpha)).
 
     Equals the vacuum reduction of c^alpha (y - c^beta x)^n.  Exact when
-    alpha and beta are integers and x, y are rational.
+    every input is exact; then alpha and beta must be integers, else
+    ExactnessViolation.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    if all(map(is_exact, (alpha, beta, x, y))):
+        alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
     total = 0
     for r in range(n + 1):
         w = Fraction(math.factorial(n), math.factorial(r) * math.factorial(n - r))
@@ -69,12 +76,16 @@ def lambda_sequence(
 ) -> list:
     """[lambda_poly(n, alpha, beta, x, y) for n = 0, step, 2 step, ... <= nmax],
     the same values and types for int or float alpha and beta: exact when
-    every input is exact, float otherwise.
+    every input is exact (integer alpha and beta), float otherwise.
 
     The binomial rows come from Pascal's rule on ints, advanced through
     every n, and the powers and one Gamma weight per r are computed once;
     only the rows a lacunary sum reads (n a multiple of step) are summed.
-    Exact inputs take the exact weights of _gamma_weight.  For float
+    With x = p/q, y = r/s and F = (max_r (beta r + alpha))!, an exact row is
+
+        sum_r C(n,r) (F / (beta r + alpha)!) (-p s)^r (q r)^(n-r) / (F (q s)^n),
+
+    summed on ints, a term with beta r + alpha < 0 being 0.  For float
     inputs, as in _gamma_weight, a positive int argument beta r + 1 + alpha
     divides the binomial by (beta r + alpha)! in one int true division (the
     float of the exact Fraction); any other argument multiplies by rgamma.
@@ -86,25 +97,27 @@ def lambda_sequence(
     if step < 1:
         raise DomainError("step must be >= 1")
     nmax -= nmax % step
-    exact = all(map(is_exact, (alpha, beta, x, y)))
+    if all(map(is_exact, (alpha, beta, x, y))):
+        alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
+        args = [beta * r + alpha for r in range(nmax + 1)]
+        top = math.factorial(max(0, *args))
+        weights = [top // math.factorial(a) if a >= 0 else 0 for a in args]
+        ps, qs = -x.numerator * y.denominator, x.denominator * y.denominator
+        scaled = list(map(operator.mul, weights, _powers(ps, nmax)))
+        powy = _powers(x.denominator * y.numerator, nmax)
+        rows = _pascal_rows(nmax, step)
+        return [Fraction(_row_dot(row, scaled, powy), top * qs**n) for n, row in rows]
     powx = [(-x) ** r for r in range(nmax + 1)]
     powy = [y**k for k in range(nmax + 1)]
-    weights = []  # the exact weight, the factorial divisor (int) or rgamma
+    weights = []  # the factorial divisor (int) or rgamma
     for r in range(nmax + 1):
         arg = beta * r + 1 + alpha
-        if exact:
-            weights.append(_gamma_weight(arg))
-        elif isinstance(arg, int) and arg > 0:
+        if isinstance(arg, int) and arg > 0:
             weights.append(math.factorial(arg - 1))
         else:
             weights.append(rgamma(arg))
     out = []
-    row = [1]
-    for n in range(nmax + 1):
-        if n:
-            row = [1, *map(operator.add, row, row[1:]), 1]
-        if n % step:
-            continue
+    for n, row in _pascal_rows(nmax, step):
         total = 0
         for r, c in enumerate(row):
             g = weights[r]
@@ -112,6 +125,26 @@ def lambda_sequence(
             total += w * powx[r] * powy[n - r]
         out.append(total)
     return out
+
+
+def _pascal_rows(nmax: int, step: int):
+    """(n, int row C(n, .)) for n = 0, step, 2 step, ... <= nmax, by Pascal's rule."""
+    row = [1]
+    for n in range(nmax + 1):
+        if n:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        if n % step == 0:
+            yield n, row
+
+
+def _powers(base: int, nmax: int) -> list[int]:
+    """[base^0, ..., base^nmax] (0^0 = 1)."""
+    return [1, *itertools.accumulate(itertools.repeat(base, nmax), operator.mul)]
+
+
+def _row_dot(row: list[int], left: list[int], right: list[int]) -> int:
+    """sum_r row[r] left[r] right[n - r], for the Pascal row of index n."""
+    return sum(map(operator.mul, map(operator.mul, row, left), reversed(right[: len(row)])))
 
 
 def assoc_laguerre_diagonal(
@@ -126,15 +159,27 @@ def assoc_laguerre_diagonal(
     This regroups assoc_laguerre(k, alpha - k, x, y): exact values when
     every input is exact, floats otherwise.  The per-k assoc_laguerre with
     a float alpha overflows its product and underflows its weights from
-    k = 173 up; both factors here stay finite.
+    k = 173 up; both factors here stay finite.  With x = p/q, y = r/s and
+    alpha = u/v, exact inputs scale b_m m! (v s)^m = prod_{j<m} (u - j v) r^m
+    and e_r r! q^r = (-p)^r to ints over the common k! q^k (v s)^k.
     """
     if kmax < 0:
         raise DomainError("degree must be >= 0")
     if step < 1:
         raise DomainError("step must be >= 1")
     kmax -= kmax % step
-    one = Fraction(1) if is_exact(alpha) and is_exact(x) and is_exact(y) else 1.0
-    b, e = [one], [one]
+    if is_exact(alpha) and is_exact(x) and is_exact(y):
+        u, v = alpha.numerator, alpha.denominator
+        q, vs = x.denominator, v * y.denominator
+        rq, falling = y.numerator * q, [1]
+        for m in range(kmax):
+            falling.append(falling[m] * (u - m * v) * rq)
+        pows = _powers(-x.numerator * vs, kmax)
+        return [
+            Fraction(_row_dot(row, pows, falling), math.factorial(k) * (q * vs) ** k)
+            for k, row in _pascal_rows(kmax, step)
+        ]
+    b, e = [1.0], [1.0]
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
@@ -168,39 +213,6 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
             w = p / d if inexact else Fraction(p, d)
         total = total + w * (-x) ** r * y ** (n - r)
     return total
-
-
-def hermite(m: int, n: int, xs: Sequence[Scalar]):
-    """Higher-order Hermite H_n^(m)(x_1..x_m) = n! [t^n] exp(sum_s x_s t^s).
-
-    Evaluated by the nested-sum recursion over the top variable,
-    grounded at H_n^(1)(x_1) = x_1^n.
-    """
-    if m < 1:
-        raise DomainError("order m must be >= 1")
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    if len(xs) != m:
-        raise DomainError(f"expected {m} variables, got {len(xs)}")
-    memo: dict[tuple[int, int], Scalar] = {}
-
-    def h(mm: int, nn: int):
-        if mm == 1:
-            return xs[0] ** nn
-        key = (mm, nn)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for r in range(nn // mm + 1):
-            w = Fraction(
-                math.factorial(nn),
-                math.factorial(nn - mm * r) * math.factorial(r),
-            )
-            total = total + w * xs[mm - 1] ** r * h(mm - 1, nn - mm * r)
-        memo[key] = total
-        return total
-
-    return h(m, n)
 
 
 def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
@@ -238,13 +250,27 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     """[L_0^(a), ..., L_nmax^(a)](x, y), fixed offset, by the recurrence
 
     (n+1) L_{n+1}^(a) = ((2n+1+a) y - x) L_n^(a) - (n+a) y^2 L_{n-1}^(a).
+
+    Exact inputs x = p/q, y = r/s and a = u/v run it on the ints
+    M_n = n! (v q s)^n L_n^(a):
+    M_{n+1} = (((2n+1) v + u) q r - v p s) M_n - n (n v + u) v q^2 r^2 M_{n-1}.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
-    exact = is_exact(x) and is_exact(y) and is_exact(alpha)
-    if not exact:
-        alpha, x, y = float(alpha), float(x), float(y)
-    out = [Fraction(1) if exact else 1.0]
+    if is_exact(x) and is_exact(y) and is_exact(alpha):
+        u, v = alpha.numerator, alpha.denominator
+        qr, vps = x.denominator * y.numerator, v * x.numerator * y.denominator
+        nums = [1, (v + u) * qr - vps]
+        for n in range(1, nmax):
+            nums.append(
+                (((2 * n + 1) * v + u) * qr - vps) * nums[n]
+                - n * (n * v + u) * v * qr * qr * nums[n - 1]
+            )
+        vqs = v * x.denominator * y.denominator
+        dens = itertools.accumulate(range(1, nmax + 1), lambda d, n: d * n * vqs, initial=1)
+        return list(map(Fraction, nums, dens))
+    alpha, x, y = float(alpha), float(x), float(y)
+    out = [1.0]
     if nmax >= 1:
         out.append((1 + alpha) * y - x)
     y2 = y * y
@@ -256,38 +282,15 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     return out
 
 
-def hermite_h(n: int, u: complex) -> complex:
-    """Classical Hermite H_n(u) by the three-term recurrence (complex-safe)."""
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    prev, cur = 1.0 + 0.0j, 2.0 * u
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * u * cur - 2.0 * k * prev
-    return cur
-
-
 def hermite_h_sequence(nmax: int, u: complex) -> list[complex]:
-    """[H_0(u), ..., H_nmax(u)] by the same recurrence."""
+    """Classical Hermite [H_0(u), ..., H_nmax(u)] by the three-term recurrence
+    H_{k+1} = 2 u H_k - 2 k H_{k-1} (complex-safe)."""
     out = [1.0 + 0.0j]
     if nmax >= 1:
         out.append(2.0 * u + 0.0j)
     for k in range(1, nmax):
         out.append(2.0 * u * out[-1] - 2.0 * k * out[-2])
     return out
-
-
-def hermite2_from_classical(n: int, x: float, y: float) -> float:
-    """H_n^(2)(x, y) via the scaling identity (-i sqrt(y))^n H_n(i x / (2 sqrt(y))).
-
-    Needs y != 0; the result is real for real inputs and is returned as float.
-    """
-    if y == 0:
-        raise DomainError("scaling identity needs y != 0")
-    sy = cmath.sqrt(complex(y))
-    val = (-1j * sy) ** n * hermite_h(n, 1j * x / (2.0 * sy))
-    return as_real(val, "hermite2_from_classical")
 
 
 def lacunary_decomposition(kind: str, n: int, x: Scalar, y: Scalar = 1):

@@ -1,6 +1,9 @@
 """Polynomial families: explicit sums, recurrences, decompositions."""
 
+import cmath
+import fractions
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -9,13 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
     DomainError,
+    ExactnessViolation,
     FormalPowerSeries,
+    as_real,
     assoc_laguerre,
     assoc_laguerre_sequence,
     assoc_laguerre_xpoly,
-    hermite,
     hermite_coeff_sequence,
-    hermite_h,
     hermite_h_sequence,
     lacunary_decomposition,
     laguerre,
@@ -25,13 +28,49 @@ from lacunary import (
     rgamma_exact,
 )
 from lacunary.identities import check_pointwise, pointwise
-from lacunary.polys import (
-    assoc_laguerre_diagonal,
-    hermite2_from_classical,
-    lambda_sequence,
-)
+from lacunary.polys import assoc_laguerre_diagonal, lambda_sequence
 
 F = Fraction
+
+
+def hermite(m, n, xs):
+    """Higher-order Hermite H_n^(m)(x_1..x_m) = n! [t^n] exp(sum_s x_s t^s),
+    by the nested-sum recursion over the top variable, grounded at
+    H_n^(1)(x_1) = x_1^n: the reference for hermite_coeff_sequence."""
+    memo = {}
+
+    def h(mm, nn):
+        if mm == 1:
+            return xs[0] ** nn
+        if (mm, nn) not in memo:
+            total = 0
+            for r in range(nn // mm + 1):
+                w = Fraction(
+                    math.factorial(nn), math.factorial(nn - mm * r) * math.factorial(r)
+                )
+                total = total + w * xs[mm - 1] ** r * h(mm - 1, nn - mm * r)
+            memo[mm, nn] = total
+        return memo[mm, nn]
+
+    return h(m, n)
+
+
+def hermite_h(n, u):
+    """Classical Hermite H_n(u) by the three-term recurrence, one value at a
+    time: the reference for hermite_h_sequence."""
+    prev, cur = 1.0 + 0.0j, 2.0 * u
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, 2.0 * u * cur - 2.0 * k * prev
+    return cur
+
+
+def hermite2_from_classical(n, x, y):
+    """H_n^(2)(x, y) via the scaling identity (-i sqrt(y))^n H_n(i x / (2 sqrt(y))),
+    for y != 0."""
+    sy = cmath.sqrt(complex(y))
+    return as_real((-1j * sy) ** n * hermite_h(n, 1j * x / (2.0 * sy)), "hermite2")
 
 
 def test_laguerre_base_values():
@@ -92,14 +131,20 @@ def _same(value, want):
     return value == want and type(value) is type(want)
 
 
-def _fraction_constructions(fn):
-    """(fn(), the number of Fraction.__new__ calls it made)."""
+def _fraction_calls(fn):
+    """(fn(), the number of Python-level calls it made into `fractions`,
+    other than the numerator and denominator getters).  Making a Fraction
+    or operating on one costs at least one such call."""
     count = 0
-    code = Fraction.__new__.__code__
 
     def hook(frame, event, arg):
         nonlocal count
-        if event == "call" and frame.f_code is code:
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename == fractions.__file__
+            and code.co_name not in ("numerator", "denominator")
+        ):
             count += 1
 
     sys.setprofile(hook)
@@ -153,9 +198,9 @@ def test_assoc_laguerre_matches_the_fraction_loop_on_the_engine_calls(monkeypatc
 
 
 def test_assoc_laguerre_int_offset_float_x_constructs_no_fraction():
-    value, count = _fraction_constructions(lambda: assoc_laguerre(30, 17, 0.4))
+    value, count = _fraction_calls(lambda: assoc_laguerre(30, 17, 0.4))
     assert count == 0 and type(value) is float
-    want, count = _fraction_constructions(lambda: _assoc_laguerre_fraction_loop(30, 17, 0.4))
+    want, count = _fraction_calls(lambda: _assoc_laguerre_fraction_loop(30, 17, 0.4))
     assert count > 30 and value.hex() == want.hex()
 
 
@@ -229,24 +274,120 @@ def test_homogeneity(x, y, n):
     assert laguerre(n, x, y) == y**n * laguerre(n, x / y, 1)
 
 
+exact_coord = small | st.integers(min_value=-3, max_value=3)  # x = 0 and y = 0 included
+exact_alpha = st.integers(min_value=-6, max_value=5) | st.fractions(
+    min_value=-5, max_value=5, max_denominator=5
+)
+
+
+def _same_rows(values, wants):
+    return len(values) == len(wants) and all(map(_same, values, wants))
+
+
 @settings(max_examples=15, deadline=None)
-@given(small, small, st.integers(min_value=0, max_value=60))
+@given(exact_coord, exact_coord, st.integers(min_value=0, max_value=60))
 def test_laguerre_sequence_matches_explicit(x, y, n):
     # EQ2.7's exact left side reads index 2 nmax = 60 at nmax 30.
     seq = laguerre_sequence(n, x, y)
-    assert seq == [laguerre(k, x, y) for k in range(n + 1)]
+    assert _same_rows(seq, [laguerre(k, x, y) for k in range(n + 1)])
 
 
 @settings(max_examples=15, deadline=None)
-@given(
-    small,
-    small,
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=30),
-)
+@given(exact_coord, exact_coord, exact_alpha, st.integers(min_value=0, max_value=60))
 def test_assoc_sequence_matches_explicit(x, y, alpha, n):
     seq = assoc_laguerre_sequence(n, alpha, x, y)
-    assert seq == [assoc_laguerre(k, alpha, x, y) for k in range(n + 1)]
+    assert _same_rows(seq, [assoc_laguerre(k, alpha, x, y) for k in range(n + 1)])
+
+
+def _lambda_rows_fraction_loop(nmax, alpha, beta, x, y=1, step=1):
+    """The exact lambda_sequence as it ran before the integer rows: a
+    Fraction Gamma weight times Fraction powers for every entry of the int
+    Pascal row."""
+    powx = [(-x) ** r for r in range(nmax + 1)]
+    powy = [y**k for k in range(nmax + 1)]
+    weights = [rgamma_exact(beta * r + 1 + alpha) for r in range(nmax + 1)]
+    out, row = [], [1]
+    for n in range(nmax + 1):
+        if n:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        if n % step == 0:
+            out.append(sum(c * weights[r] * powx[r] * powy[n - r] for r, c in enumerate(row)))
+    return out
+
+
+def _assoc_sequence_fraction_loop(nmax, alpha, x, y=1):
+    """The exact recurrence as it ran before the integer rows, on Fractions."""
+    out = [Fraction(1)]
+    if nmax >= 1:
+        out.append((1 + alpha) * y - x)
+    for n in range(1, nmax):
+        out.append(
+            (((2 * n + 1 + alpha) * y - x) * out[n] - (n + alpha) * y * y * out[n - 1])
+            / (n + 1)
+        )
+    return out
+
+
+def _diagonal_fraction_loop(kmax, alpha, x, y=1, step=1):
+    """The exact assoc_laguerre_diagonal as it ran before the integer rows:
+    the Cauchy product of Fraction factor tables, each by its ratio."""
+    b, e = [Fraction(1)], [Fraction(1)]
+    for m in range(kmax):
+        b.append(b[m] * (alpha - m) / (m + 1) * y)
+        e.append(e[m] * -x / (m + 1))
+    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exact_alpha,
+    st.integers(min_value=-6, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    exact_coord,
+    exact_coord,
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from((1, 2, 3)),
+)
+def test_exact_kernels_match_their_fraction_loops(alpha, int_alpha, beta, x, y, nmax, step):
+    # Negative offsets reach the poles beta r + alpha < 0 of the Gamma weights.
+    seq = lambda_sequence(nmax, int_alpha, beta, x, y, step)
+    assert _same_rows(seq, _lambda_rows_fraction_loop(nmax, int_alpha, beta, x, y, step))
+    seq = assoc_laguerre_sequence(nmax, alpha, x, y)
+    assert seq == _assoc_sequence_fraction_loop(nmax, alpha, x, y)
+    assert all(type(v) is Fraction for v in seq)
+    seq = assoc_laguerre_diagonal(nmax, alpha, x, y, step)
+    assert _same_rows(seq, _diagonal_fraction_loop(nmax, alpha, x, y, step))
+
+
+@pytest.mark.parametrize(
+    "kernel, loop, args",
+    [
+        (lambda_sequence, _lambda_rows_fraction_loop, (30, 2, 3, F(1, 2), F(-3, 2), 2)),
+        (assoc_laguerre_sequence, _assoc_sequence_fraction_loop, (30, F(-7, 3), F(1, 2), F(5, 4))),
+        (laguerre_sequence, lambda n, x, y: _assoc_sequence_fraction_loop(n, 0, x, y),
+         (30, F(2, 3), F(1, 5))),
+        (assoc_laguerre_diagonal, _diagonal_fraction_loop, (30, F(5, 2), F(-2, 3), F(3, 4), 2)),
+    ],
+    ids=("lambda", "assoc", "laguerre", "diagonal"),
+)
+def test_exact_kernels_make_one_fraction_per_value(kernel, loop, args):
+    # Fraction arithmetic must not creep back into the integer rows.
+    value, count = _fraction_calls(lambda: kernel(*args))
+    assert count <= len(value) and all(type(v) is Fraction for v in value)
+    want, count = _fraction_calls(lambda: loop(*args))
+    assert count > 2 * len(value) and value == want
+
+
+def test_non_integral_gamma_weights_of_exact_inputs_raise():
+    for alpha, beta in ((F(1, 2), 1), (1, F(1, 2)), (F(-1, 3), 0)):
+        with pytest.raises(ExactnessViolation):
+            lambda_sequence(3, alpha, beta, F(1), F(1))
+        with pytest.raises(ExactnessViolation):
+            lambda_poly(3, alpha, beta, F(1), F(1))
+    # An integral Fraction is an integer; a float input keeps the float path.
+    assert _same_rows(lambda_sequence(4, F(2), F(1), F(1, 2)), lambda_sequence(4, 2, 1, F(1, 2)))
+    assert lambda_poly(3, F(2), F(1), F(1, 2)) == lambda_poly(3, 2, 1, F(1, 2))
+    assert type(lambda_poly(3, F(1, 2), 1, 1.0)) is float
 
 
 def _assoc_sequence_per_step_float(nmax, alpha, x, y=1):
@@ -309,24 +450,29 @@ float_draw = st.tuples(
     coord,
     coord,
 )
-# The exact left sides of EQ1.7 and EQ1.9 sample these ranges.
+# The exact left sides of EQ1.7 and EQ1.9 sample alpha 0..3, beta 1..3;
+# negative alpha reaches the poles beta r + alpha < 0.
 exact_draw = st.tuples(
+    st.integers(min_value=-6, max_value=3),
     st.integers(min_value=0, max_value=3),
-    st.integers(min_value=1, max_value=3),
-    small | st.just(F(0)),
-    small | st.just(F(0)),
+    exact_coord,
+    exact_coord,
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_draw | exact_draw, st.integers(min_value=0, max_value=60))
-def test_lambda_sequence_is_lambda_poly_bit_for_bit(draw, nmax):
+@given(
+    float_draw | exact_draw,
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from((1, 2, 3)),
+)
+def test_lambda_sequence_is_lambda_poly_bit_for_bit(draw, nmax, step):
     alpha, beta, x, y = draw
-    seq = lambda_sequence(nmax, alpha, beta, x, y)
-    assert len(seq) == nmax + 1
-    for n, value in enumerate(seq):
-        want = lambda_poly(n, alpha, beta, x, y)
-        assert value == want and type(value) is type(want), n
+    seq = lambda_sequence(nmax, alpha, beta, x, y, step)
+    assert len(seq) == nmax // step + 1
+    for k, value in enumerate(seq):
+        want = lambda_poly(step * k, alpha, beta, x, y)
+        assert value == want and type(value) is type(want), step * k
 
 
 def test_lambda_sequence_at_the_eq2_9_grid():
