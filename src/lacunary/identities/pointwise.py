@@ -5,9 +5,11 @@ point: truncated LHS series, closed-form RHS, a tail estimate (largest of
 the last three LHS terms), and the drift when the truncation is pushed ten
 terms further.  The caller applies the pass rule; engines only measure.
 
-An engine is written as point(g, t, top, ctrl) -> (lhs_term_at, rhs) for one
-grid point g with its scaled t; the _engine driver supplies the grid walk,
-the LHS summation and the label.
+Every left side is a lacunary sum sum_n w_n seq[m n + l], so an engine is
+written as point(g, t, top, ctrl) -> (weights, row, rhs) for one grid point
+g with its scaled t: the weights w_n, the strided row seq[l::m] and the
+closed-form value.  The _engine driver supplies the grid walk, forms the
+terms weights[n] * row[n] for n < top, sums them and builds the label.
 
 Grids are chosen so the LHS tail at the default truncation sits well below
 1e-9 and every RHS series is inside its numerically observed convergence
@@ -21,6 +23,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterator, Sequence
 
 from ..errors import QuadratureFailure
@@ -63,26 +66,23 @@ class PointOutcome:
 Engine = Callable[[int, float, SumControl], Iterator[PointOutcome]]
 
 
-def _sum_with_stability(
-    term_at: Callable[[int], float], n_terms: int
-) -> tuple[float, float, float]:
-    """(S_N, tail estimate, |S_{N+10} - S_N|) for a real term sequence."""
+def _sum_with_stability(terms: list[float], n_terms: int) -> tuple[float, float, float]:
+    """(S_N, tail estimate, |S_{N+10} - S_N|) from the N + 10 terms of a real series."""
     total = 0.0
     recent = [0.0] * 3
-    for n in range(n_terms):
-        t = term_at(n)
+    for n, t in enumerate(terms[:n_terms]):
         total += t
         recent[n % 3] = abs(t)
     pushed = total
-    for n in range(n_terms, n_terms + STABILITY_EXTRA):
-        pushed += term_at(n)
+    for t in terms[n_terms:]:
+        pushed += t
     return total, max(recent), abs(pushed - total)
 
 
-def _egf_factors(t: float, count: int) -> list[float]:
-    """[t^n / n!] for n < count."""
+def _egf_factors(t: float, top: int) -> list[float]:
+    """[t^n / n!] for n < top."""
     out = [1.0]
-    for n in range(1, count):
+    for n in range(1, top):
         out.append(out[-1] * t / n)
     return out
 
@@ -91,14 +91,15 @@ def _fmt(v: float) -> str:
     return format(v, "g")
 
 
-Point = Callable[[dict, float, int, SumControl], tuple[Callable[[int], float], float]]
+Point = Callable[[dict, float, int, SumControl], tuple[Sequence, Sequence, float]]
 
 
 def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
-    """Turn a per-point LHS/RHS builder into an Engine over `grid`.
+    """Turn a per-point (weights, row, rhs) builder into an Engine over `grid`.
 
     `top` is the LHS term count including the stability extension, so the
-    builder can size its tables once per point.
+    builder can size its tables once per point; a shorter weight list or
+    row raises IndexError.
     """
 
     def wrap(point: Point) -> Engine:
@@ -107,14 +108,48 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
             top = n_terms + STABILITY_EXTRA
             for g in grid:
                 t = g["t"] * scale
-                term_at, rhs = point(g, t, top, ctrl)
-                lhs, tail, drift = _sum_with_stability(term_at, n_terms)
+                weights, row, rhs = point(g, t, top, ctrl)
+                terms = [weights[n] * row[n] for n in range(top)]
+                lhs, tail, drift = _sum_with_stability(terms, n_terms)
                 label = ", ".join(f"{k}={_fmt(v)}" for k, v in {**g, "t": t}.items())
                 yield PointOutcome(f"{case_id}[{label}]", lhs, rhs, tail, drift)
 
         return engine
 
     return wrap
+
+
+@functools.lru_cache(maxsize=None)
+def _aux(family: str, m: int):
+    return derive_aux_polynomial(family, m)
+
+
+def _bridge_sum(p, x: float, y: float, t: float, c: list, ctrl: SumControl) -> float:
+    """sum_r p(r; x, y, t) c_r / (r + shift)! for a bridge polynomial p."""
+    shift = p.factorial_shift
+    terms = (float(p.evaluate(r, x, y, t)) * c[r] * rgamma(r + shift + 1.0) for r in count())
+    return sum_series(terms, ctrl)[0]
+
+
+def _diagonal_sum(x: float, t: float, c: float, alpha: int, ctrl: SumControl) -> float:
+    """sum_r z^r / (c)_r L_r^(r + alpha)(x / 2) at z = -t x / (2 (1 - t))."""
+    z = -t * x / (2.0 * (1.0 - t))
+
+    def terms() -> Iterator[float]:
+        factor = 1.0  # z^r / (c)_r, tracked by ratio
+        for r in count():
+            yield factor * float(assoc_laguerre(r, r + alpha, x / 2.0))
+            factor *= z / (c + r)
+
+    return sum_series(terms(), ctrl)[0]
+
+
+def _half_pochhammer_weights(t: float, b: float, top: int) -> list[float]:
+    """[(1/2)_n / (b)_n t^n] for n <= top."""
+    w = [1.0]
+    for n in range(top):
+        w.append(w[-1] * t * (0.5 + n) / (b + n))
+    return w
 
 
 # -- two-index family generating functions ----------------------------------
@@ -131,7 +166,7 @@ def eq1_7(g, t, top, ctrl):
     seq = lambda_sequence(top, alpha, beta, x, y)
     fac = _egf_factors(t, top)
     rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
-    return lambda n: fac[n] * seq[n], rhs
+    return fac, seq, rhs
 
 
 @_engine("EQ1.9", (
@@ -146,7 +181,7 @@ def eq1_9(g, t, top, ctrl):
     rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
         1.0 - t * y
     )
-    return lambda n: t**n * seq[n], rhs
+    return [t**n for n in range(top)], seq, rhs
 
 
 @_engine("EQ1.12", (
@@ -171,7 +206,7 @@ def eq1_12(g, t, top, ctrl):
                 * wright(1.0, m + s + 1.0, -t * x, ctrl)
             )
     rhs *= math.exp(t * y)
-    return lambda n: fac[n] * seq[n], rhs
+    return fac, seq, rhs
 
 
 # -- double-stride and negative-offset families ------------------------------
@@ -193,20 +228,13 @@ def eq2_7(g, t, top, ctrl):
 
     def rhs_terms() -> Iterator[complex]:
         p = 1.0 + 0.0j
-        r = 0
-        while True:
+        for r in count():
             yield p * hs[r]
-            r += 1
-            p *= u / (r * r)
+            p *= u / ((r + 1) * (r + 1))
 
     total, _ = sum_series(rhs_terms(), ctrl)
     rhs = math.exp(t) * as_real(total, "EQ2.7 rhs", COMPLEX_SLACK)
-    return lambda n: fac[n] * seq[2 * n], rhs
-
-
-@functools.lru_cache(maxsize=None)
-def _aux(family: str, m: int):
-    return derive_aux_polynomial(family, m)
+    return fac, seq[::2], rhs
 
 
 @_engine("EQ2.8", (
@@ -217,21 +245,11 @@ def _aux(family: str, m: int):
 ))
 def eq2_8(g, t, top, ctrl):
     m, x, y = g["m"], g["x"], g["y"]
-    p = _aux("p", m)
     seq = assoc_laguerre_sequence(2 * top, m, x, y)
     fac = _egf_factors(t, top)
     c2 = hermite_coeff_sequence(2, ctrl.max_terms, (-2.0 * x * y * t, t * x * x))
-    shift = p.factorial_shift
-
-    def rhs_terms() -> Iterator[float]:
-        r = 0
-        while True:
-            yield float(p.evaluate(r, x, y, t)) * c2[r] * rgamma(r + shift + 1.0)
-            r += 1
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = math.exp(t * y * y) * total
-    return lambda n: fac[n] * seq[2 * n], rhs
+    rhs = math.exp(t * y * y) * _bridge_sum(_aux("p", m), x, y, t, c2, ctrl)
+    return fac, seq[::2], rhs
 
 
 @_engine("EQ2.9", (
@@ -247,7 +265,7 @@ def eq2_9(g, t, top, ctrl):
     rhs = math.exp(y * y * t) * h_wright(
         float(beta), alpha + 1.0, -2.0 * x * y * t, x * x * t, ctrl
     )
-    return lambda n: fac[n] * seq[n], rhs
+    return fac, seq, rhs
 
 
 @_engine("EQ2.10", (
@@ -259,20 +277,8 @@ def eq2_9(g, t, top, ctrl):
 def eq2_10(g, t, top, ctrl):
     x = g["x"]
     seq = laguerre_sequence(2 * top, x)
-    z = -t * x / (2.0 * (1.0 - t))
-
-    def rhs_terms() -> Iterator[float]:
-        # z^r / (1/2)_r, tracked by ratio; polynomial value per term.
-        factor = 1.0
-        r = 0
-        while True:
-            yield factor * float(assoc_laguerre(r, r, x / 2.0))
-            factor *= z / (0.5 + r)
-            r += 1
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = total / (1.0 - t)
-    return lambda n: t**n * seq[2 * n], rhs
+    rhs = _diagonal_sum(x, t, 0.5, 0, ctrl) / (1.0 - t)
+    return [t**n for n in range(top)], seq[::2], rhs
 
 
 @_engine("EQ2.11", (
@@ -299,7 +305,7 @@ def eq2_11(g, t, top, ctrl):
 
     total, _ = sum_series(rhs_terms(), ctrl)
     rhs = total / (1.0 - t)
-    return lambda n: t**n * seq[3 * n], rhs
+    return [t**n for n in range(top)], seq[::3], rhs
 
 
 @_engine("EQ2.13", (
@@ -312,7 +318,7 @@ def eq2_13(g, t, top, ctrl):
     alpha, x, y = g["alpha"], g["x"], g["y"]
     diag = assoc_laguerre_diagonal(top, alpha, x, y)
     rhs = (1.0 + y * t) ** alpha * math.exp(-t * x)
-    return lambda n: t**n * diag[n], rhs
+    return [t**n for n in range(top)], diag, rhs
 
 
 @_engine("EQ2.14", (
@@ -328,7 +334,7 @@ def eq2_14(g, t, top, ctrl):
     big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
     val = (1.0 - t * y * y) ** (alpha / 2.0) * cmath.cosh(st * x - 1j * big_t)
     rhs = as_real(val, "EQ2.14 rhs", COMPLEX_SLACK)
-    return lambda n: t**n * diag[n], rhs
+    return [t**n for n in range(top)], diag, rhs
 
 
 # -- shifted, weighted, and bilateral forms ----------------------------------
@@ -350,15 +356,13 @@ def eq3_1(g, t, top, ctrl):
 
     def rhs_terms() -> Iterator[complex]:
         p = 1.0 + 0.0j
-        r = 0
-        while True:
+        for r in count():
             yield p * float(assoc_laguerre(l, r, x)) * hs[r] / math.factorial(l + r)
             p *= u / (r + 1)
-            r += 1
 
     total, _ = sum_series(rhs_terms(), ctrl)
     rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.1 rhs", COMPLEX_SLACK)
-    return lambda n: fac[n] * seq[2 * n + l], rhs
+    return fac, seq[l::2], rhs
 
 
 @_engine("EQ3.3", (
@@ -389,7 +393,7 @@ def eq3_3(g, t, top, ctrl):
 
     total, _ = sum_series(rhs_terms(), ctrl)
     rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.3 rhs", COMPLEX_SLACK)
-    return lambda n: fac[n] * seq[3 * n + l], rhs
+    return fac, seq[l::3], rhs
 
 
 @_engine("EQ3.4", (
@@ -399,23 +403,13 @@ def eq3_3(g, t, top, ctrl):
 ))
 def eq3_4(g, t, top, ctrl):
     x = g["x"]
-    q = _aux("q", 1)
     seq = assoc_laguerre_sequence(3 * top, 1, x)
     fac = _egf_factors(t, top)
     c3 = hermite_coeff_sequence(
         3, ctrl.max_terms, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3)
     )
-    shift = q.factorial_shift
-
-    def rhs_terms() -> Iterator[float]:
-        r = 0
-        while True:
-            yield float(q.evaluate(r, x, 1.0, t)) * c3[r] * rgamma(r + shift + 1.0)
-            r += 1
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = math.exp(t) * total
-    return lambda n: fac[n] * seq[3 * n], rhs
+    rhs = math.exp(t) * _bridge_sum(_aux("q", 1), x, 1.0, t, c3, ctrl)
+    return fac, seq[::3], rhs
 
 
 @_engine("EQ3.5", (
@@ -440,7 +434,7 @@ def eq3_5(g, t, top, ctrl):
             * h_tricomi(m, float(s), args, ctrl)
         )
     rhs *= math.exp(t * y**m)
-    return lambda n: fac[n] * seq[m * n + l], rhs
+    return fac, seq[l::m], rhs
 
 
 @_engine("EQ3.8", (
@@ -456,7 +450,7 @@ def eq3_8(g, t, top, ctrl):
     rhs = math.exp(t * u * y) * h_tricomi_bilateral(
         -x * u * t, -y * z * t, x * z * t, ctrl
     )
-    return lambda n: fac[n] * seq_a[n] * seq_b[n], rhs
+    return [f * a for f, a in zip(fac, seq_a)], seq_b, rhs
 
 
 @_engine("EQ3.9", (
@@ -468,22 +462,9 @@ def eq3_8(g, t, top, ctrl):
 def eq3_9(g, t, top, ctrl):
     alpha, x = g["alpha"], g["x"]
     seq = assoc_laguerre_sequence(2 * top, alpha, x)
-    w = [1.0]  # (1/2)_n / (1 + alpha/2)_n * t^n
-    for n in range(top):
-        w.append(w[-1] * t * (0.5 + n) / (1.0 + alpha / 2.0 + n))
-    z = -t * x / (2.0 * (1.0 - t))
-
-    def rhs_terms() -> Iterator[float]:
-        factor = 1.0
-        r = 0
-        while True:
-            yield factor * float(assoc_laguerre(r, r + alpha, x / 2.0))
-            factor *= z / (1.0 + alpha / 2.0 + r)
-            r += 1
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * total
-    return lambda n: w[n] * seq[2 * n], rhs
+    b = 1.0 + alpha / 2.0
+    rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * _diagonal_sum(x, t, b, alpha, ctrl)
+    return _half_pochhammer_weights(t, b, top), seq[::2], rhs
 
 
 @_engine("EQ3.10", (
@@ -499,26 +480,19 @@ def eq3_9(g, t, top, ctrl):
 def eq3_10(g, t, top, ctrl):
     m, x = g["m"], g["x"]
     seq = assoc_laguerre_sequence(2 * top, 2 * m, x)
-    w = [1.0]  # (1/2)_n / (1+m)_n * t^n
-    for n in range(top):
-        w.append(w[-1] * t * (0.5 + n) / (1.0 + m + n))
-    root = 1.0 / math.sqrt(1.0 - t)
-    if x == 0.0:
-        # The x-dependent factors collapse; only m = 0 is registered here.
-        rhs = root
-    else:
-        # The t -> 0 limit forces an m! normalization that the source
-        # display omits: the left side starts at 1, the Bessel side at
-        # 1/m!.  Invisible for m <= 1, a clean factor of 2 at m = 2.
-        arg = x * math.sqrt(t)
-        rhs = (
-            math.factorial(m)
-            * root
-            * (arg / 2.0) ** (-m)
-            * math.exp(-t * x / (1.0 - t))
-            * bessel_i(m, arg / (1.0 - t), ctrl)
-        )
-    return lambda n: w[n] * seq[2 * n], rhs
+    # The t -> 0 limit forces an m! normalization that the source display
+    # omits: the left side starts at 1, the Bessel side at 1/m!.  Invisible
+    # for m <= 1, a clean factor of 2 at m = 2.  At x = 0 (registered for
+    # m = 0 only) every x-dependent factor is exactly 1.0.
+    arg = x * math.sqrt(t)
+    rhs = (
+        math.factorial(m)
+        * (1.0 / math.sqrt(1.0 - t))
+        * (arg / 2.0) ** (-m)
+        * math.exp(-t * x / (1.0 - t))
+        * bessel_i(m, arg / (1.0 - t), ctrl)
+    )
+    return _half_pochhammer_weights(t, 1.0 + m, top), seq[::2], rhs
 
 
 @_engine("EQ3.11", (
@@ -545,8 +519,7 @@ def eq3_11(g, t, top, ctrl):
     def rhs_terms() -> Iterator[float]:
         # prefactor_r = Gamma(3r+a+1) / ((1+a/3)_r ((2+a)/3)_r) * wz^r
         prefactor = math.gamma(alpha + 1.0)
-        r = 0
-        while True:
+        for r in count():
             inner = 0.0
             for s in range(r + 1):
                 inner += (
@@ -563,11 +536,10 @@ def eq3_11(g, t, top, ctrl):
                 * (3.0 * r + alpha + 3.0)
                 / ((r + 1.0 + a3) * (r + (2.0 + alpha) / 3.0))
             )
-            r += 1
 
     total, _ = sum_series(rhs_terms(), ctrl)
     rhs = (1.0 - t) ** (-(1.0 + alpha) / 3.0) * total
-    return lambda n: w[n] * seq[3 * n], rhs
+    return w, seq[::3], rhs
 
 
 # -- Borel-transform quadrature ---------------------------------------------

@@ -1,6 +1,6 @@
 """Controlled summation of numeric series.
 
-The stop rule is sign-agnostic: a run of `consecutive_small` terms each
+The stop rule is sign-agnostic: a run of CONSECUTIVE_SMALL terms each
 satisfying |term| <= rel_tol * |partial sum| ends the sum, so alternating
 series with interior zero terms (odd/even lacunary patterns) terminate only
 once they are genuinely done.
@@ -15,20 +15,19 @@ from typing import Callable, Iterable
 
 from .errors import NonConvergence, NumericError
 
+CONSECUTIVE_SMALL = 3
+
 
 @dataclass(frozen=True)
 class SumControl:
     max_terms: int = 400
     rel_tol: float = 1e-14
-    consecutive_small: int = 3
 
     def __post_init__(self) -> None:
         if self.max_terms < 1:
             raise ValueError("max_terms must be positive")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be positive")
 
 
 def _term_magnitude(term: complex | float) -> float:
@@ -60,7 +59,7 @@ def sum_series(
         total = total + term
         if last_mag <= ctrl.rel_tol * abs(total):
             small_run += 1
-            if small_run >= ctrl.consecutive_small:
+            if small_run >= CONSECUTIVE_SMALL:
                 return total, last_mag
         else:
             small_run = 0

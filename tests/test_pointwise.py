@@ -8,6 +8,7 @@ same numbers the verification layer enforces.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary import QuadratureFailure, SumControl, check_pointwise
 from lacunary.identities import pointwise
@@ -67,6 +68,20 @@ def test_eq2_7_forty_term_example():
     assert rows
     for row in rows:
         assert abs(row.lhs - row.rhs) <= 1e-9
+
+
+def test_eq3_10_every_point_reads_the_bessel_side(monkeypatch):
+    # One right-side expression: the x = 0 points go through bessel_i too.
+    calls = []
+    bessel_i = pointwise.bessel_i
+
+    def counting(m, z, ctrl=None):
+        calls.append((m, z))
+        return bessel_i(m, z, ctrl)
+
+    monkeypatch.setattr(pointwise, "bessel_i", counting)
+    rows = list(pointwise.eq3_10(60, 1.0, CTRL))
+    assert len(rows) == len(calls) == 8
 
 
 def test_eq3_10_x_zero_rows_hit_closed_root():
@@ -148,3 +163,74 @@ def test_point_outcome_labels_are_unique():
     for engine in ENGINES:
         labels = [row.label for row in engine(20, 1.0, CTRL)]
         assert len(labels) == len(set(labels)), engine.__name__
+
+
+def _closure_sum_with_stability(term_at, n_terms):
+    """The driver's loop when a point returned a term closure: the oracle."""
+    total = 0.0
+    recent = [0.0] * 3
+    for n in range(n_terms):
+        t = term_at(n)
+        total += t
+        recent[n % 3] = abs(t)
+    pushed = total
+    for n in range(n_terms, n_terms + pointwise.STABILITY_EXTRA):
+        pushed += term_at(n)
+    return total, max(recent), abs(pushed - total)
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_matches_oracle(terms, n_terms):
+    got = pointwise._sum_with_stability(terms, n_terms)
+    want = _closure_sum_with_stability(terms.__getitem__, n_terms)
+    assert all(map(_same_float, got, want)), (got, want)
+
+
+_TERMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+)
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5, 40])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_list_sum_matches_closure_oracle(n_terms, data):
+    size = n_terms + pointwise.STABILITY_EXTRA
+    _assert_matches_oracle(data.draw(st.lists(_TERMS, min_size=size, max_size=size)), n_terms)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [math.nan, 1.0, 2.0] + [0.5] * 10,
+        [1.0, math.nan, 2.0] + [0.5] * 10,
+        [1.0, 2.0, math.inf] + [-math.inf] * 10,
+        [-math.inf, 1.0, -0.0] + [math.nan] + [0.0] * 9,
+    ],
+)
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_list_sum_matches_closure_oracle_on_nan_and_inf(terms, n_terms):
+    _assert_matches_oracle(terms[: n_terms + pointwise.STABILITY_EXTRA], n_terms)
+
+
+@pytest.mark.parametrize("short", [None, "weights", "row"])
+def test_engine_sums_weights_times_row_and_rejects_a_short_side(short):
+    @pointwise._engine("TOY", ({"t": 0.5},))
+    def toy(g, t, top, ctrl):
+        sides = {"weights": [t**n for n in range(top)], "row": [1.0] * top}
+        if short:
+            sides[short].pop()
+        return sides["weights"], sides["row"], 2.0
+
+    if short is None:
+        (row,) = toy(60, 1.0, CTRL)
+        assert row.lhs == pytest.approx(2.0, rel=1e-15)  # 1 / (1 - t)
+    else:
+        with pytest.raises(IndexError):
+            list(toy(5, 1.0, CTRL))

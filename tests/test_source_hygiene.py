@@ -1,0 +1,119 @@
+"""Source hygiene of src/lacunary, checked on the syntax tree.
+
+Two rules keep deletions from leaving dead code behind:
+
+- every imported name is used in its module.  A package `__init__.py`
+  re-exports names, `from __future__` imports switch on features, and a
+  line marked `noqa` keeps an import on purpose, so those are exempt;
+- every module-level `_private` name is referenced somewhere in `src/`
+  outside its own definition.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lacunary"
+SOURCES = {
+    path.relative_to(SRC).as_posix(): path.read_text() for path in sorted(SRC.rglob("*.py"))
+}
+TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level __all__."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _unused_imports(name: str, lines: list[str], tree: ast.Module) -> list[str]:
+    """`module:line name` for each imported name the module never reads."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "__future__" or (name.endswith("__init__.py") and node.level)
+        ):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "noqa" not in lines[alias.lineno - 1]:
+                    found.append(f"{name}:{alias.lineno} {bound}")
+    return found
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining node) for each module-level _private binding."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line name` for each _private name that no other code reads,
+    by name, attribute or import."""
+    refs = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs[node.id].append(id(node))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                refs[node.attr].append(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs[alias.name].append(id(alias))
+    found = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(ref not in own for ref in refs[name]):
+                found.append(f"{module}:{node.lineno} {name}")
+    return found
+
+
+def test_every_import_is_used():
+    found = [
+        entry
+        for name, tree in TREES.items()
+        for entry in _unused_imports(name, SOURCES[name].splitlines(), tree)
+    ]
+    assert found == []
+
+
+def test_every_private_name_is_referenced():
+    assert _unreferenced(TREES) == []
+
+
+TOY = """\
+from __future__ import annotations
+import os
+import sys  # noqa
+from typing import Any
+
+
+def _dead():
+    return _dead()
+
+
+_LIVE = 1
+x: Any = _LIVE
+"""
+
+
+def test_the_checks_catch_dead_code():
+    tree = ast.parse(TOY)
+    assert _unused_imports("toy.py", TOY.splitlines(), tree) == ["toy.py:2 os"]
+    assert _unreferenced({"toy.py": tree}) == ["toy.py:7 _dead"]

@@ -74,5 +74,3 @@ def test_control_validation():
         SumControl(max_terms=0)
     with pytest.raises(ValueError):
         SumControl(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        SumControl(consecutive_small=0)
