@@ -180,8 +180,12 @@ def _resolve_verify_settings(args: argparse.Namespace) -> dict:
         settings["ids"] = args.id or "all"
     if settings["ids"] is None:
         raise UsageError("select cases with --id/--all (or ids in --config)")
-    settings["no_timestamp"] = args.no_timestamp or bool(config.get("no_timestamp"))
+    if not isinstance(config.get("no_timestamp", False), bool):
+        raise UsageError("no_timestamp must be true or false")
+    settings["no_timestamp"] = args.no_timestamp or config.get("no_timestamp", False)
 
+    if not (settings["report"] is None or isinstance(settings["report"], str)):
+        raise UsageError("report must be a file path or null")
     if settings["mode"] not in _MODES:
         raise UsageError(f"mode must be one of {', '.join(_MODES)}")
     if settings["format"] not in _FORMATS:

@@ -5,9 +5,11 @@ The template being fitted (shown for the double case, at y = 1) is
 
     sum_n t^n/n! L_{2n}^{(m)}(x)  =  e^t sum_r p(r; x, t) H_r^{(2)}(-2xt, t x^2) / (r! (r+shift)!)
 
-with p polynomial of degree 2m in r.  Scaling covariance under
-(x, y, t) -> (lx, ly, t/l^step) forces every monomial of p to look like
-r^d t^j x^a y^(step*j - a) with a <= step*j, so fitting at y = 1 and
+with p polynomial in r.  One rule sizes every template: the sum over
+L_{step n}^{(m)} takes r-degree step*m, t-degree m and superscript m, so p
+has 2m, m, m and q (triple, m = 1 only) has 3, 1, 1.  Scaling covariance
+under (x, y, t) -> (lx, ly, t/l^step) forces every monomial of p to look
+like r^d t^j x^a y^(step*j - a) with a <= step*j, so fitting at y = 1 and
 re-homogenizing afterwards loses nothing.  The fit matches coefficients of
 t^n x^w exactly, one integer equation each.  The system is solved modulo
 word-size primes, lifted to rationals by Chinese remaindering and rational
@@ -23,7 +25,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import DomainError, ExactnessViolation, NoSolution
 from ..polys import assoc_laguerre_xpoly
@@ -61,21 +63,6 @@ class AuxPolynomial:
             w = (c.numerator * r**d) / c.denominator if fast else c * r**d
             total = total + w * t**j * x**a * y ** (self.step * j - a)
         return total
-
-    def r_coefficient(self, d: int) -> dict[tuple[int, int], Fraction]:
-        """{(t-power, x-power): coefficient} of r^d (y-power implied)."""
-        return {(j, a): c for (dd, j, a), c in self.coeffs.items() if dd == d}
-
-
-def _first_miss(
-    equations: Iterable[tuple[int, int, list[int], int]], vector: Vector
-) -> tuple[int, int] | None:
-    """(n, w) of the first equation row . vector = rhs that fails, or None."""
-    nums, den = vector
-    for n, w, row, b in equations:
-        if sum(map(operator.mul, row, nums)) != b * den:
-            return n, w
-    return None
 
 
 def _is_prime(n: int) -> bool:
@@ -187,45 +174,41 @@ def _lift(residues: list[int], modulus: int) -> Vector | None:
 
 
 def _certified(
-    rows: list[list[int]],
-    rhs: list[int],
+    columns: list[Sequence[int]],
     pivots: list[int],
     free: list[int],
     table: list[list[int]],
     modulus: int,
 ) -> tuple[Vector, list[Vector]] | None:
-    """The lifted solution and null basis if exact arithmetic confirms them."""
-    width = len(rows[0]) if rows else 0
-    columns = list(zip(*rows))
+    """The lifted solution and null basis if exact arithmetic confirms them.
 
-    def holds(vec: list[int], target: list[int]) -> bool:
-        # rows . vec == target, one column per nonzero entry of vec.
-        residual = [-b for b in target]
-        for col, v in enumerate(vec):
-            if v:
-                residual = [r + v * a for r, a in zip(residual, columns[col])]
-        return not any(residual)
-
+    `columns` are those of the augmented rows [A | b].  Free column c, with
+    lifted residues nums / den, gives the kernel vector with den at c, -nums
+    at the pivots and 0 elsewhere; each must make every augmented row vanish.
+    The vector at c = width (the right-hand column) is the solution, read off
+    as -vec[:width] / den; the others are the null basis.
+    """
+    width = len(columns) - 1
     solution, basis = None, []
     for c, residues in zip(free, table):
         lifted = _lift(residues, modulus)
         if lifted is None:
             return None
         nums, den = lifted
-        vec = [0] * width
+        vec = [0] * (width + 1)
+        for col, v in zip(pivots, nums):
+            vec[col] = -v
+        vec[c] = den
+        residual = [0] * len(columns[0])
+        for v, column in zip(vec, columns):
+            if v:
+                residual = [r + v * a for r, a in zip(residual, column)]
+        if any(residual):
+            return None
         if c == width:
-            for col, v in zip(pivots, nums):
-                vec[col] = v
-            if not holds(vec, [b * den for b in rhs]):
-                return None
-            solution = (vec, den)
+            solution = ([-v for v in vec[:width]], den)
         else:
-            for col, v in zip(pivots, nums):
-                vec[col] = -v
-            vec[c] = den
-            if not holds(vec, [0] * len(rows)):
-                return None
-            basis.append((vec, den))
+            basis.append((vec[:width], den))
     if solution is None:
         raise NoSolution("template cannot reproduce the series coefficients")
     return solution, basis
@@ -263,6 +246,7 @@ def _solve_exact(
     """
     width = len(rows[0]) if rows else 0
     mat = [[*row, b] for row, b in zip(rows, rhs)]
+    columns = [*zip(*rows), rhs]
     bits = sum(max(map(abs, row)).bit_length() + len(row).bit_length() for row in mat)
     best, modulus, table = None, 1, []
     for p in itertools.islice(_primes(), (3 * bits + 2) // 60 + 2):
@@ -283,7 +267,7 @@ def _solve_exact(
             modulus *= p
         else:
             continue
-        found = _certified(rows, rhs, pivots, free, table, modulus)
+        found = _certified(columns, pivots, free, table, modulus)
         if found is not None:
             return found
     raise ArithmeticError("no certified solution within the Hadamard bound")
@@ -314,31 +298,16 @@ def _s(g: Callable[[int, int], int], r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class _Template:
+    """A lacunary template; r-degree step*m, t-degree m and superscript m follow."""
+
     step: int
-    lag_superscript: Callable[[int], int]  # m -> superscript of L in the sum
-    r_degree: Callable[[int], int]
-    t_degree: Callable[[int], int]
     shifts: Callable[[int], tuple[int, ...]]  # candidate factorial shifts
     g_coeff: Callable[[int, int], int]
 
 
 _TEMPLATES = {
-    "p": _Template(
-        step=2,
-        lag_superscript=lambda m: m,
-        r_degree=lambda m: 2 * m,
-        t_degree=lambda m: m,
-        shifts=lambda m: (3 * m, 2 * m),
-        g_coeff=_g_double,
-    ),
-    "q": _Template(
-        step=3,
-        lag_superscript=lambda m: 1,
-        r_degree=lambda m: 3,
-        t_degree=lambda m: 1,
-        shifts=lambda m: (3 * m + 1,),
-        g_coeff=_g_triple,
-    ),
+    "p": _Template(step=2, shifts=lambda m: (3 * m, 2 * m), g_coeff=_g_double),
+    "q": _Template(step=3, shifts=lambda m: (3 * m + 1,), g_coeff=_g_triple),
 }
 
 
@@ -359,13 +328,11 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     if m < 1 or (family == "q" and m != 1):
         raise DomainError("m must be >= 1 ('q' supports only m = 1)")
     tpl = _TEMPLATES[family]
-    degree = tpl.r_degree(m)
-    t_deg = tpl.t_degree(m)
     step = tpl.step
     unknowns: list[Key] = [
         (d, j, a)
-        for d in range(degree + 1)
-        for j in range(t_deg + 1)
+        for d in range(step * m + 1)
+        for j in range(m + 1)
         for a in range(step * j + 1)
     ]
     notes: list[str] = []
@@ -406,14 +373,13 @@ def _equations(
     """Yield (n, w, row, rhs): one integer equation per matched [t^n x^w] coefficient.
 
     The matched coefficient reads sum over unknowns (d, j, a) of
-    r^d s(r, n - j) = [x^w] L_{step n}^{(sup)}(x) / n!, with r = w - a and
+    r^d s(r, n - j) = [x^w] L_{step n}^{(m)}(x) / n!, with r = w - a and
     s(r, k) = sum_u g(r, u, shift) / (k - u)!.  The row is that equation
     times n! (w+shift)!: its entry r^d S(r, k) n!/k! (w+shift)!/(r+shift)!,
     with S = k! (r+shift)! s from `_s`, is an integer by construction, and
     the right side is checked to be one.
     """
     step, g = tpl.step, tpl.g_coeff
-    sup = tpl.lag_superscript(m)
     max_d, max_j, max_a = map(max, zip((0, 0, 0), *unknowns))
     entries: dict[tuple[int, int], list[int]] = {}
 
@@ -424,7 +390,7 @@ def _equations(
         return entries[r, k]
 
     for n in n_values:
-        poly = assoc_laguerre_xpoly(step * n, sup)
+        poly = assoc_laguerre_xpoly(step * n, m)
         by_j = [math.perm(n, j) for j in range(max_j + 1)]  # n!/(n-j)!, 0 past n
         for w in range(step * n + 1):
             rhs, rem = divmod(
@@ -432,7 +398,7 @@ def _equations(
             )
             if rem:
                 raise ExactnessViolation(
-                    f"[x^{w}] L_{step * n}^({sup}) times {w + shift}! is not an integer"
+                    f"[x^{w}] L_{step * n}^({m}) times {w + shift}! is not an integer"
                 )
             by_a = [math.perm(w + shift, a) for a in range(min(w, max_a) + 1)]
             row = [
@@ -442,10 +408,26 @@ def _equations(
             yield n, w, row, rhs
 
 
+def _first_miss(
+    m: int,
+    tpl: _Template,
+    shift: int,
+    coeffs: dict[Key, Fraction],
+    orders: Iterable[int],
+) -> tuple[int, int] | None:
+    """(n, w) of the first [t^n x^w] equation over `orders` that coeffs fail, or None."""
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    nums = [v.numerator * (den // v.denominator) for v in coeffs.values()]
+    for n, w, row, b in _equations(m, tpl, shift, list(coeffs), orders):
+        if sum(map(operator.mul, row, nums)) != b * den:
+            return n, w
+    return None
+
+
 def _fit(
     m: int, tpl: _Template, shift: int, unknowns: list[Key]
 ) -> tuple[dict[Key, Fraction], tuple[dict[Key, Fraction], ...]]:
-    n_fit = tpl.r_degree(m) + 4
+    n_fit = tpl.step * m + 4
     eqs = list(_equations(m, tpl, shift, unknowns, range(n_fit + 1)))
     (nums, den), basis = _solve_exact([e[2] for e in eqs], [e[3] for e in eqs])
     coeffs = {key: Fraction(v, den) for key, v in zip(unknowns, nums) if v}
@@ -453,11 +435,7 @@ def _fit(
     # nonzero coordinates only.  A failure with free directions would mean
     # the window was too small to pin a genuine null direction, so the
     # message calls that out.
-    extra_orders = range(n_fit + 1, 2 * n_fit)
-    miss = _first_miss(
-        _equations(m, tpl, shift, list(coeffs), extra_orders),
-        ([v for v in nums if v], den),
-    )
+    miss = _first_miss(m, tpl, shift, coeffs, range(n_fit + 1, 2 * n_fit))
     if miss is not None:
         n, w = miss
         hint = f" ({len(basis)} free directions left unpinned)" if basis else ""
@@ -540,6 +518,12 @@ PRINTED_Q3_R_READING: dict[Key, Fraction] = {
     (0, 1, 3): Fraction(-3),
 }
 
+_PRINTED = {
+    ("p", 1): (PRINTED_P2, "printed p2"),
+    ("p", 2): (PRINTED_P4, "printed p4"),
+    ("q", 1): (PRINTED_Q3_R_READING, "printed q3 (r-reading)"),
+}
+
 
 def satisfies_template(candidate: AuxPolynomial, n_max: int | None = None) -> bool:
     """True when the candidate reproduces every matched series coefficient.
@@ -548,17 +532,9 @@ def satisfies_template(candidate: AuxPolynomial, n_max: int | None = None) -> bo
     n <= n_max.  Two polynomials that both satisfy them differ by a null
     combination of the weight recurrences and induce identical sums.
     """
-    tpl = _TEMPLATES[candidate.family]
-    if n_max is None:
-        n_max = 2 * tpl.r_degree(candidate.m) + 7
-    unknowns = sorted(candidate.coeffs)
-    values = [candidate.coeffs[key] for key in unknowns]
-    den = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    eqs = _equations(
-        candidate.m, tpl, candidate.factorial_shift, unknowns, range(n_max + 1)
-    )
-    return _first_miss(eqs, (nums, den)) is None
+    m, tpl = candidate.m, _TEMPLATES[candidate.family]
+    orders = range((2 * tpl.step * m + 7 if n_max is None else n_max) + 1)
+    return _first_miss(m, tpl, candidate.factorial_shift, candidate.coeffs, orders) is None
 
 
 def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
@@ -569,16 +545,9 @@ def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
     so they are interchangeable inside the closed form.  "deviation" means
     the printed display fails the equations the derived one satisfies.
     """
-    printed: dict[Key, Fraction] | None
-    label: str
-    if derived.family == "p" and derived.m == 1:
-        printed, label = PRINTED_P2, "printed p2"
-    elif derived.family == "p" and derived.m == 2:
-        printed, label = PRINTED_P4, "printed p4"
-    elif derived.family == "q" and derived.m == 1:
-        printed, label = PRINTED_Q3_R_READING, "printed q3 (r-reading)"
-    else:
+    if (derived.family, derived.m) not in _PRINTED:
         return "no_printed_display", f"no display to compare for {derived.family}, m={derived.m}"
+    printed, label = _PRINTED[derived.family, derived.m]
     if derived.coeffs == printed:
         return "exact_match", f"derived coefficients match {label} term by term"
     if satisfies_template(replace(derived, coeffs=printed)):

@@ -23,6 +23,7 @@ from ..polys import (
     lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
     lambda_sequence,
     laguerre_sequence,
+    laguerre_xpoly,
 )
 from ..scalars import binomial, rgamma_exact
 from ..umbral import UmbralSeries, umb_exp
@@ -179,8 +180,6 @@ def laguerre_derivative(coeffs: list[Fraction]) -> list[Fraction]:
 
 def eq3_12_lowering(nmax: int, ys: Sequence[Fraction]) -> Iterator[Check]:
     """The derivative lowers the polynomial index: -d_x x d_x L_n = n L_{n-1}."""
-    from ..polys import laguerre_xpoly
-
     for y in ys:
         for n in range(1, nmax + 1):
             got = laguerre_derivative(laguerre_xpoly(n, y))

@@ -301,39 +301,24 @@ def lacunary_decomposition(kind: str, n: int, x: Scalar, y: Scalar = 1):
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    if kind == "double":
-        total = 0
-        for r in range(n + 1):
-            total = total + (
-                Fraction(math.comb(n, r))
-                * (-x) ** r
-                * y ** (n - r)
-                * lambda_poly(n, r, 1, x, y)
-            )
-        return total
-    if kind == "triple":
-        total = 0
-        for r in range(n + 1):
-            for k in range(n + 1):
-                total = total + (
-                    Fraction(math.comb(n, r) * math.comb(n, k))
-                    * (-x) ** (r + k)
-                    * y ** (2 * n - r - k)
-                    * lambda_poly(n, r + k, 1, x, y)
-                )
-        return total
-    raise DomainError("kind must be 'double' or 'triple'")
+    if kind not in ("double", "triple"):
+        raise DomainError("kind must be 'double' or 'triple'")
+    pieces = 1 if kind == "double" else 2
+    total = 0
+    for rs in itertools.product(range(n + 1), repeat=pieces):
+        s = sum(rs)
+        total = total + (
+            Fraction(math.prod(math.comb(n, r) for r in rs))
+            * (-x) ** s
+            * y ** (pieces * n - s)
+            * lambda_poly(n, s, 1, x, y)
+        )
+    return total
 
 
 def laguerre_xpoly(n: int, y: Scalar = 1) -> list:
     """Coefficients in x of L_n(x, y): [c_0, ..., c_n], exact for rational y."""
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    return [
-        Fraction((-1) ** r * math.factorial(n), math.factorial(r) ** 2 * math.factorial(n - r))
-        * y ** (n - r)
-        for r in range(n + 1)
-    ]
+    return [c * y ** (n - r) for r, c in enumerate(assoc_laguerre_xpoly(n, 0))]
 
 
 def assoc_laguerre_xpoly(n: int, alpha: Scalar) -> list:

@@ -227,13 +227,11 @@ def test_fit_systems_agree_with_bareiss(family, m):
     tpl = _TEMPLATES[family]
     unknowns = [
         (d, j, a)
-        for d in range(tpl.r_degree(m) + 1)
-        for j in range(tpl.t_degree(m) + 1)
+        for d in range(tpl.step * m + 1)
+        for j in range(m + 1)
         for a in range(tpl.step * j + 1)
     ]
-    eqs = list(
-        _equations(m, tpl, tpl.shifts(m)[0], unknowns, range(tpl.r_degree(m) + 5))
-    )
+    eqs = list(_equations(m, tpl, tpl.shifts(m)[0], unknowns, range(tpl.step * m + 5)))
     rows, rhs = [e[2] for e in eqs], [e[3] for e in eqs]
     solution, n_free, _ = _solved(rows, rhs)
     assert (solution, n_free) == _bareiss(rows, rhs)
@@ -292,10 +290,31 @@ def test_unlucky_prime_is_rejected_by_the_certificate(monkeypatch):
     pivots, reduced = _rref_mod([[*row, b] for row, b in zip(rows, rhs)], UNLUCKY)
     assert pivots == [0]
     table = [[row[c] for row in reduced] for c in (1, 2)]
-    assert _certified(rows, rhs, pivots, [1, 2], table, UNLUCKY) is None
+    assert _certified([*zip(*rows), rhs], pivots, [1, 2], table, UNLUCKY) is None
     drawn = _counting_primes(monkeypatch, first=(UNLUCKY,))
     assert _solved(rows, rhs)[:2] == _bareiss(rows, rhs) == ([F(1), F(1)], 0)
     assert drawn[0] == UNLUCKY and len(drawn) == 2
+
+
+def test_certificate_checks_the_solution_and_each_null_vector():
+    # x0 + 2 x1 + x2 = 4, 2 x0 + 4 x1 + 3 x2 = 9: pivots 0 and 2, so column 1
+    # is the one free direction and column 3 (the right side) the solution.
+    rows, rhs = [[1, 2, 1], [2, 4, 3]], [4, 9]
+    p = (1 << 61) - 1
+    pivots, reduced = _rref_mod([[*row, b] for row, b in zip(rows, rhs)], p)
+    assert pivots == [0, 2]
+    free = [1, 3]
+    table = [[row[c] for row in reduced] for c in free]
+    columns = [*zip(*rows), rhs]
+    assert _certified(columns, pivots, free, table, p) == (
+        ([3, 0, 1], 1),
+        [([-2, 1, 0], 1)],
+    )
+    for c in range(len(free)):  # the free column, then the right-hand column
+        moved = [list(residues) for residues in table]
+        moved[c][0] += 1
+        assert _certified(columns, pivots, free, moved, p) is None
+    assert _solve_exact([], []) == (([], 1), [])
 
 
 @pytest.mark.parametrize(
@@ -384,12 +403,6 @@ def test_evaluate_float_path_is_the_fraction_loop_bit_for_bit(family, m):
         value = poly.evaluate(r, x, y, t)
         assert value == _evaluate_fraction_loop(poly, r, x, y, t)
         assert type(value) is Fraction
-
-
-def test_p1_r_coefficient_slices():
-    poly = _derived("p", 1)
-    assert poly.r_coefficient(2) == {(0, 0): F(1), (1, 0): F(2)}
-    assert poly.r_coefficient(3) == {}
 
 
 def test_q1_matches_display_up_to_recorded_slip():
@@ -486,7 +499,7 @@ def test_integer_rows_are_the_rational_equations_times_n_factorial_w_shift_facto
     unknowns = sorted(_derived(family, m).coeffs)
     for n, w, row, rhs in _equations(m, tpl, shift, unknowns, range(9)):
         scale = math.factorial(n) * math.factorial(w + shift)
-        poly = assoc_laguerre_xpoly(tpl.step * n, tpl.lag_superscript(m))
+        poly = assoc_laguerre_xpoly(tpl.step * n, m)
         assert rhs == poly[w] / math.factorial(n) * scale
         for (d, j, a), entry in zip(unknowns, row):
             r, k = w - a, n - j
@@ -507,7 +520,7 @@ def test_null_basis_is_certified_and_holds_beyond_the_window(family, m, n_free):
     poly = _derived(family, m)
     assert _free_dirs(poly) == len(poly.null_basis) == n_free
     tpl = _TEMPLATES[family]
-    n_fit = tpl.r_degree(m) + 4
+    n_fit = tpl.step * m + 4
     for vec in poly.null_basis:
         unknowns = sorted(vec)
         den = math.lcm(*(v.denominator for v in vec.values()))

@@ -209,6 +209,23 @@ def test_boolean_config_value_is_rejected(tmp_path, capsys, key, message):
         assert message in err
 
 
+@pytest.mark.parametrize(
+    "key, values, message",
+    [
+        # An int report would be taken as a file descriptor and closed.
+        ("report", (1, True, ["r.json"]), "report must be a file path or null"),
+        ("no_timestamp", ("no", 0, None), "no_timestamp must be true or false"),
+    ],
+)
+def test_mistyped_config_value_is_rejected(tmp_path, capsys, key, values, message):
+    cfg = tmp_path / "cfg.json"
+    for value in values:
+        cfg.write_text(json.dumps({"ids": ["EQ2.13"], "mode": "exact", key: value}))
+        code, out, err = _run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and not out
+        assert message in err
+
+
 def test_non_dict_config_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(["EQ2.13"]))
@@ -282,6 +299,7 @@ GOLDEN = [
     (("derive-aux", "--family", "p", "--m", "2"), "derive_aux_p2.json"),
     (("derive-aux", "--family", "p", "--m", "3"), "derive_aux_p3.json"),
     (("derive-aux", "--family", "q", "--m", "1"), "derive_aux_q1.json"),
+    (("derive-aux", "--family", "p", "--m", "4"), "derive_aux_p4.json"),
     (("list",), "list.txt"),
     (
         ("verify", "--all", "--seed", "0", "--no-timestamp", "--format", "csv"),

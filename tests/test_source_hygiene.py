@@ -1,12 +1,15 @@
 """Source hygiene of src/lacunary, checked on the syntax tree.
 
-Two rules keep deletions from leaving dead code behind:
+Three rules keep dead or repeated code out:
 
 - every imported name is used in its module.  A package `__init__.py`
   re-exports names, `from __future__` imports switch on features, and a
   line marked `noqa` keeps an import on purpose, so those are exempt;
 - every module-level `_private` name is referenced somewhere in `src/`
-  outside its own definition.
+  outside its own definition;
+- a function imports `from M` only when its module does not already do so
+  at module level.  A lazy import of a module the file does not import at
+  the top stays allowed.
 """
 
 import ast
@@ -45,6 +48,23 @@ def _unused_imports(name: str, lines: list[str], tree: ast.Module) -> list[str]:
                 if bound not in used and "noqa" not in lines[alias.lineno - 1]:
                     found.append(f"{name}:{alias.lineno} {bound}")
     return found
+
+
+def _redundant_local_imports(name: str, tree: ast.Module) -> list[str]:
+    """`module:line M` for each function-level `from M import` of a module
+    that the same file already imports from at module level."""
+    top = {(n.module, n.level) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    local = {
+        id(node): node
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in top
+    }
+    return sorted(
+        f"{name}:{node.lineno} {'.' * node.level}{node.module or ''}"
+        for node in local.values()
+    )
 
 
 def _private_definitions(tree: ast.Module):
@@ -93,6 +113,13 @@ def test_every_import_is_used():
     assert found == []
 
 
+def test_no_function_repeats_a_module_level_import():
+    found = [
+        entry for name, tree in TREES.items() for entry in _redundant_local_imports(name, tree)
+    ]
+    assert found == []
+
+
 def test_every_private_name_is_referenced():
     assert _unreferenced(TREES) == []
 
@@ -110,6 +137,13 @@ def _dead():
 
 _LIVE = 1
 x: Any = _LIVE
+
+
+def lazy():
+    from typing import Optional
+    from json import dumps
+
+    return Optional, dumps
 """
 
 
@@ -117,3 +151,4 @@ def test_the_checks_catch_dead_code():
     tree = ast.parse(TOY)
     assert _unused_imports("toy.py", TOY.splitlines(), tree) == ["toy.py:2 os"]
     assert _unreferenced({"toy.py": tree}) == ["toy.py:7 _dead"]
+    assert _redundant_local_imports("toy.py", tree) == ["toy.py:16 typing"]
