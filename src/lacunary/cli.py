@@ -209,31 +209,22 @@ def _resolve_verify_settings(args: argparse.Namespace) -> dict:
 
 
 def _select_cases(ids, mode: str) -> list:
-    """(case, explicitly_requested) pairs in registry order."""
+    """The selected cases that register `mode`, in registry or first-mention order.
+
+    Under `all` a case without the mode is skipped; a named one is an error.
+    """
     if ids == "all":
-        ordered = [(c, False) for c in registry()]
-    else:
-        if not isinstance(ids, (list, tuple)) or not ids:
-            raise UsageError("ids must be a nonempty list of identity ids or 'all'")
-        seen = []
-        for cid in ids:
-            case = get_case(str(cid))
-            if case.case_id not in [c.case_id for c, _ in seen]:
-                seen.append((case, True))
-        ordered = seen
-    selected = []
-    for case, explicit in ordered:
+        return [c for c in registry() if mode == "all" or mode in c.modes]
+    if not isinstance(ids, (list, tuple)) or not ids:
+        raise UsageError("ids must be a nonempty list of identity ids or 'all'")
+    cases = [get_case(cid) for cid in dict.fromkeys(map(str, ids))]
+    for case in cases:
         if mode != "all" and mode not in case.modes:
-            if explicit:
-                raise UsageError(
-                    f"{case.case_id} has no {mode} mode; registered modes: "
-                    f"{', '.join(case.modes)}"
-                )
-            continue
-        selected.append(case)
-    if not selected:
-        raise UsageError(f"no selected case registers mode {mode!r}")
-    return selected
+            raise UsageError(
+                f"{case.case_id} has no {mode} mode; registered modes: "
+                f"{', '.join(case.modes)}"
+            )
+    return cases
 
 
 # -- subcommands -------------------------------------------------------------

@@ -189,7 +189,7 @@ def eq3_12_lowering(nmax: int, ys: Sequence[Fraction]) -> Iterator[Check]:
                 yield f"EQ3.12[y={y}, n={n}, x^{k}]", g, w
 
 
-def eq3_14(total_order: int, _tuples: Sequence[dict] = ()) -> Iterator[Check]:
+def eq3_14(total_order: int) -> Iterator[Check]:
     """Exponentiated derivative on e^{-x}, as a bivariate coefficient identity.
 
     [y^a x^b] of both sides for a+b <= total_order; the closed form gives

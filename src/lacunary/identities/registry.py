@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..errors import ModeUnsupported, QuadratureFailure, UnknownIdentity
+from ..errors import DomainError, ModeUnsupported, QuadratureFailure, UnknownIdentity
 from ..summation import SumControl
 from . import exact, pointwise
 from .report import VerificationReport
@@ -59,15 +59,23 @@ class IdentityCase:
         return tuple(m for m in MODES if getattr(self, f"{m}_runner") is not None)
 
 
-def _rat(rng: random.Random, zero_ok: bool = False) -> Fraction:
+def _rat(rng: random.Random, zero_ok: bool) -> Fraction:
     while True:
         v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         if zero_ok or v != 0:
             return v
 
 
-def _extend(base: Sequence[dict], sampler, rng: random.Random, extra: int = 2) -> list:
-    return list(base) + [sampler(rng) for _ in range(extra)]
+#: A draw spec maps each key, in draw order, to an int range (lo, hi) or to
+#: a rational in [-4, 4] with denominator at most 4, nonzero or zero allowed.
+_NONZERO, _ZERO_OK = False, True
+
+
+def _draw(spec: dict, rng: random.Random) -> dict:
+    return {
+        key: rng.randint(*rule) if isinstance(rule, tuple) else _rat(rng, rule)
+        for key, rule in spec.items()
+    }
 
 
 _AB_BASE = (
@@ -75,64 +83,40 @@ _AB_BASE = (
     {"alpha": 1, "beta": 2, "x": Fraction(1, 2), "y": Fraction(1)},
     {"alpha": 2, "beta": 3, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
 )
-
-
-def _ab_sample(rng: random.Random) -> dict:
-    return {
-        "alpha": rng.randint(0, 3),
-        "beta": rng.randint(1, 3),
-        "x": _rat(rng),
-        "y": _rat(rng, zero_ok=True),
-    }
-
+_AB_DRAW = {"alpha": (0, 3), "beta": (1, 3), "x": _NONZERO, "y": _ZERO_OK}
 
 _A_BASE = (
     {"alpha": 0, "x": Fraction(2, 3), "y": Fraction(1)},
     {"alpha": 2, "x": Fraction(1, 2), "y": Fraction(3, 4)},
     {"alpha": 4, "x": Fraction(1), "y": Fraction(-1, 3)},
 )
-
-
-def _a_sample(rng: random.Random) -> dict:
-    return {"alpha": rng.randint(0, 4), "x": _rat(rng), "y": _rat(rng)}
-
+_A_DRAW = {"alpha": (0, 4), "x": _NONZERO, "y": _NONZERO}
 
 _XY_BASE = (
     {"x": Fraction(1), "y": Fraction(1)},
     {"x": Fraction(1, 2), "y": Fraction(2, 3)},
     {"x": Fraction(3, 2), "y": Fraction(-1)},
 )
-
-
-def _xy_sample(rng: random.Random) -> dict:
-    return {"x": _rat(rng), "y": _rat(rng)}
-
+_XY_DRAW = {"x": _NONZERO, "y": _NONZERO}
 
 _OFFSET_BASE = (
     {"alpha": 3, "x": Fraction(1), "y": Fraction(1)},
     {"alpha": 1, "x": Fraction(1, 2), "y": Fraction(2)},
     {"alpha": 5, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
 )
-
-
-def _offset_sample(rng: random.Random) -> dict:
-    return {"alpha": rng.randint(0, 5), "x": _rat(rng), "y": _rat(rng, zero_ok=True)}
-
+_OFFSET_DRAW = {"alpha": (0, 5), "x": _NONZERO, "y": _ZERO_OK}
 
 _BILATERAL_BASE = (
     {"x": Fraction(1), "y": Fraction(1), "z": Fraction(1, 2), "u": Fraction(1)},
     {"x": Fraction(1, 2), "y": Fraction(2, 3), "z": Fraction(1), "u": Fraction(3, 4)},
     {"x": Fraction(2), "y": Fraction(-1, 2), "z": Fraction(1, 3), "u": Fraction(1)},
 )
+_BILATERAL_DRAW = dict.fromkeys("xyzu", _NONZERO)
 
 
-def _bilateral_sample(rng: random.Random) -> dict:
-    return {"x": _rat(rng), "y": _rat(rng), "z": _rat(rng), "u": _rat(rng)}
-
-
-def _tupled(engine, base, sampler) -> ExactRunner:
+def _tupled(engine, base: Sequence[dict], spec: dict) -> ExactRunner:
     def run(order: int, rng: random.Random) -> Iterator[exact.Check]:
-        return engine(order, _extend(base, sampler, rng))
+        return engine(order, [*base, _draw(spec, rng), _draw(spec, rng)])
 
     return run
 
@@ -149,20 +133,20 @@ _CASES = (
         "EQ1.7", "Eq. 1.7",
         "exponential generating function of the two-index family, "
         "Wright-type closed form",
-        exact_runner=_tupled(exact.eq1_7, _AB_BASE, _ab_sample),
+        exact_runner=_tupled(exact.eq1_7, _AB_BASE, _AB_DRAW),
         numeric_runner=pointwise.eq1_7,
     ),
     IdentityCase(
         "EQ1.9", "Eq. 1.9",
         "ordinary generating function of the two-index family, "
         "Mittag-Leffler closed form",
-        exact_runner=_tupled(exact.eq1_9, _AB_BASE, _ab_sample),
+        exact_runner=_tupled(exact.eq1_9, _AB_BASE, _AB_DRAW),
         numeric_runner=pointwise.eq1_9,
     ),
     IdentityCase(
         "EQ1.11", "Eq. 1.11",
         "classical associated generating function via composed power series",
-        exact_runner=_tupled(exact.eq1_11, _A_BASE, _a_sample),
+        exact_runner=_tupled(exact.eq1_11, _A_BASE, _A_DRAW),
     ),
     IdentityCase(
         "EQ1.12", "Eq. 1.12",
@@ -174,7 +158,7 @@ _CASES = (
         "EQ2.7", "Eq. 2.6/2.7",
         "even-index exponential generating function via a Hermite-weighted "
         "double sum",
-        exact_runner=_tupled(exact.eq2_7, _XY_BASE, _xy_sample),
+        exact_runner=_tupled(exact.eq2_7, _XY_BASE, _XY_DRAW),
         numeric_runner=pointwise.eq2_7,
     ),
     IdentityCase(
@@ -208,7 +192,7 @@ _CASES = (
     IdentityCase(
         "EQ2.13", "Eq. 2.13",
         "negative-offset associated family, binomial-exponential closed form",
-        exact_runner=_tupled(exact.eq2_13, _OFFSET_BASE, _offset_sample),
+        exact_runner=_tupled(exact.eq2_13, _OFFSET_BASE, _OFFSET_DRAW),
         numeric_runner=pointwise.eq2_13,
         notes=(
             "second line of the printed display repeats an equals sign; the "
@@ -251,7 +235,7 @@ _CASES = (
     IdentityCase(
         "EQ3.8", "Eq. 3.8",
         "bilateral product generating function via two commuting symbols",
-        exact_runner=_tupled(exact.eq3_8, _BILATERAL_BASE, _bilateral_sample),
+        exact_runner=_tupled(exact.eq3_8, _BILATERAL_BASE, _BILATERAL_DRAW),
         numeric_runner=pointwise.eq3_8,
     ),
     IdentityCase(
@@ -443,6 +427,8 @@ def check_coefficients(
     """Exact mode: every streamed coefficient pair must be literally equal."""
     case = _case_with(case_id, EXACT)
     order = case.exact_order if nmax is None else nmax
+    if order < 1:
+        raise DomainError(f"expansion order must be >= 1, got {order}")
     rows = case.exact_runner(order, random.Random(seed))
     return _tally(case, EXACT, order, rows, _exact_rule)
 
@@ -456,6 +442,8 @@ def check_pointwise(
     """Numeric mode: relative error, tail, and stability rules per point."""
     case = _case_with(case_id, NUMERIC)
     terms = DEFAULT_TERMS if n_terms is None else n_terms
+    if terms < 1:
+        raise DomainError(f"term count must be >= 1, got {terms}")
     rows = case.numeric_runner(terms, grid_scale, _CTRL)
     return _tally(case, NUMERIC, terms, rows, _point_rule(tol, budgeted=True))
 

@@ -8,9 +8,10 @@ take the index step of a lacunary sum and sum only the rows it reads.  Exact
 rows run on int numerators over one known denominator per row (a factorial
 times powers of the input denominators) and make one Fraction per value.  A
 float weight of an int ratio is one int true division, correctly rounded and
-so the float of the exact Fraction.  The per-index `laguerre` and
-`lambda_poly` are the definitional reference; `assoc_laguerre` serves the
-right sides that expand over L_s^(s+a).
+so the float of the exact Fraction.  The per-index `lambda_poly` and
+`assoc_laguerre` are the definitional reference (`laguerre` is the latter at
+offset 0); `assoc_laguerre` also serves the right sides that expand over
+L_s^(s+a).
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ def _gamma_weight(arg: Scalar):
 
 
 def laguerre(n: int, x: Scalar, y: Scalar = 1):
-    """Two-variable Laguerre L_n(x, y) = n! sum (-x)^r y^(n-r) / ((r!)^2 (n-r)!)."""
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    total = 0
-    for r in range(n + 1):
-        w = Fraction(math.factorial(n), math.factorial(r) ** 2 * math.factorial(n - r))
-        total = total + w * (-x) ** r * y ** (n - r)
-    return total
+    """Two-variable Laguerre L_n(x, y) = n! sum (-x)^r y^(n-r) / ((r!)^2 (n-r)!),
+    the associated sum at offset 0."""
+    return assoc_laguerre(n, 0, x, y)
 
 
 def _integral(value: Scalar, name: str) -> int:

@@ -14,7 +14,6 @@ from typing import Union
 
 from .errors import DomainError, ImaginaryResidue, NumericError
 
-Exact = Fraction
 Scalar = Union[int, Fraction, float, complex]
 
 #: |imag| <= IMAG_SLACK * (1 + |real|) is treated as roundoff residue.
@@ -58,38 +57,28 @@ def rgamma_exact(n: int) -> Fraction:
     return Fraction(1, math.factorial(n - 1))
 
 
-def _rgamma_positive_real(x: float) -> float:
-    # x >= 0.5, away from poles; lgamma avoids overflow past Gamma's range.
-    if x > 170.0:
-        return math.exp(-math.lgamma(x))
-    return 1.0 / math.gamma(x)
-
-
 def rgamma(z: Scalar) -> float:
     """Floating 1/Gamma(z) for real z; exact zeros at non-positive integers.
 
+    Every real input, int and Fraction included, is evaluated as float(z).
     Uses the libm Gamma (relative error well under 1e-13 for |z| <= 170);
     a complex argument raises DomainError.
     """
     if isinstance(z, complex):
         raise DomainError(f"rgamma takes real arguments, got {z!r}")
-    if isinstance(z, Fraction):
-        if z.denominator == 1:
-            z = int(z)
-        else:
-            z = float(z)
-    if isinstance(z, int) and not isinstance(z, bool):
-        if z <= 0:
-            return 0.0
-        if z <= 171:
-            return 1.0 / math.gamma(float(z))
-        return math.exp(-math.lgamma(float(z)))
+    try:
+        z = float(z)
+    except OverflowError:
+        raise NumericError("rgamma argument outside the float range") from None
     if not math.isfinite(z):
         raise NumericError(f"non-finite rgamma argument: {z!r}")
     if z <= 0.0 and z == math.floor(z):
         return 0.0
+    if z > 170.0:
+        # lgamma avoids overflow past Gamma's range.
+        return math.exp(-math.lgamma(z))
     if z >= 0.5:
-        return _rgamma_positive_real(z)
+        return 1.0 / math.gamma(z)
     # Reflection keeps the negative real axis accurate between poles.
     n = math.floor(z)
     frac = z - n

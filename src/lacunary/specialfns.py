@@ -30,9 +30,8 @@ def _rgamma_series(
     return value
 
 
-def _ratio_sequence(ratio: Callable[[int], float]) -> Iterator[float]:
-    """a_0 = 1, a_(r+1) = a_r * ratio(r), generated lazily."""
-    a = 1.0
+def _ratio_sequence(ratio: Callable[[int], float], a: float = 1.0) -> Iterator[float]:
+    """a_0 = a, a_(r+1) = a_r * ratio(r), generated lazily."""
     for r in count():
         yield a
         a *= ratio(r)
@@ -63,16 +62,11 @@ def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
     """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!)."""
     if m < 0:
         raise DomainError("bessel_i needs m >= 0")
-    ctrl = control or _DEFAULT
     half = z / 2.0
-
-    def gen() -> Iterator[float]:
-        term = half**m / math.factorial(m)
-        for k in count():
-            yield term
-            term *= half * half / ((k + 1.0) * (m + k + 1.0))
-
-    value, _ = sum_series(gen(), ctrl)
+    terms = _ratio_sequence(
+        lambda k: half * half / ((k + 1.0) * (m + k + 1.0)), half**m / math.factorial(m)
+    )
+    value, _ = sum_series(terms, control or _DEFAULT)
     return value
 
 
@@ -134,15 +128,13 @@ def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) ->
         raise DomainError("h_bessel_j needs n >= 0")
     ctrl = control or _DEFAULT
     coeffs = hermite_coeff_sequence(2, n + 2 * ctrl.max_terms, [float(x), float(y)])
-
-    def gen() -> Iterator[float]:
-        # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
-        factor = 0.5**n
-        for r in count():
-            yield (-1) ** r * coeffs[n + 2 * r] * factor
-            factor *= (n + 2 * r + 1.0) * (n + 2 * r + 2.0) / (4.0 * (r + 1.0) * (n + r + 1.0))
-
-    value, _ = sum_series(gen(), ctrl)
+    # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
+    factors = _ratio_sequence(
+        lambda r: (n + 2 * r + 1.0) * (n + 2 * r + 2.0) / (4.0 * (r + 1.0) * (n + r + 1.0)),
+        0.5**n,
+    )
+    terms = ((-1) ** r * coeffs[n + 2 * r] * f for r, f in enumerate(factors))
+    value, _ = sum_series(terms, ctrl)
     return value
 
 

@@ -66,12 +66,10 @@ def sum_series(
     else:
         # Generator exhausted before the budget: a finite sum is converged.
         return total, 0.0
-    if last_mag > ctrl.rel_tol * abs(total):
-        raise NonConvergence(
-            f"no convergence after {ctrl.max_terms} terms "
-            f"(last |term| = {last_mag:.3e}, |sum| = {abs(total):.3e})"
-        )
-    return total, last_mag
+    raise NonConvergence(
+        f"no convergence after {ctrl.max_terms} terms "
+        f"(last |term| = {last_mag:.3e}, |sum| = {abs(total):.3e})"
+    )
 
 
 def sum_shells(

@@ -41,6 +41,14 @@ def test_rgamma_exact_times_factorial_is_one():
         assert rgamma_exact(n) * math.factorial(n - 1) == 1
 
 
+def test_rgamma_int_and_fraction_take_the_float_path():
+    for k in range(-5, 401):
+        assert rgamma(k) == rgamma(Fraction(k)) == rgamma(float(k))
+    for huge in (10**400, -(10**400), Fraction(10**400, 3)):
+        with pytest.raises(NumericError):
+            rgamma(huge)
+
+
 def test_rgamma_large_argument_underflows_to_zero():
     assert rgamma(400.0) == 0.0
     assert rgamma(171) > 0.0

@@ -1,12 +1,15 @@
 """Source hygiene of src/lacunary, checked on the syntax tree.
 
-Three rules keep dead or repeated code out:
+Four rules keep dead or repeated code out:
 
 - every imported name is used in its module.  A package `__init__.py`
   re-exports names, `from __future__` imports switch on features, and a
   line marked `noqa` keeps an import on purpose, so those are exempt;
 - every module-level `_private` name is referenced somewhere in `src/`
   outside its own definition;
+- every module-level public name outside a package `__init__.py` is read
+  somewhere in `src/` or `tests/` outside its own definition.  The
+  package's re-export of a name is no read;
 - a function imports `from M` only when its module does not already do so
   at module level.  A lazy import of a module the file does not import at
   the top stays allowed.
@@ -21,6 +24,10 @@ SOURCES = {
     path.relative_to(SRC).as_posix(): path.read_text() for path in sorted(SRC.rglob("*.py"))
 }
 TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
+TEST_TREES = {
+    f"tests/{path.name}": ast.parse(path.read_text())
+    for path in sorted(Path(__file__).parent.glob("*.py"))
+}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -67,8 +74,9 @@ def _redundant_local_imports(name: str, tree: ast.Module) -> list[str]:
     )
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, defining node) for each module-level _private binding."""
+def _definitions(tree: ast.Module, public: bool):
+    """(name, defining node) for each module-level binding, the public ones
+    or the _private ones; dunder names are neither."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -78,26 +86,38 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") != public:
                 yield name, node
 
 
-def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
-    """`module:line name` for each _private name that no other code reads,
-    by name, attribute or import."""
+def _unreferenced(
+    trees: dict[str, ast.Module],
+    readers: dict[str, ast.Module] | None = None,
+    public: bool = False,
+) -> list[str]:
+    """`module:line name` for each module-level name of `trees` that no code
+    in `trees` or `readers` reads, by name, attribute or import.
+
+    With `public`, the names checked are the public ones outside package
+    `__init__.py` files, and a package's relative import (a re-export) is
+    no read; otherwise they are the _private ones.
+    """
     refs = defaultdict(list)
-    for tree in trees.values():
+    for module, tree in {**trees, **(readers or {})}.items():
+        reexports = public and module.endswith("__init__.py")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs[node.id].append(id(node))
             elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 refs[node.attr].append(id(node))
-            elif isinstance(node, ast.ImportFrom):
+            elif isinstance(node, ast.ImportFrom) and not (reexports and node.level):
                 for alias in node.names:
                     refs[alias.name].append(id(alias))
     found = []
     for module, tree in trees.items():
-        for name, node in _private_definitions(tree):
+        if public and module.endswith("__init__.py"):
+            continue
+        for name, node in _definitions(tree, public):
             own = {id(n) for n in ast.walk(node)}
             if not any(ref not in own for ref in refs[name]):
                 found.append(f"{module}:{node.lineno} {name}")
@@ -122,6 +142,10 @@ def test_no_function_repeats_a_module_level_import():
 
 def test_every_private_name_is_referenced():
     assert _unreferenced(TREES) == []
+
+
+def test_every_public_name_is_read():
+    assert _unreferenced(TREES, TEST_TREES, public=True) == []
 
 
 TOY = """\
@@ -152,3 +176,9 @@ def test_the_checks_catch_dead_code():
     assert _unused_imports("toy.py", TOY.splitlines(), tree) == ["toy.py:2 os"]
     assert _unreferenced({"toy.py": tree}) == ["toy.py:7 _dead"]
     assert _redundant_local_imports("toy.py", tree) == ["toy.py:16 typing"]
+    # The package re-export of `lazy` is no read; a test's import is one,
+    # and a test's assignment to `x` is not.
+    package = {"toy.py": tree, "__init__.py": ast.parse("from .toy import lazy\n")}
+    assert _unreferenced(package, public=True) == ["toy.py:12 x", "toy.py:15 lazy"]
+    test = {"tests/test_toy.py": ast.parse("from toy import lazy\nx = 1\n")}
+    assert _unreferenced(package, test, public=True) == ["toy.py:12 x"]

@@ -1,6 +1,7 @@
 """Guarded series summation."""
 
 import math
+from itertools import cycle
 
 import pytest
 
@@ -51,6 +52,13 @@ def test_stop_rule_needs_consecutive_small_terms():
     value, tail = sum_series(iter(terms), SumControl(max_terms=10))
     assert value == pytest.approx(3.0)
     assert tail == 0.0
+
+
+def test_spent_budget_raises_even_after_a_small_last_term():
+    # One small term is not the stop rule's run of CONSECUTIVE_SMALL; the
+    # partial sum 5.0 of a divergent series must not come back as converged.
+    with pytest.raises(NonConvergence):
+        sum_series(cycle([1.0, 0.0]), SumControl(max_terms=10))
 
 
 def test_non_finite_term_is_rejected():
