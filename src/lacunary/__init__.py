@@ -8,7 +8,13 @@ multi-variable Hermite families both exactly and by recurrence.  The
 identity layer registers every numbered generating-function identity and
 verifies each one against the oracle in exact-coefficient, pointwise, or
 quadrature mode; the command line entry point batch-runs that registry.
+
+`import lacunary` loads only the errors, scalars and polys modules; every
+other public name imports its submodule on first access.
 """
+
+import importlib
+import types
 
 from .errors import (
     DomainError,
@@ -25,21 +31,6 @@ from .errors import (
     TermBudgetExceeded,
     UnknownIdentity,
 )
-from .fps import FormalPowerSeries, fps_exp, fps_geometric, fps_one, fps_x
-from .identities import (
-    AuxPolynomial,
-    IdentityCase,
-    VerificationReport,
-    all_ids,
-    check_coefficients,
-    check_pointwise,
-    check_quadrature,
-    compare_with_printed,
-    derive_aux_polynomial,
-    get_case,
-    registry,
-    run_case,
-)
 from .polys import (
     assoc_laguerre,
     assoc_laguerre_sequence,
@@ -53,81 +44,69 @@ from .polys import (
     lambda_poly,
 )
 from .scalars import as_real, binomial, is_exact, pochhammer, rgamma, rgamma_exact
-from .specialfns import (
-    bessel_i,
-    bessel_j0,
-    h_bessel_j,
-    h_tricomi,
-    h_tricomi_bilateral,
-    h_wright,
-    mittag_leffler,
-    tricomi,
-    wright,
-)
-from .summation import SumControl, sum_series, sum_shells
-from .umbral import UmbralSeries, umb_exp
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxPolynomial",
-    "DomainError",
-    "ExactnessViolation",
-    "FormalPowerSeries",
-    "IdentityCase",
-    "ImaginaryResidue",
-    "LacunaryError",
-    "MissingDegreeMetadata",
-    "ModeMismatch",
-    "ModeUnsupported",
-    "NoSolution",
-    "NonConvergence",
-    "NumericError",
-    "QuadratureFailure",
-    "SumControl",
-    "TermBudgetExceeded",
-    "UmbralSeries",
-    "UnknownIdentity",
-    "VerificationReport",
-    "all_ids",
-    "as_real",
-    "assoc_laguerre",
-    "assoc_laguerre_sequence",
-    "assoc_laguerre_xpoly",
-    "bessel_i",
-    "bessel_j0",
-    "binomial",
-    "check_coefficients",
-    "check_pointwise",
-    "check_quadrature",
-    "compare_with_printed",
-    "derive_aux_polynomial",
-    "fps_exp",
-    "fps_geometric",
-    "fps_one",
-    "fps_x",
-    "get_case",
-    "h_bessel_j",
-    "h_tricomi",
-    "h_tricomi_bilateral",
-    "h_wright",
-    "hermite_coeff_sequence",
-    "hermite_h_sequence",
-    "is_exact",
-    "lacunary_decomposition",
-    "laguerre",
-    "laguerre_sequence",
-    "laguerre_xpoly",
-    "lambda_poly",
-    "mittag_leffler",
-    "pochhammer",
-    "registry",
-    "rgamma",
-    "rgamma_exact",
-    "run_case",
-    "sum_series",
-    "sum_shells",
-    "tricomi",
-    "umb_exp",
-    "wright",
-]
+
+def _lazy_exports(namespace: dict, lazy: dict) -> tuple:
+    """(__getattr__, __dir__, __all__) for the package whose globals are
+    `namespace` and whose `lazy` names, each mapped to the submodule that
+    defines it, load on first access (PEP 562).
+
+    __all__ is the public non-module names bound so far plus the lazy ones.
+    A resolved name is cached in `namespace`, so it resolves once.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in lazy:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f".{lazy[name]}", package)
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__() -> list:
+        return sorted({*namespace, *lazy})
+
+    eager = [
+        k for k, v in namespace.items() if k[0] != "_" and not isinstance(v, types.ModuleType)
+    ]
+    return __getattr__, __dir__, sorted([*eager, *lazy])
+
+
+#: Every other public name, by the submodule that defines it.
+_LAZY = {
+    "FormalPowerSeries": "fps",
+    "fps_exp": "fps",
+    "fps_geometric": "fps",
+    "fps_one": "fps",
+    "fps_x": "fps",
+    "AuxPolynomial": "identities.auxpoly",
+    "IdentityCase": "identities.registry",
+    "VerificationReport": "identities.report",
+    "all_ids": "identities.registry",
+    "check_coefficients": "identities.registry",
+    "check_pointwise": "identities.registry",
+    "check_quadrature": "identities.registry",
+    "compare_with_printed": "identities.auxpoly",
+    "derive_aux_polynomial": "identities.auxpoly",
+    "get_case": "identities.registry",
+    "registry": "identities.registry",
+    "run_case": "identities.registry",
+    "bessel_i": "specialfns",
+    "bessel_j0": "specialfns",
+    "h_bessel_j": "specialfns",
+    "h_tricomi": "specialfns",
+    "h_tricomi_bilateral": "specialfns",
+    "h_wright": "specialfns",
+    "mittag_leffler": "specialfns",
+    "tricomi": "specialfns",
+    "wright": "specialfns",
+    "SumControl": "summation",
+    "sum_series": "summation",
+    "sum_shells": "summation",
+    "UmbralSeries": "umbral",
+    "umb_exp": "umbral",
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _LAZY)

@@ -25,15 +25,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from .errors import DomainError, LacunaryError, UnknownIdentity
-from .identities import (
-    DEFAULT_TOL,
-    MODES,
-    compare_with_printed,
-    derive_aux_polynomial,
-    get_case,
-    registry,
-    run_case,
-)
+from .identities import DEFAULT_TOL, MODES, get_case, registry, run_case
 
 _MODES = (*MODES, "all")
 _FORMATS = ("json", "csv")
@@ -277,6 +269,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_aux(args: argparse.Namespace) -> int:
+    from .identities.auxpoly import compare_with_printed, derive_aux_polynomial
+
     try:
         aux = derive_aux_polynomial(args.family, args.m)
     except DomainError as exc:

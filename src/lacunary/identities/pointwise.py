@@ -48,7 +48,6 @@ from ..specialfns import (
     wright,
 )
 from ..summation import SumControl, sum_series
-from .auxpoly import derive_aux_polynomial
 
 STABILITY_EXTRA = 10
 COMPLEX_SLACK = 1e-10
@@ -121,7 +120,20 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
 
 @functools.lru_cache(maxsize=None)
 def _aux(family: str, m: int):
+    """The bridge polynomial of EQ2.8 (p) or EQ3.4 (q), fitted once; auxpoly
+    is imported here, so runs without these cases never compile it."""
+    from .auxpoly import derive_aux_polynomial
+
     return derive_aux_polynomial(family, m)
+
+
+def __getattr__(name: str):
+    """`derive_aux_polynomial`, read from auxpoly on access (PEP 562)."""
+    if name != "derive_aux_polynomial":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .auxpoly import derive_aux_polynomial
+
+    return derive_aux_polynomial
 
 
 def _bridge_sum(p, x: float, y: float, t: float, c: list, ctrl: SumControl) -> float:

@@ -17,12 +17,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import DomainError, ModeUnsupported, QuadratureFailure, UnknownIdentity
 from ..summation import SumControl
-from . import exact, pointwise
+from . import exact
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .pointwise import Engine, PointOutcome
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -39,7 +42,7 @@ MAX_NOTED_FAILURES = 5
 _CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
 ExactRunner = Callable[[int, random.Random], Iterator[exact.Check]]
-QuadratureRunner = Callable[[float], Iterator[pointwise.PointOutcome]]
+QuadratureRunner = Callable[[float], Iterator["PointOutcome"]]
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class IdentityCase:
     paper_ref: str
     description: str
     exact_runner: Optional[ExactRunner] = None
-    numeric_runner: Optional[pointwise.Engine] = None
+    numeric_runner: Optional[Engine] = None
     quadrature_runner: Optional[QuadratureRunner] = None
     exact_order: int = DEFAULT_EXACT_ORDER
     notes: tuple = ()
@@ -128,20 +131,28 @@ def _ordered(engine) -> ExactRunner:
     return run
 
 
+def _pointwise():
+    """The float engines' module, imported by the first numeric or quadrature
+    run, so an exact-only run never compiles the float stack."""
+    from . import pointwise
+
+    return pointwise
+
+
 _CASES = (
     IdentityCase(
         "EQ1.7", "Eq. 1.7",
         "exponential generating function of the two-index family, "
         "Wright-type closed form",
         exact_runner=_tupled(exact.eq1_7, _AB_BASE, _AB_DRAW),
-        numeric_runner=pointwise.eq1_7,
+        numeric_runner=lambda *a: _pointwise().eq1_7(*a),
     ),
     IdentityCase(
         "EQ1.9", "Eq. 1.9",
         "ordinary generating function of the two-index family, "
         "Mittag-Leffler closed form",
         exact_runner=_tupled(exact.eq1_9, _AB_BASE, _AB_DRAW),
-        numeric_runner=pointwise.eq1_9,
+        numeric_runner=lambda *a: _pointwise().eq1_9(*a),
     ),
     IdentityCase(
         "EQ1.11", "Eq. 1.11",
@@ -152,20 +163,20 @@ _CASES = (
         "EQ1.12", "Eq. 1.12",
         "integer-order associated family, exponential weight, reduced to "
         "Wright blocks",
-        numeric_runner=pointwise.eq1_12,
+        numeric_runner=lambda *a: _pointwise().eq1_12(*a),
     ),
     IdentityCase(
         "EQ2.7", "Eq. 2.6/2.7",
         "even-index exponential generating function via a Hermite-weighted "
         "double sum",
         exact_runner=_tupled(exact.eq2_7, _XY_BASE, _XY_DRAW),
-        numeric_runner=pointwise.eq2_7,
+        numeric_runner=lambda *a: _pointwise().eq2_7(*a),
     ),
     IdentityCase(
         "EQ2.8", "Eq. 2.8",
         "even-index associated generating function with derived even-degree "
         "weight polynomial",
-        numeric_runner=pointwise.eq2_8,
+        numeric_runner=lambda *a: _pointwise().eq2_8(*a),
         notes=(
             "the m=2 weight polynomial is fitted; it differs from the printed "
             "display by a null direction of the weight recurrences and induces "
@@ -175,25 +186,25 @@ _CASES = (
     IdentityCase(
         "EQ2.9", "Eq. 2.9",
         "even-index two-index family against a two-variable Wright series",
-        numeric_runner=pointwise.eq2_9,
+        numeric_runner=lambda *a: _pointwise().eq2_9(*a),
     ),
     IdentityCase(
         "EQ2.10", "Eq. 2.10",
         "even-index ordinary generating function resummed over diagonal "
         "associated polynomials",
-        numeric_runner=pointwise.eq2_10,
+        numeric_runner=lambda *a: _pointwise().eq2_10(*a),
     ),
     IdentityCase(
         "EQ2.11", "Eq. 2.11",
         "triple-index ordinary generating function resummed over a nested "
         "diagonal sum",
-        numeric_runner=pointwise.eq2_11,
+        numeric_runner=lambda *a: _pointwise().eq2_11(*a),
     ),
     IdentityCase(
         "EQ2.13", "Eq. 2.13",
         "negative-offset associated family, binomial-exponential closed form",
         exact_runner=_tupled(exact.eq2_13, _OFFSET_BASE, _OFFSET_DRAW),
-        numeric_runner=pointwise.eq2_13,
+        numeric_runner=lambda *a: _pointwise().eq2_13(*a),
         notes=(
             "second line of the printed display repeats an equals sign; the "
             "exponential-decay reading is the one verified",
@@ -203,23 +214,23 @@ _CASES = (
         "EQ2.14", "Eq. 2.14",
         "even negative-offset family, trigonometric closed form evaluated "
         "through complex branches",
-        numeric_runner=pointwise.eq2_14,
+        numeric_runner=lambda *a: _pointwise().eq2_14(*a),
     ),
     IdentityCase(
         "EQ3.1", "Eq. 3.1",
         "shifted double-lacunary exponential generating function",
-        numeric_runner=pointwise.eq3_1,
+        numeric_runner=lambda *a: _pointwise().eq3_1(*a),
     ),
     IdentityCase(
         "EQ3.3", "Eq. 3.3",
         "shifted triple-lacunary exponential generating function",
-        numeric_runner=pointwise.eq3_3,
+        numeric_runner=lambda *a: _pointwise().eq3_3(*a),
     ),
     IdentityCase(
         "EQ3.4", "Eq. 3.4",
         "triple-lacunary associated generating function with derived cubic "
         "weight",
-        numeric_runner=pointwise.eq3_4,
+        numeric_runner=lambda *a: _pointwise().eq3_4(*a),
         notes=(
             "inner summation index in the printed display shadows the outer "
             "one; the independent-index reading is verified and the fitted "
@@ -230,25 +241,25 @@ _CASES = (
         "EQ3.5", "Eq. 3.5",
         "m-fold lacunary exponential generating function via multi-variable "
         "Hermite blocks",
-        numeric_runner=pointwise.eq3_5,
+        numeric_runner=lambda *a: _pointwise().eq3_5(*a),
     ),
     IdentityCase(
         "EQ3.8", "Eq. 3.8",
         "bilateral product generating function via two commuting symbols",
         exact_runner=_tupled(exact.eq3_8, _BILATERAL_BASE, _BILATERAL_DRAW),
-        numeric_runner=pointwise.eq3_8,
+        numeric_runner=lambda *a: _pointwise().eq3_8(*a),
     ),
     IdentityCase(
         "EQ3.9", "Eq. 3.9",
         "Pochhammer-weighted even-index generating function resummed over "
         "diagonals",
-        numeric_runner=pointwise.eq3_9,
+        numeric_runner=lambda *a: _pointwise().eq3_9(*a),
     ),
     IdentityCase(
         "EQ3.10", "Eq. 3.10",
         "Pochhammer-weighted even-index generating function, modified-Bessel "
         "closed form",
-        numeric_runner=pointwise.eq3_10,
+        numeric_runner=lambda *a: _pointwise().eq3_10(*a),
         notes=(
             "printed closed form omits a factorial normalization (small-t "
             "limit: left side 1, right side 1/m!); verified with the factor "
@@ -259,7 +270,7 @@ _CASES = (
         "EQ3.11", "Eq. 3.11",
         "Pochhammer-weighted triple-index generating function, nested closed "
         "form",
-        numeric_runner=pointwise.eq3_11,
+        numeric_runner=lambda *a: _pointwise().eq3_11(*a),
     ),
     IdentityCase(
         "EQ3.14", "Eq. 3.14",
@@ -286,7 +297,7 @@ _CASES = (
         "dilation of the pseudo-Gaussian to a Gaussian, with a transform "
         "quadrature cross-check",
         exact_runner=_ordered(exact.eq3_18_exact),
-        quadrature_runner=pointwise.borel_points,
+        quadrature_runner=lambda *a: _pointwise().borel_points(*a),
         exact_order=20,
     ),
     IdentityCase(
@@ -405,7 +416,7 @@ def _point_rule(tol: float, budgeted: bool) -> Rule:
     Each test is written `not value <= bound`, so a NaN fails it.
     """
 
-    def rule(o: pointwise.PointOutcome) -> tuple[float, float, Optional[str]]:
+    def rule(o: PointOutcome) -> tuple[float, float, Optional[str]]:
         err = abs(o.lhs - o.rhs)
         rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
         if not rel <= tol:

@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, ExactnessViolation
+from .errors import DomainError, ExactnessViolation, NumericError
 from .scalars import Scalar, is_exact, rgamma, rgamma_exact
 
 
@@ -86,7 +86,8 @@ def lambda_sequence(
     divides the binomial by (beta r + alpha)! in one int true division (the
     float of the exact Fraction); any other argument multiplies by rgamma.
     Products and sums keep lambda_poly's left-to-right order, so floats
-    agree bit for bit.
+    agree bit for bit; a float row that leaves the float range raises
+    NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -103,8 +104,6 @@ def lambda_sequence(
         powy = _powers(x.denominator * y.numerator, nmax)
         rows = _pascal_rows(nmax, step)
         return [Fraction(_row_dot(row, scaled, powy), top * qs**n) for n, row in rows]
-    powx = [(-x) ** r for r in range(nmax + 1)]
-    powy = [y**k for k in range(nmax + 1)]
     weights = []  # the factorial divisor (int) or rgamma
     for r in range(nmax + 1):
         arg = beta * r + 1 + alpha
@@ -112,14 +111,19 @@ def lambda_sequence(
             weights.append(math.factorial(arg - 1))
         else:
             weights.append(rgamma(arg))
-    out = []
-    for n, row in _pascal_rows(nmax, step):
-        total = 0
-        for r, c in enumerate(row):
-            g = weights[r]
-            w = c / g if isinstance(g, int) else c * g
-            total += w * powx[r] * powy[n - r]
-        out.append(total)
+    try:
+        powx = [(-x) ** r for r in range(nmax + 1)]
+        powy = [y**k for k in range(nmax + 1)]
+        out = []
+        for n, row in _pascal_rows(nmax, step):
+            total = 0
+            for r, c in enumerate(row):
+                g = weights[r]
+                w = c / g if isinstance(g, int) else c * g
+                total += w * powx[r] * powy[n - r]
+            out.append(total)
+    except OverflowError as exc:
+        raise NumericError(f"float lambda rows to degree {nmax} overflow: {exc}") from exc
     return out
 
 

@@ -256,6 +256,13 @@ def test_verify_all_never_imports_numpy(tmp_path):
     assert json.loads(report.read_text())["results"]
 
 
+@pytest.mark.parametrize("case_id", ["EQ1.7", "EQ1.9"])
+def test_float_overflow_at_large_nmax_is_a_typed_error(capsys, case_id):
+    code, out, err = _run(capsys, "verify", "--id", case_id, "--mode", "numeric", "--nmax", "1100")
+    assert code == 1 and not out
+    assert err.startswith("error: NumericError: float lambda rows to degree 1110 overflow")
+
+
 def test_derive_aux_reports_matches(capsys):
     code, out, _ = _run(capsys, "derive-aux", "--family", "p", "--m", "1")
     assert code == 0

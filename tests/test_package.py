@@ -1,0 +1,106 @@
+"""The package surface: lazy exports resolve to their defining objects, and
+each command loads only the modules it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lacunary
+import lacunary.identities
+
+SRC = str(Path(lacunary.__file__).resolve().parents[1])
+
+
+def _fresh(script: str) -> object:
+    """The JSON that `script` prints in a fresh interpreter on this source tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("package", [lacunary, lacunary.identities])
+def test_every_public_name_is_the_object_its_module_defines(package):
+    assert len(set(package.__all__)) == len(package.__all__)
+    for name in package.__all__:
+        value = getattr(package, name)
+        # Functions and classes name their module; the exported constants
+        # (DEFAULT_TOL, EXACT, MODES, ...) are the registry's.
+        owner = getattr(value, "__module__", "lacunary.identities.registry")
+        assert owner != package.__name__, name
+        assert getattr(importlib.import_module(owner), name) is value, name
+    star: dict = {}
+    exec(f"from {package.__name__} import *", star)
+    assert all(star[name] is getattr(package, name) for name in package.__all__)
+    assert set(package.__all__) <= set(dir(package))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(package, "no_such_name")
+
+
+def test_registry_is_the_function_whichever_module_loads_first():
+    # The import system binds a submodule on its package when it first loads;
+    # the public `registry` function must still win over the module.
+    owner = _fresh(
+        "import json, lacunary\n"
+        "from lacunary.identities.registry import registry\n"
+        "from lacunary.identities import registry as exported\n"
+        "assert exported is registry and lacunary.registry is registry\n"
+        "print(json.dumps(registry.__module__))\n"
+    )
+    assert owner == "lacunary.identities.registry"
+
+
+def _loaded_by(argv) -> set:
+    """The lacunary modules a fresh `cli.main(argv)` leaves loaded."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from lacunary import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('lacunary.')]))\n"
+    )
+    return {m.removeprefix("lacunary.") for m in _fresh(script)}
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unloaded",
+    [
+        (
+            ["verify", "--all", "--mode", "exact"],
+            {"identities.exact", "umbral", "fps"},
+            {"identities.pointwise", "specialfns", "identities.auxpoly"},
+        ),
+        (
+            ["verify", "--mode", "numeric", "--id", "EQ1.7"],
+            {"identities.pointwise", "specialfns"},
+            {"identities.auxpoly"},
+        ),
+        (
+            ["derive-aux", "--family", "p", "--m", "1"],
+            {"identities.auxpoly"},
+            {"identities.pointwise", "specialfns"},
+        ),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, needed, unloaded):
+    loaded = _loaded_by(argv)
+    assert needed <= loaded
+    assert not unloaded & loaded
+
+
+def test_import_loads_only_the_base_modules():
+    loaded = _fresh(
+        "import json, sys, lacunary\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lacunary'))))\n"
+    )
+    assert loaded == ["lacunary", "lacunary.errors", "lacunary.polys", "lacunary.scalars"]

@@ -14,6 +14,7 @@ from lacunary import (
     DomainError,
     ExactnessViolation,
     FormalPowerSeries,
+    NumericError,
     as_real,
     assoc_laguerre,
     assoc_laguerre_sequence,
@@ -484,6 +485,20 @@ def test_lambda_sequence_at_the_eq2_9_grid():
         # EQ2.9 reads the even rows only.
         rows = lambda_sequence(340, alpha, beta, x, y, step=2)
         assert [v.hex() for v in rows] == [v.hex() for v in seq[::2]]
+
+
+@pytest.mark.parametrize(
+    "args, cause",
+    [
+        # C(n, r) passes 2^1024 from n ~ 1030 and times the float rgamma(r + 1.5).
+        ((1100, 0.5, 1, 1.0, 1.0), "int too large to convert to float"),
+        # (-2.0)^r passes the float range from r = 1024.
+        ((1100, 1, 2, 2.0, 0.5), "out of range"),
+    ],
+)
+def test_float_rows_beyond_the_float_range_raise_numeric_error(args, cause):
+    with pytest.raises(NumericError, match=cause):
+        lambda_sequence(*args)
 
 
 def test_assoc_laguerre_diagonal_matches_exact_offsets():

@@ -13,9 +13,16 @@ Four rules keep dead or repeated code out:
 - a function imports `from M` only when its module does not already do so
   at module level.  A lazy import of a module the file does not import at
   the top stays allowed.
+
+Two more keep the packages' lazy export tables (`_LAZY`, name -> defining
+submodule) honest: every entry names a module-level definition of its
+submodule, and `__all__` is the eagerly imported names plus the table's.
+A table entry is no read of its name, so the third rule still flags a
+public name that only a table lists.
 """
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -57,16 +64,24 @@ def _unused_imports(name: str, lines: list[str], tree: ast.Module) -> list[str]:
     return found
 
 
+def _sources(node: ast.ImportFrom) -> set:
+    """(module, level) of each module an import reads: M for `from M import`,
+    and each named submodule for `from . import a, b`."""
+    if node.module is None:
+        return {(alias.name, node.level) for alias in node.names}
+    return {(node.module, node.level)}
+
+
 def _redundant_local_imports(name: str, tree: ast.Module) -> list[str]:
     """`module:line M` for each function-level `from M import` of a module
     that the same file already imports from at module level."""
-    top = {(n.module, n.level) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    top = set().union(*(_sources(n) for n in tree.body if isinstance(n, ast.ImportFrom)))
     local = {
         id(node): node
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
-        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in top
+        if isinstance(node, ast.ImportFrom) and _sources(node) & top
     }
     return sorted(
         f"{name}:{node.lineno} {'.' * node.level}{node.module or ''}"
@@ -148,6 +163,48 @@ def test_every_public_name_is_read():
     assert _unreferenced(TREES, TEST_TREES, public=True) == []
 
 
+def _lazy_tables() -> dict[str, dict]:
+    """{package __init__ path: its `_LAZY` table}, read from the syntax tree."""
+    return {
+        name: ast.literal_eval(node.value)
+        for name, tree in TREES.items()
+        if name.endswith("__init__.py")
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets)
+    }
+
+
+def test_every_lazy_export_names_a_definition():
+    tables = _lazy_tables()
+    assert set(tables) == {"__init__.py", "identities/__init__.py"}
+    found = []
+    for package, table in tables.items():
+        base = package.removesuffix("__init__.py")
+        for name, module in table.items():
+            path = base + module.replace(".", "/")
+            tree = TREES.get(f"{path}.py") or TREES.get(f"{path}/__init__.py")
+            defined = {n for n, _ in _definitions(tree, public=True)} if tree else set()
+            if name not in defined:
+                found.append(f"{package} {name} -> {module}")
+    assert found == []
+
+
+def test_all_is_the_eager_names_plus_the_lazy_table():
+    for package, table in _lazy_tables().items():
+        eager = {
+            alias.asname or alias.name
+            for node in TREES[package].body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if not alias.name.startswith("_")
+        }
+        assert not eager & set(table), package
+        dotted = ".".join(["lacunary", *package.split("/")[:-1]])
+        exported = importlib.import_module(dotted).__all__
+        assert sorted(exported) == sorted(eager | set(table)), package
+
+
 TOY = """\
 from __future__ import annotations
 import os
@@ -176,6 +233,9 @@ def test_the_checks_catch_dead_code():
     assert _unused_imports("toy.py", TOY.splitlines(), tree) == ["toy.py:2 os"]
     assert _unreferenced({"toy.py": tree}) == ["toy.py:7 _dead"]
     assert _redundant_local_imports("toy.py", tree) == ["toy.py:16 typing"]
+    # `from . import m` reads submodule m: a repeated m is flagged, a new one is lazy.
+    siblings = ast.parse("from . import a\n\n\ndef f():\n    from . import a\n    from . import b\n")
+    assert _redundant_local_imports("toy.py", siblings) == ["toy.py:5 ."]
     # The package re-export of `lazy` is no read; a test's import is one,
     # and a test's assignment to `x` is not.
     package = {"toy.py": tree, "__init__.py": ast.parse("from .toy import lazy\n")}
