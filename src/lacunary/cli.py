@@ -9,8 +9,9 @@ Reports are pure functions of the run configuration: a fixed seed plus
 with 17 significant digits; dictionary order is fixed by construction.
 
 Exit codes: 0 all selected checks passed, 1 any failure (or report I/O
-failure, with the partial report dumped to stderr), 2 usage or
-configuration errors.
+failure, with the partial report dumped to stderr; a reader that closes
+stdout early ends the run quietly with 1), 2 usage or configuration
+errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -365,7 +367,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "derive-aux": _cmd_derive_aux,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (the "Note on SIGPIPE" in the docs
+        # of `signal`): the output is lost, and the flush at exit must not
+        # fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, UnknownIdentity) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

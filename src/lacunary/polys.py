@@ -53,17 +53,21 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
 
     Equals the vacuum reduction of c^alpha (y - c^beta x)^n.  Exact when
     every input is exact; then alpha and beta must be integers, else
-    ExactnessViolation.
+    ExactnessViolation.  A float sum that leaves the float range raises
+    NumericError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     if all(map(is_exact, (alpha, beta, x, y))):
         alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
     total = 0
-    for r in range(n + 1):
-        w = Fraction(math.factorial(n), math.factorial(r) * math.factorial(n - r))
-        g = _gamma_weight(beta * r + 1 + alpha)
-        total = total + w * g * (-x) ** r * y ** (n - r)
+    try:
+        for r in range(n + 1):
+            w = Fraction(math.factorial(n), math.factorial(r) * math.factorial(n - r))
+            g = _gamma_weight(beta * r + 1 + alpha)
+            total = total + w * g * (-x) ** r * y ** (n - r)
+    except OverflowError as exc:
+        raise NumericError(f"float lambda_poly of degree {n} overflows: {exc}") from exc
     return total
 
 
@@ -195,7 +199,8 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     alpha - n.  Each weight prods[r] / (r! (n-r)!) is an exact Fraction
     unless x is a float; then an int product takes one int true division,
     correctly rounded as the Fraction's float is, and a float product
-    (float alpha) is scaled by the float 1 / (r! (n-r)!).
+    (float alpha) is scaled by the float 1 / (r! (n-r)!).  A float sum that
+    leaves the float range raises NumericError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
@@ -205,13 +210,16 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     fact = [1, *itertools.accumulate(range(1, n + 1), operator.mul)]
     inexact = not is_exact(x)
     total = 0
-    for r, p in enumerate(prods):
-        d = fact[r] * fact[n - r]
-        if isinstance(p, float):
-            w = 1 / d * p
-        else:
-            w = p / d if inexact else Fraction(p, d)
-        total = total + w * (-x) ** r * y ** (n - r)
+    try:
+        for r, p in enumerate(prods):
+            d = fact[r] * fact[n - r]
+            if isinstance(p, float):
+                w = 1 / d * p
+            else:
+                w = p / d if inexact else Fraction(p, d)
+            total = total + w * (-x) ** r * y ** (n - r)
+    except OverflowError as exc:
+        raise NumericError(f"float associated Laguerre of degree {n} overflows: {exc}") from exc
     return total
 
 

@@ -16,12 +16,19 @@ dilation brought one in) and its coefficients as int numerators over one
 common denominator.  The kernels work on those ints; `Fraction` appears only
 at the public boundary, in the constructor's input, the `terms` view and the
 reduced values.
+
+`umb_exp` expands exp(argument) to order N.  An argument of m monomials
+whose keys are independent (see `umb_exp` for the rule) makes C(N+m, m)
+terms, each formed once from its multinomial weight; any other argument
+is expanded one power at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -213,29 +220,30 @@ class UmbralSeries:
         """{degree: reduced coefficient}, zeros dropped, degrees ascending.
 
         Each term weighs 1/(e1! e2!) = (top1!/e1!)(top2!/e2!) / (top1! top2!),
-        so the sums stay integer and each degree divides once.
+        so the sums stay integer and each degree divides once.  Keys over an
+        exponent denominator of 1 are the exponents and are read in place.
         """
-        eden = self._eden
-        rows = []
-        for (n1, n2, d), c in self._num.items():
-            if scalar_only and d != 0:
-                raise DomainError("series carries x-degree terms; use reduce_poly()")
-            if n1 % eden or n2 % eden:
-                raise ExactnessViolation(
-                    "exact reduction needs integer exponents, got "
-                    f"({Fraction(n1, eden)}, {Fraction(n2, eden)})"
-                )
-            e1, e2 = n1 // eden, n2 // eden
-            if e1 >= 0 and e2 >= 0:  # 1/Gamma vanishes at the poles
-                rows.append((e1, e2, d, c))
-        top1 = max((row[0] for row in rows), default=0)
-        top2 = max((row[1] for row in rows), default=0)
+        eden, num = self._eden, self._num
+        if scalar_only or eden != 1:
+            for n1, n2, d in num:
+                if scalar_only and d != 0:
+                    raise DomainError("series carries x-degree terms; use reduce_poly()")
+                if n1 % eden or n2 % eden:
+                    raise ExactnessViolation(
+                        "exact reduction needs integer exponents, got "
+                        f"({Fraction(n1, eden)}, {Fraction(n2, eden)})"
+                    )
+        if eden != 1:
+            num = {(n1 // eden, n2 // eden, d): c for (n1, n2, d), c in num.items()}
+        top1 = max(0, max(map(itemgetter(0), num), default=0))
+        top2 = max(0, max(map(itemgetter(1), num), default=0))
         f1, f2 = math.factorial(top1), math.factorial(top2)
         w1 = [f1 // math.factorial(e) for e in range(top1 + 1)]
         w2 = [f2 // math.factorial(e) for e in range(top2 + 1)]
         sums: dict[int, int] = {}
-        for e1, e2, d, c in rows:
-            sums[d] = sums.get(d, 0) + c * w1[e1] * w2[e2]
+        for (e1, e2, d), c in num.items():
+            if e1 >= 0 and e2 >= 0:  # 1/Gamma vanishes at the poles
+                sums[d] = sums.get(d, 0) + c * w1[e1] * w2[e2]
         scale = self._den * f1 * f2
         return {d: Fraction(s, scale) for d, s in sorted(sums.items()) if s}
 
@@ -271,8 +279,21 @@ class UmbralSeries:
 def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
     """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term.
 
-    With the argument's numerators over D, the k-th power's numerators are
-    over D^k; every power is added into one int dict over D^order * order!.
+    With the argument sum_i (n_i / D) M_i over m monomials and N = order,
+    the result's numerators over D^N N! are
+
+        sum_{|a|<=N} (N! / prod_i a_i!) prod_i n_i^(a_i) D^(N-|a|) M^a.
+
+    When the keys (e1, e2, d) of the M_i, each extended by a 1 for the
+    count, are linearly independent, distinct multi-indices a land on
+    distinct (key, |a|), and the sum is formed term by term: one pass per
+    monomial extends each partial term by j more factors at weight
+    C(N - |a|, j) n_i^j, the last pass also folding in (N - |a|)! D^(N-|a|).
+    That forms the C(N+m, m) terms once each (5,456 for EQ3.8's three
+    monomials at N = 30).  With dependent keys (c^k x for k = 1..6, say)
+    many multi-indices share a key, so the powers are formed one dict
+    product at a time instead and merged as they go; each key of each
+    power is then reached once per argument monomial.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -281,13 +302,83 @@ def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
     arg = list(argument._num.items())
     den = argument._den
     scale = den**order * math.factorial(order)
+    if arg and _independent([(*key, 1) for key, _ in arg]):
+        num = _exp_by_multi_index(arg, den, order)
+    else:
+        num = _exp_by_powers(arg, den, order, scale)
+    return _make(num, scale, argument._eden)
+
+
+def _independent(vectors: list[tuple[int, ...]]) -> bool:
+    """Whether the int vectors are linearly independent over the rationals."""
+    rows = [list(v) for v in vectors]
+    while rows:
+        pivot = rows.pop()
+        col = next((i for i, a in enumerate(pivot) if a), None)
+        if col is None:
+            return False
+        p = pivot[col]
+        rows = [[p * a - r[col] * b for a, b in zip(r, pivot)] for r in rows]
+    return True
+
+
+def _exp_by_multi_index(
+    arg: list[tuple[Key, int]], den: int, order: int
+) -> dict[Key, int]:
+    """umb_exp's numerators over D^N N!, one pass per argument monomial."""
+    states = [(0, 0, 0, 0, 1)]  # (e1, e2, d, used, multinomial * prod n^a)
+    used = 0  # the largest count in states
+    *inner, ((v1, v2, vd), n) = arg
+    for (b1, b2, bd), m in inner:
+        powers = [m**j for j in range(order + 1)]
+        rows = [  # C(N-u, j) m^j
+            [math.comb(order - u, j) * powers[j] for j in range(order - u + 1)]
+            for u in range(used + 1)
+        ]
+        states = [
+            (a1 + j * b1, a2 + j * b2, d + j * bd, u + j, c * w)
+            for a1, a2, d, u, c in states
+            for j, w in enumerate(rows[u])
+        ]
+        _check_cap(len(states))
+        used = order
+    # The last pass folds in the tail: C(N-u, j) n^j (N-u-j)! D^(N-u-j),
+    # from (N-u)! D^(N-u) at j = 0 by exact steps of n / (j D).
+    tails = list(itertools.accumulate(range(1, order + 1), lambda t, k: t * k * den, initial=1))
+    rows = []
+    for u in range(used + 1):
+        row = [tails[order - u]]
+        for j in range(1, order - u + 1):
+            row.append(row[-1] * n // (j * den))
+        rows.append(row)
+    shifts = [(j * v1, j * v2, j * vd) for j in range(order + 1)]
+    acc: dict[Key, int] = {}
+    for a1, a2, d, u, c in states:
+        for (s1, s2, sd), w in zip(shifts, rows[u]):
+            key = (a1 + s1, a2 + s2, d + sd)
+            if key in acc:
+                acc[key] += c * w
+            else:
+                acc[key] = c * w
+        _check_cap(len(acc))
+    return acc
+
+
+def _exp_by_powers(
+    arg: list[tuple[Key, int]], den: int, order: int, scale: int
+) -> dict[Key, int]:
+    """umb_exp's numerators over scale = D^N N!, one dict product per power.
+
+    The k-th power's numerators are over D^k; each is added into the
+    accumulator at weight D^(N-k) N!/k!.
+    """
     acc: dict[Key, int] = {_ONE: scale}
     power: dict[Key, int] = {_ONE: 1}
     weight = scale
     for k in range(1, order + 1):
         power = {key: c for key, c in _product(power, arg).items() if c}
-        weight //= den * k  # den^(order-k) * order!/k!
+        weight //= den * k
         for key, c in power.items():
             acc[key] = acc.get(key, 0) + c * weight
         _check_cap(len(acc))
-    return _make(acc, scale, argument._eden)
+    return acc

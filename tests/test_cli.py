@@ -233,6 +233,13 @@ def test_non_dict_config_is_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def _child_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_verify_all_never_imports_numpy(tmp_path):
     # numpy is a test oracle only; a fresh process running every case,
     # the quadrature included, must not load it.
@@ -244,16 +251,37 @@ def test_verify_all_never_imports_numpy(tmp_path):
         "assert cli.main(argv) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(report.read_text())["results"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["verify", "--id", "EQ1.7", "--mode", "exact", "--no-timestamp"]],
+)
+def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
+    # The pipe's read end is closed before the child writes, so its first
+    # write to stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lacunary.cli", *argv],
+            env=_child_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("case_id", ["EQ1.7", "EQ1.9"])

@@ -501,6 +501,22 @@ def test_float_rows_beyond_the_float_range_raise_numeric_error(args, cause):
         lambda_sequence(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, args, cause",
+    [
+        # C(n, r) as a Fraction times the float rgamma(r + 1.5).
+        (lambda_poly, (1100, 0.5, 1, 1.0, 1.0), "too large for a float"),
+        # (-2.0)^r passes the float range from r = 1024.
+        (lambda_poly, (1100, 1, 2, 2.0, 0.5), "out of range"),
+        # (-1e200)^r passes it at r = 2.
+        (assoc_laguerre, (3000, 0, 1e200, 1.0), "out of range"),
+    ],
+)
+def test_float_sums_beyond_the_float_range_raise_numeric_error(fn, args, cause):
+    with pytest.raises(NumericError, match=cause):
+        fn(*args)
+
+
 def test_assoc_laguerre_diagonal_matches_exact_offsets():
     for alpha in (0.5, 2.5, 3.0, -1.25):
         for x, y in ((1.0, 1.0), (0.5, 2.0), (2.0, -0.75), (-1.5, 0.5), (0.0, 1.25)):

@@ -286,6 +286,88 @@ def test_two_symbols_with_cross_term_match_oracle(x, y, z, u, order):
     assert got.reduce_poly() == _o_reduce_poly(want)
 
 
+def _per_power_exp(series, order):
+    """(numerators, denominator, exponent denominator) of sum_k series^k / k!.
+
+    The reference forms every power by one dict product and adds it into
+    one accumulator over D^order order!, then cancels the common factor.
+    """
+    arg, den = series._num, series._den
+    scale = den**order * math.factorial(order)
+    acc = {(0, 0, 0): scale}
+    power = {(0, 0, 0): 1}
+    weight = scale
+    for k in range(1, order + 1):
+        product = {}
+        for (a1, a2, da), ca in power.items():
+            for (b1, b2, db), cb in arg.items():
+                key = (a1 + b1, a2 + b2, da + db)
+                product[key] = product.get(key, 0) + ca * cb
+        power = product
+        weight //= den * k
+        for key, c in power.items():
+            acc[key] = acc.get(key, 0) + c * weight
+    acc = {key: c for key, c in acc.items() if c}
+    g = math.gcd(scale, *acc.values())
+    return {key: c // g for key, c in acc.items()}, scale // g, series._eden
+
+
+def _assert_exp_matches_per_power(terms, order):
+    series = UmbralSeries(terms)
+    got = umb_exp(series, order)
+    assert (got._num, got._den, got._eden) == _per_power_exp(series, order)
+
+
+# Few exponents and degrees, so that keys often coincide or depend linearly.
+exp_keys = st.tuples(
+    st.sampled_from([-1, 0, 1, 2, F(1, 2), F(-3, 2)]),
+    st.sampled_from([-1, 0, 1, 2]),
+    st.integers(min_value=0, max_value=2),
+).filter(lambda key: key != (0, 0, 0))
+exp_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.dictionaries(exp_keys, exp_coeffs, max_size=6),
+    st.integers(min_value=0, max_value=8),
+)
+def test_umb_exp_matches_per_power_reference(terms, order):
+    _assert_exp_matches_per_power(terms, order)
+
+
+@pytest.mark.parametrize(
+    "terms, order",
+    [
+        ({}, 6),  # the zero argument
+        ({(1, 0, 1): F(-2)}, 0),
+        ({(1, 0, 0): F(1), (2, 0, 0): F(1)}, 20),  # c1 + c1^2
+        ({(k, 0, 1): F(k, 7) for k in range(1, 7)}, 12),  # dependent keys
+        ({(2, 0, 1): F(9, 25), (1, 0, 1): F(12, 35)}, 20),  # EQ2.7's argument
+        ({(1, 0, 1): F(-3, 4), (0, 1, 1): F(5, 6), (1, 1, 1): F(-7, 8)}, 12),  # EQ3.8's
+        ({(-1, 0, 1): F(2, 3), (F(1, 2), 1, 0): F(-1, 2), (0, 2, 2): F(3)}, 9),
+        ({(1, 0, 0): F(1), (0, 1, 0): F(1), (1, 1, 0): F(1), (2, 1, 1): F(-1)}, 7),
+    ],
+)
+def test_umb_exp_matches_per_power_reference_on_named_arguments(terms, order):
+    _assert_exp_matches_per_power(terms, order)
+
+
+@pytest.mark.parametrize(
+    "keys, independent",
+    [
+        ([(1, 0, 1), (0, 1, 1), (1, 1, 1)], True),  # EQ3.8's argument
+        ([(1, 0, 0), (2, 0, 0)], True),  # c1 + c1^2: its counts tell the keys apart
+        ([(k, 0, 1) for k in range(1, 7)], False),  # c1^k x, k = 1..6
+        ([(1, 0, 0), (2, 0, 0), (3, 0, 0)], False),  # c1^2 c1^2 = c1 c1^3
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], True),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 0, 1)], False),  # five in four
+    ],
+)
+def test_umb_exp_expands_by_multi_index_only_for_independent_counted_keys(keys, independent):
+    assert umbral_mod._independent([(*key, 1) for key in keys]) is independent
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=6),
