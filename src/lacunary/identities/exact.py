@@ -23,7 +23,6 @@ from ..polys import (
     lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
     lambda_sequence,
     laguerre_sequence,
-    laguerre_xpoly,
 )
 from ..scalars import binomial, rgamma_exact
 from ..umbral import UmbralSeries, umb_exp
@@ -176,17 +175,6 @@ def laguerre_derivative(coeffs: list[Fraction]) -> list[Fraction]:
     for k in range(1, len(coeffs)):
         out[k - 1] -= k * k * coeffs[k]
     return out
-
-
-def eq3_12_lowering(nmax: int, ys: Sequence[Fraction]) -> Iterator[Check]:
-    """The derivative lowers the polynomial index: -d_x x d_x L_n = n L_{n-1}."""
-    for y in ys:
-        for n in range(1, nmax + 1):
-            got = laguerre_derivative(laguerre_xpoly(n, y))
-            want = [n * c for c in laguerre_xpoly(n - 1, y)]
-            got += [Fraction(0)] * (len(want) - len(got))
-            for k, (g, w) in enumerate(zip(got, want)):
-                yield f"EQ3.12[y={y}, n={n}, x^{k}]", g, w
 
 
 def eq3_14(total_order: int) -> Iterator[Check]:

@@ -199,14 +199,17 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     alpha - n.  Each weight prods[r] / (r! (n-r)!) is an exact Fraction
     unless x is a float; then an int product takes one int true division,
     correctly rounded as the Fraction's float is, and a float product
-    (float alpha) is scaled by the float 1 / (r! (n-r)!).  A float sum that
-    leaves the float range raises NumericError.
+    (float alpha) is scaled by the float 1 / (r! (n-r)!).  A float product
+    or sum that leaves the float range raises NumericError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
     prods = [1] * (n + 1)
     for r in range(n - 1, -1, -1):
         prods[r] = prods[r + 1] * (alpha + (r + 1))  # one rounding for a float alpha
+    if isinstance(prods[0], float) and not math.isfinite(prods[0]):
+        # A non-finite product stays so down to prods[0]; inf - inf would be NaN.
+        raise NumericError(f"float associated Laguerre of degree {n} overflows its Gamma product")
     fact = [1, *itertools.accumulate(range(1, n + 1), operator.mul)]
     inexact = not is_exact(x)
     total = 0

@@ -17,10 +17,9 @@ common denominator.  The kernels work on those ints; `Fraction` appears only
 at the public boundary, in the constructor's input, the `terms` view and the
 reduced values.
 
-`umb_exp` expands exp(argument) to order N.  An argument of m monomials
-whose keys are independent (see `umb_exp` for the rule) makes C(N+m, m)
-terms, each formed once from its multinomial weight; any other argument
-is expanded one power at a time.
+`umb_exp` expands exp(argument) to order N by multinomial weights, one
+pass per argument monomial, merging partial terms that share a key and a
+factor count.
 """
 
 from __future__ import annotations
@@ -64,23 +63,6 @@ def _check_cap(n_terms: int) -> None:
         raise TermBudgetExceeded(
             f"{n_terms} terms exceed the cap of {DEFAULT_TERM_CAP}"
         )
-
-
-def _product(left: dict[Key, int], right: list[tuple[Key, int]]) -> dict[Key, int]:
-    """Int numerators of a product, zeros kept; the cap is checked per left term."""
-    out: dict[Key, int] = {}
-    for (a1, a2, da), ca in left.items():
-        for (b1, b2, db), cb in right:
-            key = (a1 + b1, a2 + b2, da + db)
-            if key in out:
-                out[key] += ca * cb
-            else:
-                out[key] = ca * cb
-        if len(out) > DEFAULT_TERM_CAP:
-            raise TermBudgetExceeded(
-                f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
-            )
-    return out
 
 
 def _make(num: dict[Key, int], den: int, eden: int) -> "UmbralSeries":
@@ -197,8 +179,21 @@ class UmbralSeries:
         )
 
     def __mul__(self, other: "UmbralSeries") -> "UmbralSeries":
+        """The cap is checked per left term; zeros drop out in `_make`."""
         eden = math.lcm(self._eden, other._eden)
-        out = _product(_over(self, eden), list(_over(other, eden).items()))
+        right = list(_over(other, eden).items())
+        out: dict[Key, int] = {}
+        for (a1, a2, da), ca in _over(self, eden).items():
+            for (b1, b2, db), cb in right:
+                key = (a1 + b1, a2 + b2, da + db)
+                if key in out:
+                    out[key] += ca * cb
+                else:
+                    out[key] = ca * cb
+            if len(out) > DEFAULT_TERM_CAP:
+                raise TermBudgetExceeded(
+                    f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
+                )
         return _make(out, self._den * other._den, eden)
 
     def pow(self, exponent: int) -> "UmbralSeries":
@@ -284,64 +279,40 @@ def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
 
         sum_{|a|<=N} (N! / prod_i a_i!) prod_i n_i^(a_i) D^(N-|a|) M^a.
 
-    When the keys (e1, e2, d) of the M_i, each extended by a 1 for the
-    count, are linearly independent, distinct multi-indices a land on
-    distinct (key, |a|), and the sum is formed term by term: one pass per
-    monomial extends each partial term by j more factors at weight
-    C(N - |a|, j) n_i^j, the last pass also folding in (N - |a|)! D^(N-|a|).
-    That forms the C(N+m, m) terms once each (5,456 for EQ3.8's three
-    monomials at N = 30).  With dependent keys (c^k x for k = 1..6, say)
-    many multi-indices share a key, so the powers are formed one dict
-    product at a time instead and merged as they go; each key of each
-    power is then reached once per argument monomial.
+    One pass per monomial extends each partial term (key, |a|) by j more
+    factors at weight C(N - |a|, j) n_i^j; the last pass also folds in
+    (N - |a|)! D^(N-|a|).  Every later weight depends only on |a|, so
+    partial terms that land on the same (key, |a|) are merged exactly.
+    Independent keys merge nothing: EQ3.8's three monomials make their
+    C(N+3, 3) terms once each (5,456 at N = 30).
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     if _ONE in argument._num:
         raise DomainError("umb_exp needs the pure-scalar term split off first")
-    arg = list(argument._num.items())
+    if not argument._num:  # exp(0) = 1
+        return _make({_ONE: 1}, 1, argument._eden)
     den = argument._den
-    scale = den**order * math.factorial(order)
-    if arg and _independent([(*key, 1) for key, _ in arg]):
-        num = _exp_by_multi_index(arg, den, order)
-    else:
-        num = _exp_by_powers(arg, den, order, scale)
-    return _make(num, scale, argument._eden)
-
-
-def _independent(vectors: list[tuple[int, ...]]) -> bool:
-    """Whether the int vectors are linearly independent over the rationals."""
-    rows = [list(v) for v in vectors]
-    while rows:
-        pivot = rows.pop()
-        col = next((i for i, a in enumerate(pivot) if a), None)
-        if col is None:
-            return False
-        p = pivot[col]
-        rows = [[p * a - r[col] * b for a, b in zip(r, pivot)] for r in rows]
-    return True
-
-
-def _exp_by_multi_index(
-    arg: list[tuple[Key, int]], den: int, order: int
-) -> dict[Key, int]:
-    """umb_exp's numerators over D^N N!, one pass per argument monomial."""
-    states = [(0, 0, 0, 0, 1)]  # (e1, e2, d, used, multinomial * prod n^a)
+    *inner, ((v1, v2, vd), n) = argument._num.items()
+    states = {(0, 0, 0, 0): 1}  # (e1, e2, d, used): multinomial * prod n^a
     used = 0  # the largest count in states
-    *inner, ((v1, v2, vd), n) = arg
     for (b1, b2, bd), m in inner:
         powers = [m**j for j in range(order + 1)]
         rows = [  # C(N-u, j) m^j
             [math.comb(order - u, j) * powers[j] for j in range(order - u + 1)]
             for u in range(used + 1)
         ]
-        states = [
-            (a1 + j * b1, a2 + j * b2, d + j * bd, u + j, c * w)
-            for a1, a2, d, u, c in states
-            for j, w in enumerate(rows[u])
-        ]
-        _check_cap(len(states))
-        used = order
+        shifts = [(j * b1, j * b2, j * bd, j) for j in range(order + 1)]
+        out: dict[tuple[int, int, int, int], int] = {}
+        for (a1, a2, d, u), c in states.items():
+            for (s1, s2, sd, j), w in zip(shifts, rows[u]):
+                key = (a1 + s1, a2 + s2, d + sd, u + j)
+                if key in out:
+                    out[key] += c * w
+                else:
+                    out[key] = c * w
+        _check_cap(len(out))
+        states, used = out, order
     # The last pass folds in the tail: C(N-u, j) n^j (N-u-j)! D^(N-u-j),
     # from (N-u)! D^(N-u) at j = 0 by exact steps of n / (j D).
     tails = list(itertools.accumulate(range(1, order + 1), lambda t, k: t * k * den, initial=1))
@@ -353,7 +324,7 @@ def _exp_by_multi_index(
         rows.append(row)
     shifts = [(j * v1, j * v2, j * vd) for j in range(order + 1)]
     acc: dict[Key, int] = {}
-    for a1, a2, d, u, c in states:
+    for (a1, a2, d, u), c in states.items():
         for (s1, s2, sd), w in zip(shifts, rows[u]):
             key = (a1 + s1, a2 + s2, d + sd)
             if key in acc:
@@ -361,24 +332,4 @@ def _exp_by_multi_index(
             else:
                 acc[key] = c * w
         _check_cap(len(acc))
-    return acc
-
-
-def _exp_by_powers(
-    arg: list[tuple[Key, int]], den: int, order: int, scale: int
-) -> dict[Key, int]:
-    """umb_exp's numerators over scale = D^N N!, one dict product per power.
-
-    The k-th power's numerators are over D^k; each is added into the
-    accumulator at weight D^(N-k) N!/k!.
-    """
-    acc: dict[Key, int] = {_ONE: scale}
-    power: dict[Key, int] = {_ONE: 1}
-    weight = scale
-    for k in range(1, order + 1):
-        power = {key: c for key, c in _product(power, arg).items() if c}
-        weight //= den * k
-        for key, c in power.items():
-            acc[key] = acc.get(key, 0) + c * weight
-        _check_cap(len(acc))
-    return acc
+    return _make(acc, den**order * math.factorial(order), argument._eden)

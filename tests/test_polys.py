@@ -173,6 +173,7 @@ float_scalar = st.floats(min_value=-4.0, max_value=4.0)
     st.booleans(),
 )
 @example(12, 1 / 3, 0.5, 1, False)  # (alpha + 7) + 1 != alpha + 8 in floats
+@example(150, 0.5, 1.0, 1.0, False)  # a float Gamma product near the float range
 def test_assoc_laguerre_matches_the_fraction_loop(n, alpha, x, y, offset_by_n):
     if offset_by_n:
         alpha = alpha - n  # the negative offsets alpha - n of the diagonal
@@ -510,6 +511,9 @@ def test_float_rows_beyond_the_float_range_raise_numeric_error(args, cause):
         (lambda_poly, (1100, 1, 2, 2.0, 0.5), "out of range"),
         # (-1e200)^r passes it at r = 2.
         (assoc_laguerre, (3000, 0, 1e200, 1.0), "out of range"),
+        # Gamma(172.5) / Gamma(1.5) is inf, and the first two weights would
+        # give inf - inf = NaN for a true value of about 0.8170.
+        (assoc_laguerre, (171, 0.5, 1.0, 1.0), "overflows its Gamma product"),
     ],
 )
 def test_float_sums_beyond_the_float_range_raise_numeric_error(fn, args, cause):
@@ -534,7 +538,8 @@ def test_assoc_laguerre_diagonal_matches_exact_offsets():
 
 
 def test_assoc_laguerre_diagonal_stays_finite():
-    # The per-k float evaluation turns to -inf at k = 174 and NaN at 180.
+    # At alpha = 0.5 the per-k float evaluation overflows its Gamma product
+    # from k = 173 on.
     for alpha, x, y in ((0.5, 1.0, 1.0), (2.5, 0.5, 1.2), (1.5, 0.0, 1.0), (1.0, 2.0, 1.0)):
         diag = assoc_laguerre_diagonal(820, alpha, x, y)
         assert all(map(math.isfinite, diag))

@@ -133,6 +133,10 @@ def test_term_cap_is_read_at_call_time(monkeypatch):
         UmbralSeries({(F(k), F(0), 0): F(1) for k in range(4)})
     with pytest.raises(TermBudgetExceeded, match="exceed the cap of 3"):
         umb_exp(UmbralSeries.monomial(F(1), 1, x_degree=1), 5)
+    # Dependent keys: the partial terms of c1 + c1^2 + c1^3 pass the cap
+    # after the first monomial, before any of them merge.
+    with pytest.raises(TermBudgetExceeded, match="exceed the cap of 3"):
+        umb_exp(UmbralSeries({(F(k), F(0), 0): F(1) for k in range(1, 4)}), 5)
 
 
 def test_umb_exp_zero_argument():
@@ -347,25 +351,31 @@ def test_umb_exp_matches_per_power_reference(terms, order):
         ({(1, 0, 1): F(-3, 4), (0, 1, 1): F(5, 6), (1, 1, 1): F(-7, 8)}, 12),  # EQ3.8's
         ({(-1, 0, 1): F(2, 3), (F(1, 2), 1, 0): F(-1, 2), (0, 2, 2): F(3)}, 9),
         ({(1, 0, 0): F(1), (0, 1, 0): F(1), (1, 1, 0): F(1), (2, 1, 1): F(-1)}, 7),
+        # Key sets with and without repeats among their (key, count) sums:
+        ({(1, 0, 1): F(2), (0, 1, 1): F(-3), (1, 1, 1): F(1, 2)}, 10),
+        ({(1, 0, 0): F(1, 2), (2, 0, 0): F(-1, 3)}, 10),
+        ({(k, 0, 1): F(1, k) for k in range(1, 7)}, 10),
+        ({(1, 0, 0): F(1), (2, 0, 0): F(-2), (3, 0, 0): F(1, 3)}, 10),
+        ({(1, 0, 0): F(1), (0, 1, 0): F(2), (0, 0, 1): F(-1), (1, 1, 1): F(3)}, 6),
+        (
+            {
+                (1, 0, 0): F(1),
+                (0, 1, 0): F(2),
+                (0, 0, 1): F(-1),
+                (1, 1, 1): F(3),
+                (2, 0, 1): F(-1, 2),
+            },
+            6,
+        ),
+        ({(k, 0, 1): F(k, 7) for k in range(1, 7)}, 30),  # c1^k x, k = 1..6
+        ({(1, 0, 0): F(1), (2, 0, 0): F(1), (3, 0, 0): F(1)}, 30),  # c1 + c1^2 + c1^3
+        ({}, 0),  # the zero argument at order 0
+        ({(1, 0, 1): F(-2, 3)}, 0),  # one monomial
+        ({(1, 0, 1): F(-2, 3)}, 1),
     ],
 )
 def test_umb_exp_matches_per_power_reference_on_named_arguments(terms, order):
     _assert_exp_matches_per_power(terms, order)
-
-
-@pytest.mark.parametrize(
-    "keys, independent",
-    [
-        ([(1, 0, 1), (0, 1, 1), (1, 1, 1)], True),  # EQ3.8's argument
-        ([(1, 0, 0), (2, 0, 0)], True),  # c1 + c1^2: its counts tell the keys apart
-        ([(k, 0, 1) for k in range(1, 7)], False),  # c1^k x, k = 1..6
-        ([(1, 0, 0), (2, 0, 0), (3, 0, 0)], False),  # c1^2 c1^2 = c1 c1^3
-        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], True),
-        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 0, 1)], False),  # five in four
-    ],
-)
-def test_umb_exp_expands_by_multi_index_only_for_independent_counted_keys(keys, independent):
-    assert umbral_mod._independent([(*key, 1) for key in keys]) is independent
 
 
 @settings(max_examples=30, deadline=None)
