@@ -17,13 +17,11 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from .errors import DomainError, LacunaryError, UnknownIdentity
@@ -107,6 +105,8 @@ def _render_csv(document: dict) -> str:
     The columns are the keys of VerificationReport.to_dict(); the CLI never
     renders a report with no results.
     """
+    import csv
+
     run = document["run"]
     results = document["results"]
     buf = io.StringIO()
@@ -250,6 +250,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     run_info: dict = {"seed": settings["seed"]}
     if not settings["no_timestamp"]:
+        from datetime import datetime, timezone
+
         run_info["timestamp"] = datetime.now(timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         )

@@ -45,7 +45,7 @@ class FormalPowerSeries:
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = [_as_fraction(c) for c in coeffs]
         if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise DomainError("a series needs at least the constant coefficient")
         # The lcm of reduced denominators leaves the numerators coprime to it.
         den = math.lcm(*(c.denominator for c in cs))
         self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
@@ -108,7 +108,7 @@ class FormalPowerSeries:
     def shift(self, k: int) -> "FormalPowerSeries":
         """Multiply by t^k (keeps the truncation order)."""
         if k < 0:
-            raise ValueError("shift must be >= 0")
+            raise DomainError("shift must be >= 0")
         n = self.order
         return _make(
             [0] * min(k, n + 1) + list(self._num[: max(0, n + 1 - k)]), self._den
@@ -182,7 +182,7 @@ def fps_one(order: int) -> FormalPowerSeries:
 
 def fps_x(order: int, coefficient: Fraction | int = 1) -> FormalPowerSeries:
     if order < 1:
-        raise ValueError("order must be >= 1 to hold a linear term")
+        raise DomainError("order must be >= 1 to hold a linear term")
     c = _as_fraction(coefficient)
     return _make([0, c.numerator] + [0] * (order - 1), c.denominator)
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import DomainError, ExactnessViolation, NoSolution
 from ..polys import assoc_laguerre_xpoly
@@ -34,8 +33,7 @@ Key = tuple[int, int, int]  # (r-power d, t-power j, x-power a); y-power = step*
 Vector = tuple[list[int], int]  # (numerators, common denominator)
 
 
-@dataclass(frozen=True)
-class AuxPolynomial:
+class AuxPolynomial(NamedTuple):
     """Polynomial in r with (t, x, y)-monomial coefficients.
 
     null_basis spans the directions the fitting window leaves free: adding
@@ -296,8 +294,7 @@ def _s(g: Callable[[int, int], int], r: int, k: int) -> int:
     return sum(g(r, u) * math.comb(k, u) for u in range(k + 1))
 
 
-@dataclass(frozen=True)
-class _Template:
+class _Template(NamedTuple):
     """A lacunary template; r-degree step*m, t-degree m and superscript m follow."""
 
     step: int
@@ -550,7 +547,7 @@ def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
     printed, label = _PRINTED[derived.family, derived.m]
     if derived.coeffs == printed:
         return "exact_match", f"derived coefficients match {label} term by term"
-    if satisfies_template(replace(derived, coeffs=printed)):
+    if satisfies_template(derived._replace(coeffs=printed)):
         return (
             "same_weighted_sum",
             f"derived differs from {label} by a null combination of the "

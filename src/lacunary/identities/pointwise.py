@@ -22,9 +22,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ..errors import QuadratureFailure
 from ..polys import (
@@ -53,8 +52,7 @@ STABILITY_EXTRA = 10
 COMPLEX_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class PointOutcome:
+class PointOutcome(NamedTuple):
     label: str
     lhs: float
     rhs: float

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..errors import DomainError, ModeUnsupported, QuadratureFailure, UnknownIdentity
 from ..summation import SumControl
@@ -45,8 +44,7 @@ ExactRunner = Callable[[int, random.Random], Iterator[exact.Check]]
 QuadratureRunner = Callable[[float], Iterator["PointOutcome"]]
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     case_id: str
     paper_ref: str
     description: str

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one identity in one mode.
 
     max_abs_err and max_rel_err are exact zeros for coefficient checks that
@@ -21,7 +20,7 @@ class VerificationReport:
     max_abs_err: float
     max_rel_err: float
     passed: bool
-    notes: list[str] = field(default_factory=list)
+    notes: Sequence[str] = ()
 
     def to_dict(self) -> dict:
         """Field order here is the serialization order."""

@@ -12,6 +12,11 @@ so the float of the exact Fraction.  The per-index `lambda_poly` and
 `assoc_laguerre` are the definitional reference (`laguerre` is the latter at
 offset 0); `assoc_laguerre` also serves the right sides that expand over
 L_s^(s+a).
+
+The Laguerre-family kernels never return inf or NaN from a float path:
+when a value they would return is not finite, from an infinite or NaN input
+or from overflow, they raise NumericError instead.  The Hermite sequences
+are not covered by this rule.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, ExactnessViolation, NumericError
-from .scalars import Scalar, is_exact, rgamma, rgamma_exact
+from .scalars import Scalar, ensure_finite, is_exact, rgamma, rgamma_exact
 
 
 def _gamma_weight(arg: Scalar):
@@ -53,8 +58,7 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
 
     Equals the vacuum reduction of c^alpha (y - c^beta x)^n.  Exact when
     every input is exact; then alpha and beta must be integers, else
-    ExactnessViolation.  A float sum that leaves the float range raises
-    NumericError.
+    ExactnessViolation.  A float sum that is not finite raises NumericError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
@@ -68,7 +72,7 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
             total = total + w * g * (-x) ** r * y ** (n - r)
     except OverflowError as exc:
         raise NumericError(f"float lambda_poly of degree {n} overflows: {exc}") from exc
-    return total
+    return ensure_finite(total, f"float lambda_poly of degree {n}")
 
 
 def lambda_sequence(
@@ -90,8 +94,7 @@ def lambda_sequence(
     divides the binomial by (beta r + alpha)! in one int true division (the
     float of the exact Fraction); any other argument multiplies by rgamma.
     Products and sums keep lambda_poly's left-to-right order, so floats
-    agree bit for bit; a float row that leaves the float range raises
-    NumericError.
+    agree bit for bit; a float row that is not finite raises NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -126,9 +129,9 @@ def lambda_sequence(
                 w = c / g if isinstance(g, int) else c * g
                 total += w * powx[r] * powy[n - r]
             out.append(total)
+        return _finite(out, f"float lambda rows to degree {nmax}")
     except OverflowError as exc:
         raise NumericError(f"float lambda rows to degree {nmax} overflow: {exc}") from exc
-    return out
 
 
 def _pascal_rows(nmax: int, step: int):
@@ -144,6 +147,14 @@ def _pascal_rows(nmax: int, step: int):
 def _powers(base: int, nmax: int) -> list[int]:
     """[base^0, ..., base^nmax] (0^0 = 1)."""
     return [1, *itertools.accumulate(itertools.repeat(base, nmax), operator.mul)]
+
+
+def _finite(values: list, what: str) -> list:
+    """`values`, or NumericError when one of them is inf or NaN (v - v is 0
+    exactly when v is finite, for a complex v too)."""
+    if all(v - v == 0 for v in values):
+        return values
+    raise NumericError(f"non-finite value in {what}")
 
 
 def _row_dot(row: list[int], left: list[int], right: list[int]) -> int:
@@ -163,7 +174,8 @@ def assoc_laguerre_diagonal(
     This regroups assoc_laguerre(k, alpha - k, x, y): exact values when
     every input is exact, floats otherwise.  The per-k assoc_laguerre with
     a float alpha overflows its product and underflows its weights from
-    k = 173 up; both factors here stay finite.  With x = p/q, y = r/s and
+    k = 173 up; both factors here stay finite on finite inputs, and a float
+    row that is not finite raises NumericError.  With x = p/q, y = r/s and
     alpha = u/v, exact inputs scale b_m m! (v s)^m = prod_{j<m} (u - j v) r^m
     and e_r r! q^r = (-p)^r to ints over the common k! q^k (v s)^k.
     """
@@ -187,7 +199,8 @@ def assoc_laguerre_diagonal(
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
-    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
+    diagonal = [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
+    return _finite(diagonal, f"float diagonal Laguerre row to degree {kmax}")
 
 
 def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
@@ -200,7 +213,7 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     unless x is a float; then an int product takes one int true division,
     correctly rounded as the Fraction's float is, and a float product
     (float alpha) is scaled by the float 1 / (r! (n-r)!).  A float product
-    or sum that leaves the float range raises NumericError.
+    or sum that is not finite raises NumericError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
@@ -223,7 +236,7 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
             total = total + w * (-x) ** r * y ** (n - r)
     except OverflowError as exc:
         raise NumericError(f"float associated Laguerre of degree {n} overflows: {exc}") from exc
-    return total
+    return ensure_finite(total, f"float associated Laguerre of degree {n}")
 
 
 def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
@@ -265,6 +278,7 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     Exact inputs x = p/q, y = r/s and a = u/v run it on the ints
     M_n = n! (v q s)^n L_n^(a):
     M_{n+1} = (((2n+1) v + u) q r - v p s) M_n - n (n v + u) v q^2 r^2 M_{n-1}.
+    A float row that is not finite raises NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -290,6 +304,8 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
             (((2 * n + 1 + alpha) * y - x) * out[n] - (n + alpha) * y2 * out[n - 1])
             / (n + 1)
         )
+    # A non-finite value makes every later one so: the last one tells.
+    ensure_finite(out[-1], f"float Laguerre recurrence to degree {nmax}")
     return out
 
 

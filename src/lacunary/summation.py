@@ -9,25 +9,35 @@ once they are genuinely done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import NonConvergence, NumericError
+from .errors import DomainError, NonConvergence, NumericError
 
 CONSECUTIVE_SMALL = 3
 
 
-@dataclass(frozen=True)
-class SumControl:
-    max_terms: int = 400
-    rel_tol: float = 1e-14
+class _SumFields(NamedTuple):
+    max_terms: int
+    rel_tol: float
 
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
+
+class SumControl(_SumFields):
+    """Term budget and relative stop tolerance; DomainError outside their range."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_terms: int = 400, rel_tol: float = 1e-14) -> SumControl:
+        if max_terms < 1:
+            raise DomainError("max_terms must be positive")
+        if not (0.0 < rel_tol < 1.0):
+            raise DomainError("rel_tol must lie in (0, 1)")
+        return super().__new__(cls, max_terms, rel_tol)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SumControl:
+        """Validated like the constructor; `_replace` builds through this."""
+        return cls(*iterable)
 
 
 def _term_magnitude(term: complex | float) -> float:

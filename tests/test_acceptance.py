@@ -5,7 +5,6 @@ shows exactly which criterion broke and the printed transcript doubles as
 the acceptance record.  Tolerances here are contractual; do not loosen.
 """
 
-import dataclasses
 import importlib
 import json
 import math
@@ -210,10 +209,10 @@ def test_criterion_8_determinism_and_mutation(tmp_path, monkeypatch, capsys):
 
     def flipped(n_terms, scale, ctrl, _orig=case.numeric_runner):
         for row in _orig(n_terms, scale, ctrl):
-            yield dataclasses.replace(row, rhs=-row.rhs)
+            yield row._replace(rhs=-row.rhs)
 
     monkeypatch.setitem(
-        registry_mod._BY_ID, "EQ2.9", dataclasses.replace(case, numeric_runner=flipped)
+        registry_mod._BY_ID, "EQ2.9", case._replace(numeric_runner=flipped)
     )
     rc_broken = cli.main(["verify", "--all", "--seed", "7", "--no-timestamp"])
     doc = json.loads(capsys.readouterr().out)

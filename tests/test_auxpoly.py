@@ -4,7 +4,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -389,7 +388,7 @@ def test_evaluate_float_path_is_the_fraction_loop_bit_for_bit(family, m):
     # The EQ2.8 and EQ3.4 right sides pass an int r and float x, y, t.  The
     # fitted coefficients are integers; the copy over 7 rounds c r^d too.
     fitted = _derived(family, m)
-    sevenths = replace(fitted, coeffs={k: c / 7 for k, c in fitted.coeffs.items()})
+    sevenths = fitted._replace(coeffs={k: c / 7 for k, c in fitted.coeffs.items()})
     xs, ys, ts = (1.0, 0.6, 1.5, -0.7), (1.0, 0.8, 0.5, -1.3), (0.1, 0.2, 0.12, 0.08)
     for poly in (fitted, sevenths):
         for x, y, t in itertools.product(xs, ys, ts):
@@ -454,7 +453,7 @@ def test_corrupted_candidate_fails_template():
         coeffs=broken,
     )
     assert not satisfies_template(candidate, n_max=6)
-    assert not satisfies_template(replace(candidate, coeffs={}), n_max=6)
+    assert not satisfies_template(candidate._replace(coeffs={}), n_max=6)
 
 
 def test_m_must_be_an_int():

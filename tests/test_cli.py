@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,28 @@ def test_csv_report_parses(capsys):
     assert len(rows) == 3
     assert rows[1][2] == "EQ2.13"
     assert {row[9] for row in rows[1:]} == {"true"}
+
+
+STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
+
+
+def test_timestamped_report_carries_the_utc_run_time(capsys):
+    # Without --no-timestamp the run's UTC time, to the second, is in the
+    # JSON run block (after the seed) and in every CSV row.
+    start = datetime.now(timezone.utc).replace(microsecond=0)
+    code, out, _ = _run(capsys, "verify", "--id", "EQ2.13", "--mode", "exact")
+    assert code == 0
+    run = json.loads(out)["run"]
+    assert list(run) == ["seed", "timestamp", "config"]
+    assert STAMP.fullmatch(run["timestamp"])
+    stamped = datetime.strptime(run["timestamp"], "%Y-%m-%dT%H:%M:%SZ")
+    assert start <= stamped.replace(tzinfo=timezone.utc) <= datetime.now(timezone.utc)
+
+    code, out, _ = _run(capsys, "verify", "--id", "EQ2.13", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert all(STAMP.fullmatch(row[1]) for row in rows[1:])
 
 
 def test_nmax_override_reaches_reports(capsys):

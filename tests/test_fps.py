@@ -121,6 +121,15 @@ def test_exp_requires_zero_constant_term():
         FormalPowerSeries([1, 1]).exp()
 
 
+def test_malformed_constructions_raise_domain_error():
+    with pytest.raises(DomainError, match="constant coefficient"):
+        FormalPowerSeries([])
+    with pytest.raises(DomainError, match="shift"):
+        fps_one(3).shift(-1)
+    with pytest.raises(DomainError, match="linear term"):
+        fps_x(0)
+
+
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

@@ -61,34 +61,50 @@ def test_registry_is_the_function_whichever_module_loads_first():
 
 
 def _loaded_by(argv) -> set:
-    """The lacunary modules a fresh `cli.main(argv)` leaves loaded."""
+    """The modules a fresh `cli.main(argv)` leaves loaded, `lacunary.` stripped."""
     script = (
         "import contextlib, io, json, sys\n"
         "from lacunary import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({list(argv)!r}) == 0\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('lacunary.')]))\n"
+        "print(json.dumps(list(sys.modules)))\n"
     )
     return {m.removeprefix("lacunary.") for m in _fresh(script)}
+
+
+#: Standard modules that no command needs at start-up: `dataclasses` (which
+#: pulls in `inspect`) is not used, `csv` and `datetime` load only for a CSV
+#: or a timestamped report.
+_COLD = {"dataclasses", "inspect", "csv", "datetime"}
 
 
 @pytest.mark.parametrize(
     "argv, needed, unloaded",
     [
         (
-            ["verify", "--all", "--mode", "exact"],
+            ["verify", "--all", "--mode", "exact", "--no-timestamp"],
             {"identities.exact", "umbral", "fps"},
-            {"identities.pointwise", "specialfns", "identities.auxpoly"},
+            {"identities.pointwise", "specialfns", "identities.auxpoly", *_COLD},
         ),
         (
             ["verify", "--mode", "numeric", "--id", "EQ1.7"],
-            {"identities.pointwise", "specialfns"},
-            {"identities.auxpoly"},
+            {"identities.pointwise", "specialfns", "datetime"},
+            {"identities.auxpoly", "dataclasses", "inspect", "csv"},
         ),
         (
             ["derive-aux", "--family", "p", "--m", "1"],
             {"identities.auxpoly"},
-            {"identities.pointwise", "specialfns"},
+            {"identities.pointwise", "specialfns", *_COLD},
+        ),
+        (
+            ["verify", "--all", "--no-timestamp"],
+            {"identities.exact", "identities.pointwise", "identities.auxpoly"},
+            _COLD,
+        ),
+        (
+            ["verify", "--id", "EQ1.7", "--mode", "numeric", "--format", "csv"],
+            {"csv", "datetime"},
+            {"dataclasses", "inspect"},
         ),
     ],
 )

@@ -521,6 +521,28 @@ def test_float_sums_beyond_the_float_range_raise_numeric_error(fn, args, cause):
         fn(*args)
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        # The polys rule: a float path raises instead of returning inf or NaN.
+        (assoc_laguerre, (5, 0.5, INF, 1.0)),
+        (lambda_poly, (5, 0.5, 1, INF, 1.0)),
+        # L_n(1e10) passes the float range at n = 35; the recurrence then
+        # gives inf and NaN up to n = 2000.
+        (laguerre_sequence, (2000, 1e10)),
+        (assoc_laguerre_sequence, (3, 0.5, math.nan)),
+        (assoc_laguerre_diagonal, (10, 0.5, INF, 1.0)),
+        (lambda_sequence, (5, 0.5, 1, INF, 1.0)),
+    ],
+)
+def test_float_kernels_raise_instead_of_returning_non_finite_values(fn, args):
+    with pytest.raises(NumericError, match="non-finite value"):
+        fn(*args)
+
+
 def test_assoc_laguerre_diagonal_matches_exact_offsets():
     for alpha in (0.5, 2.5, 3.0, -1.25):
         for x, y in ((1.0, 1.0), (0.5, 2.0), (2.0, -0.75), (-1.5, 0.5), (0.0, 1.25)):

@@ -1,6 +1,5 @@
 """Case registry: lookup, mode dispatch, and report wiring."""
 
-import dataclasses
 import importlib
 import math
 import random
@@ -162,7 +161,7 @@ def test_case_descriptions_name_behavior():
 
 def _swap_runner(monkeypatch, case_id, **runner):
     case = get_case(case_id)
-    monkeypatch.setitem(registry_mod._BY_ID, case_id, dataclasses.replace(case, **runner))
+    monkeypatch.setitem(registry_mod._BY_ID, case_id, case._replace(**runner))
 
 
 def test_modes_follow_runners(monkeypatch):
@@ -196,7 +195,7 @@ def test_exact_mismatch_fails_and_names_its_label(monkeypatch):
 def test_numeric_budget_overrun_fails_with_small_error(monkeypatch, field):
     # The two sides agree exactly; only the series budget is blown.
     bad = PointOutcome("P[bad]", 2.0, 2.0, 0.0, 0.0)
-    bad = dataclasses.replace(bad, **{field: 1e-6})
+    bad = bad._replace(**{field: 1e-6})
 
     def runner(n_terms, scale, ctrl):
         yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
@@ -213,7 +212,7 @@ def test_numeric_budget_overrun_fails_with_small_error(monkeypatch, field):
 @pytest.mark.parametrize("field", ["lhs", "tail", "drift"])
 def test_numeric_nan_fails_the_report(monkeypatch, field):
     nan = float("nan")
-    bad = dataclasses.replace(PointOutcome("P[nan]", 1.0, 1.0, 0.0, 0.0), **{field: nan})
+    bad = PointOutcome("P[nan]", 1.0, 1.0, 0.0, 0.0)._replace(**{field: nan})
 
     def runner(n_terms, scale, ctrl):
         yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)

@@ -19,6 +19,10 @@ submodule) honest: every entry names a module-level definition of its
 submodule, and `__all__` is the eagerly imported names plus the table's.
 A table entry is no read of its name, so the third rule still flags a
 public name that only a table lists.
+
+One more keeps start-up cheap: no module imports `dataclasses`, whose import
+pulls in `inspect`, `ast`, `dis` and `tokenize` in every process that
+loads it; the records are `typing.NamedTuple`s.
 """
 
 import ast
@@ -89,6 +93,21 @@ def _redundant_local_imports(name: str, tree: ast.Module) -> list[str]:
     )
 
 
+def _imports_of(name: str, tree: ast.Module, banned: str) -> list[str]:
+    """`module:line` for each import, at any depth, of module `banned`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == banned or m.startswith(banned + ".") for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def _definitions(tree: ast.Module, public: bool):
     """(name, defining node) for each module-level binding, the public ones
     or the _private ones; dunder names are neither."""
@@ -151,6 +170,13 @@ def test_every_import_is_used():
 def test_no_function_repeats_a_module_level_import():
     found = [
         entry for name, tree in TREES.items() for entry in _redundant_local_imports(name, tree)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        entry for name, tree in TREES.items() for entry in _imports_of(name, tree, "dataclasses")
     ]
     assert found == []
 
@@ -242,3 +268,11 @@ def test_the_checks_catch_dead_code():
     assert _unreferenced(package, public=True) == ["toy.py:12 x", "toy.py:15 lazy"]
     test = {"tests/test_toy.py": ast.parse("from toy import lazy\nx = 1\n")}
     assert _unreferenced(package, test, public=True) == ["toy.py:12 x"]
+    # Every spelling of a dataclasses import is found, a lazy one included;
+    # a relative import of a sibling that shares the name is not.
+    records = ast.parse(
+        "import dataclasses\nfrom dataclasses import replace\nfrom . import dataclasses\n\n\n"
+        "def f():\n    import os, dataclasses as dc\n"
+    )
+    found = _imports_of("toy.py", records, "dataclasses")
+    assert found == ["toy.py:1", "toy.py:2", "toy.py:7"]

@@ -5,7 +5,7 @@ from itertools import cycle
 
 import pytest
 
-from lacunary import NonConvergence, SumControl, sum_series, sum_shells
+from lacunary import DomainError, NonConvergence, SumControl, sum_series, sum_shells
 
 
 def _exp_terms(x=1.0):
@@ -78,7 +78,13 @@ def test_sum_shells_groups_by_order():
 
 
 def test_control_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SumControl(max_terms=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SumControl(rel_tol=2.0)
+    with pytest.raises(DomainError):
+        SumControl(rel_tol=math.nan)
+    # A changed copy is checked the same way.
+    assert SumControl()._replace(max_terms=5) == SumControl(5)
+    with pytest.raises(DomainError):
+        SumControl()._replace(max_terms=0)
