@@ -162,16 +162,18 @@ class FormalPowerSeries:
 
         Horner on numerators: with inner = I/Di, A <- A*I + S_k Di^(n-k)
         from the top coefficient down leaves self(inner) = A / (Ds Di^n).
+        The A of level k is multiplied by I k more times, and I_0 = 0, so
+        only its orders <= n - k reach the result: each level stops there.
         """
         if inner._num[0] != 0:
             raise DomainError("compose needs inner constant term zero")
         n = min(self.order, inner.order)
         rest = inner._num[1 : n + 1]  # I_1..I_n; I_0 = 0 drops from A*I
-        acc = [0] * (n + 1)
+        acc: list[int] = []
         for k in range(n, -1, -1):
             # [t^m] of A*I is sum_{i<m} A_i I_{m-i}.
             acc = [self._num[k] * inner._den ** (n - k)] + [
-                sum(map(mul, acc[:m], rest[m - 1 :: -1])) for m in range(1, n + 1)
+                sum(map(mul, acc[:m], rest[m - 1 :: -1])) for m in range(1, n - k + 1)
             ]
         return _make(acc, self._den * inner._den**n)
 

@@ -165,6 +165,14 @@ def _half_pochhammer_weights(t: float, b: float, top: int) -> list[float]:
 # -- two-index family generating functions ----------------------------------
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _lambda_rows(top: int, alpha, beta, x: float, y: float) -> tuple[float, ...]:
+    """lambda_sequence(top, alpha, beta, x, y), built once for the grid points
+    EQ1.7 and EQ1.9 share.  Typed keys: an int and a float alpha or beta take
+    different weight paths."""
+    return tuple(lambda_sequence(top, alpha, beta, x, y))
+
+
 @_engine("EQ1.7", (
     {"alpha": 0.5, "beta": 1, "x": 1.0, "y": 1.0, "t": 0.3},
     {"alpha": 1, "beta": 2, "x": 2.0, "y": 0.5, "t": -0.4},
@@ -173,7 +181,7 @@ def _half_pochhammer_weights(t: float, b: float, top: int) -> list[float]:
 ))
 def eq1_7(g, t, top, ctrl):
     alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
-    seq = lambda_sequence(top, alpha, beta, x, y)
+    seq = _lambda_rows(top, alpha, beta, x, y)
     fac = _egf_factors(t, top)
     rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
     return fac, seq, rhs
@@ -187,7 +195,7 @@ def eq1_7(g, t, top, ctrl):
 ))
 def eq1_9(g, t, top, ctrl):
     alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
-    seq = lambda_sequence(top, alpha, beta, x, y)
+    seq = _lambda_rows(top, alpha, beta, x, y)
     rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
         1.0 - t * y
     )

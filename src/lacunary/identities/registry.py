@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from ..errors import DomainError, ModeUnsupported, QuadratureFailure, UnknownIdentity
+from ..errors import DomainError, ModeUnsupported, NumericError, UnknownIdentity
 from ..summation import SumControl
 from . import exact
 from .report import VerificationReport
@@ -355,8 +355,9 @@ def _tally(
     """Apply `rule` to every streamed row and condense the verdicts.
 
     rule(row) gives (abs_err, rel_err, failure label or None).  A
-    QuadratureFailure mid-stream fails the report but keeps the rows
-    tallied so far; any other error propagates.
+    NumericError mid-stream (a QuadratureFailure, or a float kernel's
+    overflow) fails the report but keeps the rows tallied so far; any other
+    error propagates.
     """
     count = 0
     failures = []
@@ -370,7 +371,7 @@ def _tally(
             max_rel = _worse(max_rel, rel_err)
             if failure is not None:
                 failures.append(failure)
-    except QuadratureFailure as exc:
+    except NumericError as exc:
         failures.append(str(exc))
     notes = list(case.notes)
     if failures:

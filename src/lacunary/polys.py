@@ -13,10 +13,14 @@ so the float of the exact Fraction.  The per-index `lambda_poly` and
 offset 0); `assoc_laguerre` also serves the right sides that expand over
 L_s^(s+a).
 
-The Laguerre-family kernels never return inf or NaN from a float path:
-when a value they would return is not finite, from an infinite or NaN input
-or from overflow, they raise NumericError instead.  The Hermite sequences
-are not covered by this rule.
+The Laguerre-family kernels and `hermite_coeff_sequence` never return inf
+or NaN from a float path: when a value they would return is not finite,
+from an infinite or NaN input or from overflow, they raise NumericError
+instead.  `hermite_h_sequence` is exempt: the right sides of EQ2.7, EQ3.1
+and EQ3.3 read only a convergent prefix of a table sized to the summation
+budget, and on registered grid points its far end is inf or NaN
+(hermite_h_sequence(400, 0.5j) from degree 266 on), so a raise there would
+fail reports that pass.
 """
 
 from __future__ import annotations
@@ -89,12 +93,17 @@ def lambda_sequence(
 
         sum_r C(n,r) (F / (beta r + alpha)!) (-p s)^r (q r)^(n-r) / (F (q s)^n),
 
-    summed on ints, a term with beta r + alpha < 0 being 0.  For float
-    inputs, as in _gamma_weight, a positive int argument beta r + 1 + alpha
-    divides the binomial by (beta r + alpha)! in one int true division (the
-    float of the exact Fraction); any other argument multiplies by rgamma.
-    Products and sums keep lambda_poly's left-to-right order, so floats
-    agree bit for bit; a float row that is not finite raises NumericError.
+    summed on ints, a term with beta r + alpha < 0 being 0; the factorials
+    come from one running product.  For float inputs the weight kind is
+    chosen once per call.  With int alpha and beta every argument
+    beta r + 1 + alpha is an int: the binomial is divided by (beta r + alpha)!
+    in one int true division (the float of the exact Fraction, as in
+    _gamma_weight), and at a pole by inf, which gives the +0.0 (or the
+    OverflowError) of multiplying by rgamma there.  Otherwise every binomial
+    is multiplied by its _gamma_weight, exact for an integral Fraction
+    argument, as in lambda_poly.  Products and sums keep lambda_poly's
+    left-to-right order, so floats agree bit for bit when x is a float; a
+    float row that is not finite raises NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -104,34 +113,47 @@ def lambda_sequence(
     if all(map(is_exact, (alpha, beta, x, y))):
         alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
         args = [beta * r + alpha for r in range(nmax + 1)]
-        top = math.factorial(max(0, *args))
-        weights = [top // math.factorial(a) if a >= 0 else 0 for a in args]
+        fact = _factorials(args)
+        top = fact[max(0, *args)]
+        weights = [top // fact[a] if a >= 0 else 0 for a in args]
         ps, qs = -x.numerator * y.denominator, x.denominator * y.denominator
         scaled = list(map(operator.mul, weights, _powers(ps, nmax)))
         powy = _powers(x.denominator * y.numerator, nmax)
         rows = _pascal_rows(nmax, step)
         return [Fraction(_row_dot(row, scaled, powy), top * qs**n) for n, row in rows]
-    weights = []  # the factorial divisor (int) or rgamma
-    for r in range(nmax + 1):
-        arg = beta * r + 1 + alpha
-        if isinstance(arg, int) and arg > 0:
-            weights.append(math.factorial(arg - 1))
-        else:
-            weights.append(rgamma(arg))
+    divide = isinstance(alpha, int) and isinstance(beta, int)
+    if divide:
+        args = [beta * r + alpha for r in range(nmax + 1)]
+        fact = _factorials(args)
+        weights = [fact.get(a, math.inf) for a in args]
+    else:
+        weights = [_gamma_weight(beta * r + 1 + alpha) for r in range(nmax + 1)]
     try:
         powx = [(-x) ** r for r in range(nmax + 1)]
         powy = [y**k for k in range(nmax + 1)]
         out = []
         for n, row in _pascal_rows(nmax, step):
+            terms = zip(row, weights, powx, reversed(powy[: n + 1]))
             total = 0
-            for r, c in enumerate(row):
-                g = weights[r]
-                w = c / g if isinstance(g, int) else c * g
-                total += w * powx[r] * powy[n - r]
+            if divide:
+                for c, f, px, py in terms:
+                    total += c / f * px * py
+            else:
+                for c, g, px, py in terms:
+                    total += c * g * px * py
             out.append(total)
         return _finite(out, f"float lambda rows to degree {nmax}")
     except OverflowError as exc:
         raise NumericError(f"float lambda rows to degree {nmax} overflow: {exc}") from exc
+
+
+def _factorials(args: list[int]) -> dict[int, int]:
+    """{a: a!} for every a >= 0 in args and for max(0, *args), read off one
+    running product 0!, 1!, ... (one multiply per factorial)."""
+    top = max(0, *args)
+    wanted = {top, *args}
+    prods = itertools.accumulate(range(1, top + 1), operator.mul, initial=1)
+    return {k: f for k, f in enumerate(prods) if k in wanted}
 
 
 def _pascal_rows(nmax: int, step: int):
@@ -199,7 +221,10 @@ def assoc_laguerre_diagonal(
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
-    diagonal = [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
+    diagonal = [
+        sum(map(operator.mul, e[: k + 1], reversed(b[: k + 1])))
+        for k in range(0, kmax + 1, step)
+    ]
     return _finite(diagonal, f"float diagonal Laguerre row to degree {kmax}")
 
 
@@ -243,7 +268,9 @@ def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
     """[t^n] exp(sum_s x_s t^s) for n = 0..nmax, i.e. H_n^(m)/n!.
 
     Uses the derivative recurrence (n+1) c_{n+1} = sum_s s x_s c_{n+1-s};
-    numerically tamer than the factorially-growing H_n themselves.
+    numerically tamer than the factorially-growing H_n themselves.  Every
+    term holds x_1 c_n, so a value that is not finite makes every later one
+    so: a float row whose last value is not finite raises NumericError.
     """
     if m < 1:
         raise DomainError("order m must be >= 1")
@@ -256,6 +283,7 @@ def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
         for s in range(1, min(m, n + 1) + 1):
             acc = acc + s * xs[s - 1] * coeffs[n + 1 - s]
         coeffs.append(acc / (n + 1))
+    _finite(coeffs[-1:], f"Hermite coefficients to degree {nmax}")
     return coeffs
 
 

@@ -308,11 +308,29 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
     assert done.stderr == ""
 
 
+OVERFLOW = "float lambda rows to degree 1110 overflow"
+
+
 @pytest.mark.parametrize("case_id", ["EQ1.7", "EQ1.9"])
 def test_float_overflow_at_large_nmax_is_a_typed_error(capsys, case_id):
+    # The kernel's NumericError fails the case's own report.
     code, out, err = _run(capsys, "verify", "--id", case_id, "--mode", "numeric", "--nmax", "1100")
-    assert code == 1 and not out
-    assert err.startswith("error: NumericError: float lambda rows to degree 1110 overflow")
+    assert code == 1 and not err
+    (result,) = json.loads(out)["results"]
+    assert result["pass"] is False and result["grid_size"] == 0
+    assert result["notes"][-1].startswith(f"failed points: {OVERFLOW}")
+
+
+def test_numeric_error_in_one_case_keeps_the_other_reports(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--id", "EQ2.7", "--id", "EQ1.7",
+        "--mode", "numeric", "--nmax", "1100", "--no-timestamp",
+    )
+    assert code == 1 and not err
+    eq2_7, eq1_7 = json.loads(out)["results"]
+    assert (eq2_7["id"], eq2_7["pass"], eq2_7["grid_size"]) == ("EQ2.7", True, 4)
+    assert (eq1_7["id"], eq1_7["pass"]) == ("EQ1.7", False)
+    assert OVERFLOW in eq1_7["notes"][-1]
 
 
 def test_derive_aux_reports_matches(capsys):

@@ -13,6 +13,7 @@ from lacunary import (
     fps_one,
     fps_x,
     laguerre,
+    rgamma_exact,
 )
 
 F = Fraction
@@ -167,6 +168,7 @@ def test_one_is_multiplicative_identity():
 # -- integer kernels against the Fraction oracle -------------------------------
 
 dense = st.lists(small_fractions, min_size=1, max_size=12)
+orders_0_to_12 = st.lists(small_fractions, min_size=1, max_size=13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +185,7 @@ def test_kernels_match_oracle(a, b, factor):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense, dense)
+@given(orders_0_to_12, orders_0_to_12)
 def test_exp_and_compose_match_oracle(a, b):
     zero_const = [F(0)] + b[1:]
     inner = FormalPowerSeries(zero_const)
@@ -211,3 +213,17 @@ def test_equal_values_are_equal_series(a, b):
     assert (sa == sb) == (tuple(a) == tuple(b))
     doubled = sa.scale(2).scale(F(1, 2))
     assert doubled == sa and hash(doubled) == hash(sa)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, x, y", [(0, 1, F(1), F(1)), (1, 2, F(1, 2), F(1)), (2, 3, F(2, 3), F(-1, 2))]
+)
+def test_compose_matches_the_full_order_horner_on_eq1_9(alpha, beta, x, y):
+    # EQ1.9's exact right side at order 30: sum_r t^r / Gamma(beta r + alpha
+    # + 1) composed with -x t / (1 - y t).  compose stops level k of its
+    # Horner at order 30 - k; _o_compose carries every level to order 30.
+    order = 30
+    outer = [rgamma_exact(beta * r + alpha + 1) for r in range(order + 1)]
+    inner = fps_geometric(order, y) * fps_x(order, -x)
+    composed = FormalPowerSeries(outer).compose(inner)
+    assert composed.coeffs == tuple(_o_compose(outer, list(inner.coeffs)))

@@ -234,3 +234,37 @@ def test_engine_sums_weights_times_row_and_rejects_a_short_side(short):
     else:
         with pytest.raises(IndexError):
             list(toy(5, 1.0, CTRL))
+
+
+def test_eq1_7_and_eq1_9_build_their_shared_rows_once(monkeypatch):
+    # The first two grid points of EQ1.7 and EQ1.9 have the same
+    # (alpha, beta, x, y): 4 + 2 tables, not 4 + 4.
+    calls = []
+    lambda_sequence = pointwise.lambda_sequence
+
+    def counting(*args):
+        calls.append(args)
+        return lambda_sequence(*args)
+
+    monkeypatch.setattr(pointwise, "lambda_sequence", counting)
+    pointwise._lambda_rows.cache_clear()
+    try:
+        assert check_pointwise("EQ1.7").passed and check_pointwise("EQ1.9").passed
+    finally:
+        pointwise._lambda_rows.cache_clear()
+    assert len(calls) == 6
+
+
+def test_shared_rows_are_keyed_by_type():
+    # int 1 divides by factorials and float 1.0 multiplies by rgamma; the
+    # two tables differ in some bits, so one must not stand in for the other.
+    pointwise._lambda_rows.cache_clear()
+    try:
+        for alpha in (1, 1.0):
+            fresh = pointwise.lambda_sequence(70, alpha, 2, 2.0, 0.5)
+            rows = pointwise._lambda_rows(70, alpha, 2, 2.0, 0.5)
+            assert type(rows) is tuple
+            assert [v.hex() for v in rows] == [v.hex() for v in fresh]
+        assert pointwise._lambda_rows.cache_info().currsize == 2
+    finally:
+        pointwise._lambda_rows.cache_clear()

@@ -446,8 +446,15 @@ def test_sequences_float_path_is_stable():
 
 
 coord = st.floats(min_value=-3.0, max_value=3.0) | st.just(0.0)
+# Int alpha and beta divide by factorials (by inf at the poles of a negative
+# alpha); a float alpha, 1.0 included, multiplies by rgamma; a Fraction alpha
+# with float x multiplies by the exact weight wherever its argument is
+# integral, as lambda_poly does.
 float_draw = st.tuples(
-    st.integers(min_value=-3, max_value=3) | st.floats(min_value=-2.5, max_value=3.0),
+    st.integers(min_value=-6, max_value=3)
+    | st.floats(min_value=-2.5, max_value=3.0)
+    | st.just(1.0)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=2),
     st.integers(min_value=1, max_value=3),
     coord,
     coord,
@@ -468,6 +475,10 @@ exact_draw = st.tuples(
     st.integers(min_value=0, max_value=60),
     st.sampled_from((1, 2, 3)),
 )
+@example((-4, 2, 0.7, -1.3), 40, 1)  # poles at r = 0, 1
+@example((F(3, 2), 2, 0.7, 1.3), 40, 1)
+@example((F(2), 1, 0.7, 1.3), 40, 1)  # every Gamma argument integral
+@example((1.0, 2, 2.0, 0.5), 40, 1)  # int-valued, but a float: rgamma
 def test_lambda_sequence_is_lambda_poly_bit_for_bit(draw, nmax, step):
     alpha, beta, x, y = draw
     seq = lambda_sequence(nmax, alpha, beta, x, y, step)
@@ -536,6 +547,7 @@ INF = math.inf
         (assoc_laguerre_sequence, (3, 0.5, math.nan)),
         (assoc_laguerre_diagonal, (10, 0.5, INF, 1.0)),
         (lambda_sequence, (5, 0.5, 1, INF, 1.0)),
+        (hermite_coeff_sequence, (2, 5, [INF, 1.0])),
     ],
 )
 def test_float_kernels_raise_instead_of_returning_non_finite_values(fn, args):
@@ -557,6 +569,31 @@ def test_assoc_laguerre_diagonal_matches_exact_offsets():
             for k, value in enumerate(diag):
                 want = assoc_laguerre(k, alpha - k, x, y)
                 assert value == want and type(value) is Fraction, (alpha, x, y, k)
+
+
+def _diagonal_generator_sum(kmax, alpha, x, y, step):
+    """The float assoc_laguerre_diagonal as a per-k generator sum over its
+    factor tables: the reference for the map over the reversed slice."""
+    kmax -= kmax % step
+    b, e = [1.0], [1.0]
+    for m in range(kmax):
+        b.append(b[m] * (alpha - m) / (m + 1) * y)
+        e.append(e[m] * -x / (m + 1))
+    return [sum(e[r] * b[k - r] for r in range(k + 1)) for k in range(0, kmax + 1, step)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=0, max_value=200),
+    st.sampled_from((1, 2, 3)),
+)
+def test_float_diagonal_is_the_generator_sum_bit_for_bit(alpha, x, y, kmax, step):
+    diag = assoc_laguerre_diagonal(kmax, alpha, x, y, step)
+    want = _diagonal_generator_sum(kmax, alpha, x, y, step)
+    assert [v.hex() for v in diag] == [v.hex() for v in want]
 
 
 def test_assoc_laguerre_diagonal_stays_finite():

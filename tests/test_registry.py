@@ -240,13 +240,27 @@ def test_numeric_relative_error_is_reported_before_budgets(monkeypatch):
     assert report.notes[-1] == "failed points: P[off] rel=3.333e-01"
 
 
-def test_numeric_nonconvergence_propagates(monkeypatch):
+def test_numeric_error_fails_its_own_report(monkeypatch):
+    # A NumericError (here NonConvergence) fails the report it arises in and
+    # keeps the rows tallied so far, as a QuadratureFailure does.
     def runner(n_terms, scale, ctrl):
         yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
         raise NonConvergence("no convergence")
 
     _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
-    with pytest.raises(NonConvergence):
+    report = check_pointwise("EQ2.13")
+    assert not report.passed
+    assert report.grid_size == 1
+    assert report.notes[-1] == "failed points: no convergence"
+
+
+def test_other_typed_errors_still_propagate(monkeypatch):
+    def runner(n_terms, scale, ctrl):
+        yield PointOutcome("P[ok]", 1.0, 1.0, 0.0, 0.0)
+        raise DomainError("bad grid")
+
+    _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
+    with pytest.raises(DomainError, match="bad grid"):
         check_pointwise("EQ2.13")
 
 
