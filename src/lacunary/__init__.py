@@ -36,7 +36,9 @@ from .polys import (
     assoc_laguerre_sequence,
     assoc_laguerre_xpoly,
     hermite_coeff_sequence,
+    hermite_coeffs,
     hermite_h_sequence,
+    hermite_h_values,
     lacunary_decomposition,
     laguerre,
     laguerre_sequence,

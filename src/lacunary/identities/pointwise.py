@@ -30,8 +30,8 @@ from ..polys import (
     assoc_laguerre,
     assoc_laguerre_diagonal,
     assoc_laguerre_sequence,
-    hermite_coeff_sequence,
-    hermite_h_sequence,
+    hermite_coeffs,
+    hermite_h_values,
     laguerre_sequence,
     lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
     lambda_sequence,
@@ -134,10 +134,14 @@ def __getattr__(name: str):
     return derive_aux_polynomial
 
 
-def _bridge_sum(p, x: float, y: float, t: float, c: list, ctrl: SumControl) -> float:
-    """sum_r p(r; x, y, t) c_r / (r + shift)! for a bridge polynomial p."""
+def _bridge_sum(p, x: float, y: float, t: float, coeffs, ctrl: SumControl) -> float:
+    """sum_r p(r; x, y, t) c_r / (r + shift)! for a bridge polynomial p and
+    the coefficients c_0, c_1, ... read from the iterable `coeffs`."""
     shift = p.factorial_shift
-    terms = (float(p.evaluate(r, x, y, t)) * c[r] * rgamma(r + shift + 1.0) for r in count())
+    terms = (
+        float(p.evaluate(r, x, y, t)) * c * rgamma(r + shift + 1.0)
+        for r, c in enumerate(coeffs)
+    )
     return sum_series(terms, ctrl)[0]
 
 
@@ -241,13 +245,12 @@ def eq2_7(g, t, top, ctrl):
     seq = laguerre_sequence(2 * top, x)
     fac = _egf_factors(t, top)
     st = math.sqrt(t)
-    hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
     u = 1j * x * st
 
     def rhs_terms() -> Iterator[complex]:
         p = 1.0 + 0.0j
-        for r in count():
-            yield p * hs[r]
+        for r, h in enumerate(hermite_h_values(1j * st)):
+            yield p * h
             p *= u / ((r + 1) * (r + 1))
 
     total, _ = sum_series(rhs_terms(), ctrl)
@@ -265,7 +268,7 @@ def eq2_8(g, t, top, ctrl):
     m, x, y = g["m"], g["x"], g["y"]
     seq = assoc_laguerre_sequence(2 * top, m, x, y)
     fac = _egf_factors(t, top)
-    c2 = hermite_coeff_sequence(2, ctrl.max_terms, (-2.0 * x * y * t, t * x * x))
+    c2 = hermite_coeffs(2, (-2.0 * x * y * t, t * x * x))
     rhs = math.exp(t * y * y) * _bridge_sum(_aux("p", m), x, y, t, c2, ctrl)
     return fac, seq[::2], rhs
 
@@ -369,13 +372,12 @@ def eq3_1(g, t, top, ctrl):
     seq = laguerre_sequence(2 * top + l, x)
     fac = _egf_factors(t, top)
     st = math.sqrt(t)
-    hs = hermite_h_sequence(ctrl.max_terms, 1j * st)
     u = 1j * x * st
 
     def rhs_terms() -> Iterator[complex]:
         p = 1.0 + 0.0j
-        for r in count():
-            yield p * float(assoc_laguerre(l, r, x)) * hs[r] / math.factorial(l + r)
+        for r, h in enumerate(hermite_h_values(1j * st)):
+            yield p * float(assoc_laguerre(l, r, x)) * h / math.factorial(l + r)
             p *= u / (r + 1)
 
     total, _ = sum_series(rhs_terms(), ctrl)
@@ -393,17 +395,18 @@ def eq3_3(g, t, top, ctrl):
     seq = laguerre_sequence(3 * top + l, x)
     fac = _egf_factors(t, top)
     s3t = math.sqrt(3.0 * t)
-    hs = hermite_h_sequence(ctrl.max_terms, 1j * s3t / 2.0)
     u = 1j * x * s3t
-    upow = [1.0 + 0.0j]
-    for k in range(ctrl.max_terms):
-        upow.append(upow[-1] * u / (k + 1))  # u^k / k!
-    b = [1.0]
-    for r in range(ctrl.max_terms // 3 + 1):
-        b.append(b[-1] * (-t * x**3) / (r + 1))  # (-t x^3)^r / r!
 
     def rhs_terms() -> Iterator[complex]:
-        for n in range(ctrl.max_terms + 1):
+        # The term of index n reads hs[k] and upow[k] = u^k / k! for k <= n
+        # and b[r] = (-t x^3)^r / r! for r <= n // 3: each table grows as n does.
+        hs, upow, b = [], [1.0 + 0.0j], [1.0]
+        for n, h in zip(range(ctrl.max_terms + 1), hermite_h_values(1j * s3t / 2.0)):
+            hs.append(h)
+            if n:
+                upow.append(upow[-1] * u / n)
+            if n // 3 == len(b):
+                b.append(b[-1] * (-t * x**3) / len(b))
             inner = 0.0 + 0.0j
             for r in range(n // 3 + 1):
                 inner += b[r] * upow[n - 3 * r] * hs[n - 3 * r]
@@ -423,9 +426,7 @@ def eq3_4(g, t, top, ctrl):
     x = g["x"]
     seq = assoc_laguerre_sequence(3 * top, 1, x)
     fac = _egf_factors(t, top)
-    c3 = hermite_coeff_sequence(
-        3, ctrl.max_terms, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3)
-    )
+    c3 = hermite_coeffs(3, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3))
     rhs = math.exp(t) * _bridge_sum(_aux("q", 1), x, 1.0, t, c3, ctrl)
     return fac, seq[::3], rhs
 
@@ -569,22 +570,40 @@ _BOREL_XS = (0.0, 1.0, 2.0, 3.0)
 _NEWTON_STEPS = 16
 
 
+def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
+    """z -> (L_{n-1}(z), L_n(z)) for n >= 1, by laguerre_sequence's recurrence
+    at offset 0 and y = 1 keeping two values.  Its factors are the floats of
+    2k+1, k and k+1, so ((2k+1+0.0)*1.0 - z) L_k - (k+0.0)*1.0 L_{k-1} there
+    is the same float as (float(2k+1) - z) L_k - float(k) L_{k-1} here."""
+    steps = [(2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, n)]
+
+    def pair(z: float) -> tuple[float, float]:
+        prev, cur = 1.0, 1.0 - z
+        for odd, k, k1 in steps:
+            prev, cur = cur, ((odd - z) * cur - k * prev) / k1
+        return prev, cur
+
+    return pair
+
+
 @functools.lru_cache(maxsize=None)
 def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """n-point Gauss-Laguerre rule for the weight e^-x on [0, inf).
 
     Each node is Newton's method on L_n, using L_n' = n (L_n - L_{n-1}) / z,
     from the Stroud-Secrest starting guess (Numerical Recipes' gaulag at
-    alpha = 0); it stops one step after |dz| <= 1e-13 z, and a node that
-    has not stopped within _NEWTON_STEPS raises QuadratureFailure.  The
-    weight is the Christoffel number 1 / sum_{k<n} L_k(x)^2 (the L_k are
-    orthonormal for e^-x), read off the last Newton evaluation: that step
+    alpha = 0); a step reads only (L_{n-1}, L_n) from _laguerre_pair(n).  It
+    stops one step after |dz| <= 1e-13 z, and a node that has not stopped
+    within _NEWTON_STEPS raises QuadratureFailure.  That last step reads the
+    row laguerre_sequence(n, z) for the weight, the Christoffel number
+    1 / sum_{k<n} L_k(x)^2 (the L_k are orthonormal for e^-x): the step
     moved the node by rounding only, and unlike x / ((n+1) L_{n+1}(x))^2
     this form does not amplify the rounding of the nodes near the origin.
     The weights are then divided by their sum, as numpy's laggauss does.
     """
     nodes: list[float] = []
     weights: list[float] = []
+    pair = _laguerre_pair(n)
     z = 0.0
     for i in range(n):
         if i == 0:
@@ -593,19 +612,19 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             z += 15.0 / (1.0 + 2.5 * n)
         else:
             z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - nodes[i - 2])
-        converged = False
-        for _ in range(_NEWTON_STEPS):
-            seq = laguerre_sequence(n, z)
-            dz = z * seq[n] / (n * (seq[n] - seq[n - 1]))
+        for _ in range(_NEWTON_STEPS - 1):
+            prev, last = pair(z)
+            dz = z * last / (n * (last - prev))
             z -= dz
-            if converged:
+            if abs(dz) <= 1e-13 * z:
                 break
-            converged = abs(dz) <= 1e-13 * z
         else:
             raise QuadratureFailure(
                 f"Gauss-Laguerre node {i} of {n} did not converge in "
                 f"{_NEWTON_STEPS} Newton steps"
             )
+        seq = laguerre_sequence(n, z)
+        z -= z * seq[n] / (n * (seq[n] - seq[n - 1]))
         nodes.append(z)
         weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
     total = math.fsum(weights)

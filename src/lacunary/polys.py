@@ -13,14 +13,14 @@ so the float of the exact Fraction.  The per-index `lambda_poly` and
 offset 0); `assoc_laguerre` also serves the right sides that expand over
 L_s^(s+a).
 
-The Laguerre-family kernels and `hermite_coeff_sequence` never return inf
-or NaN from a float path: when a value they would return is not finite,
-from an infinite or NaN input or from overflow, they raise NumericError
-instead.  `hermite_h_sequence` is exempt: the right sides of EQ2.7, EQ3.1
-and EQ3.3 read only a convergent prefix of a table sized to the summation
-budget, and on registered grid points its far end is inf or NaN
-(hermite_h_sequence(400, 0.5j) from degree 266 on), so a raise there would
-fail reports that pass.
+The Hermite values come on demand: `hermite_coeffs` and `hermite_h_values`
+are iterators, so a series that stops after a few terms builds only those,
+and the list kernels `hermite_coeff_sequence` and `hermite_h_sequence` are
+their prefixes.
+
+The Laguerre-family and Hermite kernels never return or yield inf or NaN
+from a float path: when such a value is not finite, from an infinite or NaN
+input or from overflow, they raise NumericError instead.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, ExactnessViolation, NumericError
 from .scalars import Scalar, ensure_finite, is_exact, rgamma, rgamma_exact
@@ -264,27 +264,38 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     return ensure_finite(total, f"float associated Laguerre of degree {n}")
 
 
-def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
-    """[t^n] exp(sum_s x_s t^s) for n = 0..nmax, i.e. H_n^(m)/n!.
+def hermite_coeffs(m: int, xs: Sequence[Scalar]) -> Iterator:
+    """[t^n] exp(sum_s x_s t^s) for n = 0, 1, 2, ..., i.e. H_n^(m)/n!, made
+    on demand.
 
     Uses the derivative recurrence (n+1) c_{n+1} = sum_s s x_s c_{n+1-s};
-    numerically tamer than the factorially-growing H_n themselves.  Every
-    term holds x_1 c_n, so a value that is not finite makes every later one
-    so: a float row whose last value is not finite raises NumericError.
+    numerically tamer than the factorially-growing H_n themselves.  Exact
+    when every x_s is exact; a float value that is not finite raises
+    NumericError instead of being yielded.  m and xs are checked when the
+    first value is read.
     """
     if m < 1:
         raise DomainError("order m must be >= 1")
     if len(xs) != m:
         raise DomainError(f"expected {m} variables, got {len(xs)}")
-    exact = all(is_exact(v) for v in xs)
-    coeffs: list = [Fraction(1) if exact else 1.0]
-    for n in range(nmax):
+    coeffs: list = [Fraction(1) if all(map(is_exact, xs)) else 1.0]
+    for n in itertools.count():
+        c = coeffs[n]
+        if c - c != 0:  # inf or NaN, as in _finite
+            raise NumericError(f"non-finite value in Hermite coefficients at degree {n}")
+        yield c
         acc = 0
         for s in range(1, min(m, n + 1) + 1):
             acc = acc + s * xs[s - 1] * coeffs[n + 1 - s]
         coeffs.append(acc / (n + 1))
-    _finite(coeffs[-1:], f"Hermite coefficients to degree {nmax}")
-    return coeffs
+
+
+def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
+    """[t^n] exp(sum_s x_s t^s) for n = 0..nmax: the first nmax + 1 values
+    of hermite_coeffs."""
+    if nmax < 0:
+        raise DomainError("degree must be >= 0")
+    return list(itertools.islice(hermite_coeffs(m, xs), nmax + 1))
 
 
 def laguerre_sequence(nmax: int, x: Scalar, y: Scalar = 1) -> list:
@@ -337,15 +348,25 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     return out
 
 
+def hermite_h_values(u: complex) -> Iterator[complex]:
+    """Classical Hermite H_0(u), H_1(u), ... made on demand by the three-term
+    recurrence H_{k+1} = 2 u H_k - 2 k H_{k-1} (complex-safe); a value that
+    is not finite raises NumericError instead of being yielded."""
+    prev, cur = 1.0 + 0.0j, 2.0 * u + 0.0j
+    yield prev
+    for k in itertools.count(1):
+        if cur - cur != 0:  # inf or NaN, as in _finite
+            raise NumericError(f"non-finite value in Hermite H at degree {k}")
+        yield cur
+        prev, cur = cur, 2.0 * u * cur - 2.0 * k * prev
+
+
 def hermite_h_sequence(nmax: int, u: complex) -> list[complex]:
-    """Classical Hermite [H_0(u), ..., H_nmax(u)] by the three-term recurrence
-    H_{k+1} = 2 u H_k - 2 k H_{k-1} (complex-safe)."""
-    out = [1.0 + 0.0j]
-    if nmax >= 1:
-        out.append(2.0 * u + 0.0j)
-    for k in range(1, nmax):
-        out.append(2.0 * u * out[-1] - 2.0 * k * out[-2])
-    return out
+    """Classical Hermite [H_0(u), ..., H_nmax(u)]: the first nmax + 1 values
+    of hermite_h_values."""
+    if nmax < 0:
+        raise DomainError("degree must be >= 0")
+    return list(itertools.islice(hermite_h_values(u), nmax + 1))
 
 
 def lacunary_decomposition(kind: str, n: int, x: Scalar, y: Scalar = 1):

@@ -9,13 +9,13 @@ an extra (-1)^p, which is the reading that the umbral oracle confirms.
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .scalars import rgamma
 from .summation import SumControl, sum_series, sum_shells
-from .polys import hermite_coeff_sequence
+from .polys import hermite_coeffs
 
 _DEFAULT = SumControl(max_terms=400, rel_tol=1e-14)
 
@@ -98,9 +98,8 @@ def h_tricomi(
         raise DomainError("h_tricomi needs m >= 1")
     if len(args) != m:
         raise DomainError(f"expected {m} slot arguments, got {len(args)}")
-    ctrl = control or _DEFAULT
-    coeffs = hermite_coeff_sequence(m, ctrl.max_terms, _signed([float(a) for a in args]))
-    return _rgamma_series(coeffs, 1.0, 1.0 + s, ctrl)
+    coeffs = hermite_coeffs(m, _signed([float(a) for a in args]))
+    return _rgamma_series(coeffs, 1.0, 1.0 + s, control or _DEFAULT)
 
 
 def h_wright(
@@ -117,24 +116,22 @@ def h_wright(
     """
     if beta <= 0:
         raise DomainError("h_wright needs beta > 0")
-    ctrl = control or _DEFAULT
-    coeffs = hermite_coeff_sequence(2, ctrl.max_terms, [float(x), float(y)])
-    return _rgamma_series(coeffs, beta, alpha, ctrl)
+    coeffs = hermite_coeffs(2, [float(x), float(y)])
+    return _rgamma_series(coeffs, beta, alpha, control or _DEFAULT)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:
     """Hermite-based Bessel: sum_r (-1)^r H_(n+2r)^(2)(x, y) / (2^(n+2r) r! (n+r)!)."""
     if n < 0:
         raise DomainError("h_bessel_j needs n >= 0")
-    ctrl = control or _DEFAULT
-    coeffs = hermite_coeff_sequence(2, n + 2 * ctrl.max_terms, [float(x), float(y)])
+    coeffs = islice(hermite_coeffs(2, [float(x), float(y)]), n, None, 2)
     # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
     factors = _ratio_sequence(
         lambda r: (n + 2 * r + 1.0) * (n + 2 * r + 2.0) / (4.0 * (r + 1.0) * (n + r + 1.0)),
         0.5**n,
     )
-    terms = ((-1) ** r * coeffs[n + 2 * r] * f for r, f in enumerate(factors))
-    value, _ = sum_series(terms, ctrl)
+    terms = ((-1) ** r * c * f for r, (c, f) in enumerate(zip(coeffs, factors)))
+    value, _ = sum_series(terms, control or _DEFAULT)
     return value
 
 

@@ -10,8 +10,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lacunary import QuadratureFailure, SumControl, check_pointwise
+from lacunary import QuadratureFailure, SumControl, check_pointwise, cli, specialfns
 from lacunary.identities import pointwise
+from lacunary.polys import laguerre_sequence
 
 CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
@@ -157,6 +158,97 @@ def test_laggauss_node_that_does_not_converge_raises(monkeypatch):
     monkeypatch.setattr(pointwise, "_NEWTON_STEPS", 1)
     with pytest.raises(QuadratureFailure, match="did not converge in 1 Newton steps"):
         pointwise._laggauss.__wrapped__(80)
+
+
+def _laggauss_table_per_step(n):
+    """The rule as it was built when every Newton step read the full row
+    laguerre_sequence(n, z): the reference _laggauss must match bit for bit."""
+    nodes, weights = [], []
+    z = 0.0
+    for i in range(n):
+        if i == 0:
+            z = 3.0 / (1.0 + 2.4 * n)
+        elif i == 1:
+            z += 15.0 / (1.0 + 2.5 * n)
+        else:
+            z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - nodes[i - 2])
+        converged = False
+        for _ in range(pointwise._NEWTON_STEPS):
+            seq = laguerre_sequence(n, z)
+            dz = z * seq[n] / (n * (seq[n] - seq[n - 1]))
+            z -= dz
+            if converged:
+                break
+            converged = abs(dz) <= 1e-13 * z
+        else:
+            raise AssertionError(f"node {i} of {n} did not converge")
+        nodes.append(z)
+        weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
+    total = math.fsum(weights)
+    return tuple(nodes), tuple(w / total for w in weights)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 80, 100])
+def test_laggauss_is_the_table_per_step_rule_bit_for_bit(n):
+    want_nodes, want_weights = _laggauss_table_per_step(n)
+    nodes, weights = pointwise._laggauss.__wrapped__(n)
+    assert _hex(nodes) == _hex(want_nodes)
+    assert _hex(weights) == _hex(want_weights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=120),
+    st.floats(min_value=0.0, max_value=400.0, exclude_min=True),
+)
+def test_laguerre_pair_is_the_last_two_values_of_the_row(n, z):
+    assert _hex(pointwise._laguerre_pair(n)(z)) == _hex(laguerre_sequence(n, z)[n - 1 :])
+
+
+def test_laggauss_reads_one_full_row_per_node(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return laguerre_sequence(*args)
+
+    monkeypatch.setattr(pointwise, "laguerre_sequence", counting)
+    pointwise._laggauss.__wrapped__(80)
+    pointwise._laggauss.__wrapped__(100)
+    assert len(calls) == 180
+
+
+def test_verify_all_reads_a_short_prefix_of_every_hermite_iterator(monkeypatch, capsys):
+    # The Hermite right sides stop after a few dozen terms; none builds a
+    # table sized to the summation budget (400).
+    yielded = []
+
+    def counted(make):
+        def wrapper(*args):
+            yielded.append(0)
+            slot = len(yielded) - 1
+            for value in make(*args):
+                yielded[slot] += 1
+                yield value
+
+        return wrapper
+
+    for module, name in (
+        (pointwise, "hermite_coeffs"),
+        (pointwise, "hermite_h_values"),
+        (specialfns, "hermite_coeffs"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert cli.main(["verify", "--all", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    # EQ2.7, EQ2.8, EQ2.9, EQ3.1: 4 points each; EQ3.3, EQ3.4: 3 each; EQ3.5:
+    # 6 points with l + 1 = 1 or 2 Hermite-Tricomi sums each.
+    assert len(yielded) == 31
+    assert 0 < min(yielded) and max(yielded) <= 40
 
 
 def test_point_outcome_labels_are_unique():

@@ -2,6 +2,7 @@
 
 import cmath
 import fractions
+import itertools
 import math
 import operator
 import sys
@@ -20,7 +21,9 @@ from lacunary import (
     assoc_laguerre_sequence,
     assoc_laguerre_xpoly,
     hermite_coeff_sequence,
+    hermite_coeffs,
     hermite_h_sequence,
+    hermite_h_values,
     lacunary_decomposition,
     laguerre,
     laguerre_sequence,
@@ -232,6 +235,97 @@ def test_hermite_coeff_sequence_matches_direct():
     seq = hermite_coeff_sequence(2, 10, xs)
     for n in range(11):
         assert seq[n] * math.factorial(n) == hermite(2, n, xs)
+
+
+def _hermite_coeff_loop(m, nmax, xs):
+    """The list loop hermite_coeff_sequence ran before its values came from
+    hermite_coeffs, without its last-value check: the reference the iterator
+    must match bit for bit."""
+    coeffs = [Fraction(1) if all(isinstance(v, (int, Fraction)) for v in xs) else 1.0]
+    for n in range(nmax):
+        acc = 0
+        for s in range(1, min(m, n + 1) + 1):
+            acc = acc + s * xs[s - 1] * coeffs[n + 1 - s]
+        coeffs.append(acc / (n + 1))
+    return coeffs
+
+
+def _hermite_h_loop(nmax, u):
+    """The list loop hermite_h_sequence ran before its values came from
+    hermite_h_values, inf and NaN included."""
+    out = [1.0 + 0.0j]
+    if nmax >= 1:
+        out.append(2.0 * u + 0.0j)
+    for k in range(1, nmax):
+        out.append(2.0 * u * out[-1] - 2.0 * k * out[-2])
+    return out
+
+
+def _bits(values):
+    """Each value as the hex of its real and imaginary parts: equal bits,
+    the sign of a zero included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def _finite_prefix(values):
+    return list(itertools.takewhile(lambda v: v - v == 0, values))
+
+
+def _check_prefix(iterator, kernel, oracle):
+    """The iterator yields the oracle's finite prefix bit for bit and raises
+    NumericError where the oracle turns inf or NaN; the list kernel is the
+    whole oracle, or raises NumericError when it is not all finite."""
+    finite = _finite_prefix(oracle)
+    assert _bits(itertools.islice(iterator, len(finite))) == _bits(finite)
+    if len(finite) < len(oracle):
+        with pytest.raises(NumericError, match="non-finite value"):
+            next(iterator)
+        with pytest.raises(NumericError, match="non-finite value"):
+            kernel()
+    else:
+        assert _bits(kernel()) == _bits(oracle)
+
+
+hermite_arg = st.floats(min_value=-40.0, max_value=40.0) | st.complex_numbers(
+    max_magnitude=40.0
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.lists(hermite_arg, min_size=m, max_size=m)
+    ),
+    st.integers(min_value=0, max_value=400),
+)
+@example([1e3, 0.0], 400)  # c_n = 1000^n / n! overflows from n = 341
+def test_hermite_coeffs_are_the_list_loop_bit_for_bit(xs, nmax):
+    m = len(xs)
+    _check_prefix(
+        hermite_coeffs(m, xs),
+        lambda: hermite_coeff_sequence(m, nmax, xs),
+        _hermite_coeff_loop(m, nmax, xs),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermite_arg, st.integers(min_value=0, max_value=400))
+@example(0.5j, 400)  # inf and NaN from degree 266 on
+def test_hermite_h_values_are_the_list_loop_bit_for_bit(u, nmax):
+    _check_prefix(
+        hermite_h_values(u), lambda: hermite_h_sequence(nmax, u), _hermite_h_loop(nmax, u)
+    )
+
+
+def test_hermite_kernels_check_their_arguments():
+    with pytest.raises(DomainError):
+        hermite_coeff_sequence(2, -1, [1.0, 2.0])
+    with pytest.raises(DomainError):
+        hermite_h_sequence(-2, 0.5j)
+    with pytest.raises(DomainError):
+        next(hermite_coeffs(0, []))
+    with pytest.raises(DomainError):
+        next(hermite_coeffs(2, [1.0]))
 
 
 def test_hermite_h_small_orders():
@@ -548,6 +642,8 @@ INF = math.inf
         (assoc_laguerre_diagonal, (10, 0.5, INF, 1.0)),
         (lambda_sequence, (5, 0.5, 1, INF, 1.0)),
         (hermite_coeff_sequence, (2, 5, [INF, 1.0])),
+        # H_n(0.5j) passes the float range from degree 266.
+        (hermite_h_sequence, (400, 0.5j)),
     ],
 )
 def test_float_kernels_raise_instead_of_returning_non_finite_values(fn, args):

@@ -23,6 +23,12 @@ public name that only a table lists.
 One more keeps start-up cheap: no module imports `dataclasses`, whose import
 pulls in `inspect`, `ast`, `dis` and `tokenize` in every process that
 loads it; the records are `typing.NamedTuple`s.
+
+And one keeps series from paying for terms they never read: no call to a
+`*_sequence` table kernel takes an argument that reads `.max_terms`, the
+summation budget.  A series that stops after a few terms reads its values
+from an iterator instead; a `range(ctrl.max_terms + 1)` that bounds a lazy
+generator builds nothing and stays allowed.
 """
 
 import ast
@@ -108,6 +114,24 @@ def _imports_of(name: str, tree: ast.Module, banned: str) -> list[str]:
     return found
 
 
+def _budget_sized_tables(name: str, tree: ast.Module) -> list[str]:
+    """`module:line f` for each call to a function f named `*_sequence`
+    with an argument that reads `.max_terms`."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if func.endswith("_sequence") and any(
+            isinstance(n, ast.Attribute) and n.attr == "max_terms"
+            for arg in args
+            for n in ast.walk(arg)
+        ):
+            found.append(f"{name}:{node.lineno} {func}")
+    return found
+
+
 def _definitions(tree: ast.Module, public: bool):
     """(name, defining node) for each module-level binding, the public ones
     or the _private ones; dunder names are neither."""
@@ -178,6 +202,11 @@ def test_no_module_imports_dataclasses():
     found = [
         entry for name, tree in TREES.items() for entry in _imports_of(name, tree, "dataclasses")
     ]
+    assert found == []
+
+
+def test_no_table_is_sized_to_the_summation_budget():
+    found = [entry for name, tree in TREES.items() for entry in _budget_sized_tables(name, tree)]
     assert found == []
 
 
@@ -276,3 +305,17 @@ def test_the_checks_catch_dead_code():
     )
     found = _imports_of("toy.py", records, "dataclasses")
     assert found == ["toy.py:1", "toy.py:2", "toy.py:7"]
+    # A table sized to the budget is flagged, by keyword and through a
+    # module too; a lazy generator's range over the budget is not.
+    tables = ast.parse(
+        "hs = hermite_h_sequence(ctrl.max_terms, u)\n"
+        "c = polys.hermite_coeff_sequence(2, n + 2 * ctrl.max_terms, xs)\n"
+        "c = hermite_coeff_sequence(2, nmax=control.max_terms, xs=xs)\n"
+        "seq = laguerre_sequence(2 * top, x)\n"
+        "terms = (w**r for r in range(ctrl.max_terms + 1))\n"
+    )
+    assert _budget_sized_tables("toy.py", tables) == [
+        "toy.py:1 hermite_h_sequence",
+        "toy.py:2 hermite_coeff_sequence",
+        "toy.py:3 hermite_coeff_sequence",
+    ]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lacunary import (
+    NumericError,
     SumControl,
     UmbralSeries,
     bessel_i,
@@ -129,6 +130,28 @@ def test_h_wright_matches_series_oracle():
         )
     rhs = math.exp(y * y * t) * h_wright(beta, alpha + 1.0, -2 * x * y * t, x * x * t)
     assert rhs == pytest.approx(lhs, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (h_tricomi, (2, 0.0, [math.inf, 1.0])),
+        (h_tricomi, (2, 0.0, [math.nan, 1.0])),
+        (h_wright, (1.0, 1.0, math.inf, 1.0)),
+        (h_bessel_j, (0, math.inf, 1.0)),
+    ],
+)
+def test_hermite_evaluators_raise_on_non_finite_input(fn, args):
+    with pytest.raises(NumericError, match="non-finite"):
+        fn(*args)
+
+
+def test_h_wright_converges_where_the_far_coefficients_overflow():
+    # sum_r 1000^r / (r!)^2 = I0(2 sqrt(1000)) stops after 70 terms; the
+    # coefficient 1000^r / r! overflows from r = 341 on, which is never read.
+    # Reference: mpmath besseli(0, 2 sqrt(1000)) at 40 digits.
+    want = 1.47385608710016483969330449e26
+    assert h_wright(1.0, 1.0, 1e3, 0.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_h_tricomi_bilateral_values():
