@@ -564,10 +564,14 @@ def eq3_11(g, t, top, ctrl):
 # -- Borel-transform quadrature ---------------------------------------------
 
 _BOREL_XS = (0.0, 1.0, 2.0, 3.0)
+_BOREL_CTRL = SumControl(max_terms=700, rel_tol=1e-15)
 
 
 #: Newton steps allowed per node; at n <= 100 every node takes at most 9.
 _NEWTON_STEPS = 16
+
+#: Raw Christoffel weight below which a rule stops, once past its peak.
+_WEIGHT_CUT = 1e-20
 
 
 def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
@@ -587,8 +591,9 @@ def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """n-point Gauss-Laguerre rule for the weight e^-x on [0, inf).
+def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """(nodes, weights, omitted mass) of the n-point Gauss-Laguerre rule for
+    the weight e^-x on [0, inf), cut where its weights vanish.
 
     Each node is Newton's method on L_n, using L_n' = n (L_n - L_{n-1}) / z,
     from the Stroud-Secrest starting guess (Numerical Recipes' gaulag at
@@ -599,7 +604,12 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     1 / sum_{k<n} L_k(x)^2 (the L_k are orthonormal for e^-x): the step
     moved the node by rounding only, and unlike x / ((n+1) L_{n+1}(x))^2
     this form does not amplify the rounding of the nodes near the origin.
-    The weights are then divided by their sum, as numpy's laggauss does.
+
+    The rule stops at, and drops, the first node past the weight peak whose
+    weight is below _WEIGHT_CUT.  From there the weights fall strictly and
+    the raw weights sum to 1, so |1 - sum kept| + (n - kept) _WEIGHT_CUT
+    bounds the skipped mass and the rounding of the kept weights.  These
+    are then divided by their sum, as numpy's laggauss does.
     """
     nodes: list[float] = []
     weights: list[float] = []
@@ -625,18 +635,21 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             )
         seq = laguerre_sequence(n, z)
         z -= z * seq[n] / (n * (seq[n] - seq[n - 1]))
+        weight = 1.0 / math.fsum(v * v for v in seq[:n])
+        if weight < _WEIGHT_CUT and weight < weights[-1]:
+            break
         nodes.append(z)
-        weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
+        weights.append(weight)
     total = math.fsum(weights)
-    return tuple(nodes), tuple(w / total for w in weights)
+    omitted = abs(1.0 - total) + (n - len(nodes)) * _WEIGHT_CUT
+    return tuple(nodes), tuple(w / total for w in weights), omitted
 
 
 def _borel_value(x: float, n_nodes: int) -> float:
     """Gauss-Laguerre value of the exponential-weight Bessel integral."""
-    nodes, weights = _laggauss(n_nodes)
-    ctrl = SumControl(max_terms=700, rel_tol=1e-15)
+    nodes, weights, _ = _laggauss(n_nodes)
     return sum(
-        w * bessel_j0(math.sqrt(s) * x, ctrl) for s, w in zip(nodes, weights)
+        w * bessel_j0(math.sqrt(s) * x, _BOREL_CTRL) for s, w in zip(nodes, weights)
     )
 
 
@@ -644,14 +657,17 @@ def borel_points(tol: float = 1e-8) -> Iterator[PointOutcome]:
     """EQ3.19: the transform integral against the Gaussian closed form.
 
     The integrand is entire of order 1/2 in the integration variable, so
-    80 nodes are far more than enough; the 80-vs-100 node difference serves
-    as the error estimate and trips QuadratureFailure if it ever degrades
-    (a NaN estimate included).
+    80 nodes are far more than enough.  The error estimate is the 80-vs-100
+    node difference plus the weight mass both rules leave out, which bounds
+    what the skipped nodes would add since |J0| <= 1 on the real line
+    (Abramowitz and Stegun 9.1.60).  An estimate above tol (a NaN one
+    included) trips QuadratureFailure.
     """
+    omitted = _laggauss(80)[2] + _laggauss(100)[2]
     for x in _BOREL_XS:
         q80 = _borel_value(x, 80)
         q100 = _borel_value(x, 100)
-        estimate = abs(q80 - q100)
+        estimate = abs(q80 - q100) + omitted
         if not estimate <= tol:
             raise QuadratureFailure(
                 f"node-count consistency {estimate:.3e} exceeds {tol:.1e} at x={x}"

@@ -410,22 +410,24 @@ def _exact_rule(row: exact.Check) -> tuple[float, float, Optional[str]]:
 
 
 def _point_rule(tol: float, budgeted: bool) -> Rule:
-    """Relative error against tol; with budgets, then tail and then drift.
+    """Relative error against tol; with budgets, tail and drift first.
 
-    Each test is written `not value <= bound`, so a NaN fails it.
+    A point whose sum is truncated is named by its tail or drift, even when
+    its relative error is over tol too.  Each test is written
+    `not value <= bound`, so a NaN fails it.
     """
 
     def rule(o: PointOutcome) -> tuple[float, float, Optional[str]]:
         err = abs(o.lhs - o.rhs)
         rel = err / max(1.0, abs(o.lhs), abs(o.rhs))
-        if not rel <= tol:
-            return err, rel, f"{o.label} rel={rel:.3e}"
         if budgeted:
             budget = STABILITY_FRACTION * tol * max(1.0, abs(o.lhs))
             if not o.tail <= budget:
                 return err, rel, f"{o.label} tail={o.tail:.3e}"
             if not o.drift <= budget:
                 return err, rel, f"{o.label} drift={o.drift:.3e}"
+        if not rel <= tol:
+            return err, rel, f"{o.label} rel={rel:.3e}"
         return err, rel, None
 
     return rule

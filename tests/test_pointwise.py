@@ -5,6 +5,7 @@ registry (scale by max(1, |lhs|, |rhs|)) so the thresholds here are the
 same numbers the verification layer enforces.
 """
 
+import functools
 import math
 
 import pytest
@@ -125,45 +126,13 @@ def test_borel_points_grid():
     assert two.rhs == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [80, 100])
-def test_laggauss_is_a_gauss_laguerre_rule(n):
-    nodes, weights = pointwise._laggauss(n)
-    assert len(nodes) == len(weights) == n
-    assert 0.0 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:]))
-    assert all(w > 0.0 for w in weights)
-    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
-    # Exact up to degree 2n - 1: the moments of e^-x are k!.
-    for k in range(13):
-        moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
-        assert moment == pytest.approx(math.factorial(k), rel=1e-12), k
-
-
-@pytest.mark.parametrize("n", [80, 100])
-def test_laggauss_matches_numpy(n):
-    from numpy.polynomial.laguerre import laggauss
-
-    want_nodes, want_weights = laggauss(n)
-    nodes, weights = pointwise._laggauss(n)
-    for got, want in zip(nodes, want_nodes):
-        assert got == pytest.approx(float(want), rel=1e-12)
-    # numpy's own weights at the two smallest nodes of the 100-point rule
-    # sit about 5e-12 off a 60-digit reference (this rule's, about 7e-14),
-    # so the comparison allows 1e-11.
-    for got, want in zip(weights, want_weights):
-        if want > 1e-200:
-            assert got == pytest.approx(float(want), rel=1e-11)
-
-
-def test_laggauss_node_that_does_not_converge_raises(monkeypatch):
-    monkeypatch.setattr(pointwise, "_NEWTON_STEPS", 1)
-    with pytest.raises(QuadratureFailure, match="did not converge in 1 Newton steps"):
-        pointwise._laggauss.__wrapped__(80)
-
-
+@functools.lru_cache(maxsize=None)
 def _laggauss_table_per_step(n):
-    """The rule as it was built when every Newton step read the full row
-    laguerre_sequence(n, z): the reference _laggauss must match bit for bit."""
-    nodes, weights = [], []
+    """The full n-node rule as it was built when every Newton step read the
+    full row laguerre_sequence(n, z): (nodes, weights, raw weights), where
+    the weights are the raw Christoffel numbers over their sum.  _laggauss
+    must be a prefix of it, bit for bit."""
+    nodes, raw = [], []
     z = 0.0
     for i in range(n):
         if i == 0:
@@ -183,9 +152,46 @@ def _laggauss_table_per_step(n):
         else:
             raise AssertionError(f"node {i} of {n} did not converge")
         nodes.append(z)
-        weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
-    total = math.fsum(weights)
-    return tuple(nodes), tuple(w / total for w in weights)
+        raw.append(1.0 / math.fsum(v * v for v in seq[:n]))
+    total = math.fsum(raw)
+    return tuple(nodes), tuple(w / total for w in raw), tuple(raw)
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_is_a_gauss_laguerre_rule(n):
+    # The full rule that _laggauss truncates; the truncated one is not exact
+    # to degree 2n - 1 (its degree-8 moment is already 2e-12 off).
+    nodes, weights, _ = _laggauss_table_per_step(n)
+    assert len(nodes) == len(weights) == n
+    assert 0.0 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert all(w > 0.0 for w in weights)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+    # Exact up to degree 2n - 1: the moments of e^-x are k!.
+    for k in range(13):
+        moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        assert moment == pytest.approx(math.factorial(k), rel=1e-12), k
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_matches_numpy(n):
+    from numpy.polynomial.laguerre import laggauss
+
+    want_nodes, want_weights = laggauss(n)
+    nodes, weights, _ = _laggauss_table_per_step(n)
+    for got, want in zip(nodes, want_nodes):
+        assert got == pytest.approx(float(want), rel=1e-12)
+    # numpy's own weights at the two smallest nodes of the 100-point rule
+    # sit about 5e-12 off a 60-digit reference (this rule's, about 7e-14),
+    # so the comparison allows 1e-11.
+    for got, want in zip(weights, want_weights):
+        if want > 1e-200:
+            assert got == pytest.approx(float(want), rel=1e-11)
+
+
+def test_laggauss_node_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(pointwise, "_NEWTON_STEPS", 1)
+    with pytest.raises(QuadratureFailure, match="did not converge in 1 Newton steps"):
+        pointwise._laggauss.__wrapped__(80)
 
 
 def _hex(values):
@@ -194,10 +200,66 @@ def _hex(values):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 80, 100])
 def test_laggauss_is_the_table_per_step_rule_bit_for_bit(n):
-    want_nodes, want_weights = _laggauss_table_per_step(n)
-    nodes, weights = pointwise._laggauss.__wrapped__(n)
-    assert _hex(nodes) == _hex(want_nodes)
-    assert _hex(weights) == _hex(want_weights)
+    # A prefix of the full rule, normalised weights included.
+    want_nodes, want_weights, _ = _laggauss_table_per_step(n)
+    nodes, weights, _ = pointwise._laggauss.__wrapped__(n)
+    kept = len(nodes)
+    assert kept == n if n <= 10 else 0 < kept < n
+    assert _hex(nodes) == _hex(want_nodes[:kept])
+    assert _hex(weights) == _hex(want_weights[:kept])
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_omitted_mass_bounds_the_skipped_weights(n):
+    _, _, raw = _laggauss_table_per_step(n)
+    nodes, _, omitted = pointwise._laggauss(n)
+    cut = len(nodes)
+    # The first node dropped is past the peak and under the cut, and the
+    # weights fall strictly from there, so it is the largest one skipped.
+    assert raw[cut] < pointwise._WEIGHT_CUT and raw[cut] < raw[cut - 1]
+    assert all(a > b for a, b in zip(raw[cut:], raw[cut + 1 :]))
+    assert 0.0 <= math.fsum(raw[cut:]) <= omitted <= 1e-13
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_laggauss_truncation_moves_bounded_integrals_by_at_most_omitted(n):
+    import mpmath
+
+    full_nodes, full_weights, _ = _laggauss_table_per_step(n)
+    nodes, weights, omitted = pointwise._laggauss(n)
+    integrands = [lambda s, w=w: math.cos(w * s) for w in (0.5, 1.0, 3.0)]
+    integrands += [
+        lambda s, x=x: float(mpmath.besselj(0, math.sqrt(s) * x))
+        for x in pointwise._BOREL_XS
+    ]
+    for f in integrands:
+        full = math.fsum(w * f(s) for s, w in zip(full_nodes, full_weights))
+        truncated = math.fsum(w * f(s) for s, w in zip(nodes, weights))
+        assert abs(full - truncated) <= omitted
+
+
+def test_borel_estimate_charges_the_omitted_mass():
+    omitted = pointwise._laggauss(80)[2] + pointwise._laggauss(100)[2]
+    assert omitted > 0.0
+    assert all(row.tail >= omitted for row in pointwise.borel_points(tol=1e-8))
+
+
+def test_borel_bessel_values_match_mpmath():
+    # At every kept node the float J0 series is within rounding of mpmath's.
+    import mpmath
+
+    largest = 0.0
+    for n in (80, 100):
+        nodes, weights, _ = pointwise._laggauss(n)
+        for x in pointwise._BOREL_XS:
+            err = 0.0
+            for s, w in zip(nodes, weights):
+                arg = math.sqrt(s) * x
+                largest = max(largest, arg)
+                got = specialfns.bessel_j0(arg, pointwise._BOREL_CTRL)
+                err += w * abs(got - float(mpmath.besselj(0, arg)))
+            assert err <= 1e-15, (n, x)
+    assert largest < 21.0
 
 
 @settings(max_examples=120, deadline=None)
@@ -217,9 +279,10 @@ def test_laggauss_reads_one_full_row_per_node(monkeypatch):
         return laguerre_sequence(*args)
 
     monkeypatch.setattr(pointwise, "laguerre_sequence", counting)
-    pointwise._laggauss.__wrapped__(80)
-    pointwise._laggauss.__wrapped__(100)
-    assert len(calls) == 180
+    kept = len(pointwise._laggauss.__wrapped__(80)[0])
+    kept += len(pointwise._laggauss.__wrapped__(100)[0])
+    # One row per kept node and one for the node each rule drops.
+    assert len(calls) == kept + 2 == 83
 
 
 def test_verify_all_reads_a_short_prefix_of_every_hermite_iterator(monkeypatch, capsys):

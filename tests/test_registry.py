@@ -230,14 +230,25 @@ def test_numeric_nan_fails_the_report(monkeypatch, field):
         assert report.max_abs_err == 0.0 and report.max_rel_err == 0.0
 
 
-def test_numeric_relative_error_is_reported_before_budgets(monkeypatch):
+@pytest.mark.parametrize(
+    "tail, drift, note",
+    [
+        (1.0, 1.0, "tail=1.000e+00"),
+        (0.0, 1.0, "drift=1.000e+00"),
+        (0.0, 0.0, "rel=3.333e-01"),
+    ],
+    ids=["tail", "drift", "rel"],
+)
+def test_numeric_budgets_are_reported_before_relative_error(monkeypatch, tail, drift, note):
+    # A truncated point is named by its tail or drift even when its relative
+    # error is over tol too; rel= names a point whose budgets hold.
     def runner(n_terms, scale, ctrl):
-        yield PointOutcome("P[off]", 1.0, 1.5, 1.0, 1.0)
+        yield PointOutcome("P[off]", 1.0, 1.5, tail, drift)
 
     _swap_runner(monkeypatch, "EQ2.13", numeric_runner=runner)
     report = check_pointwise("EQ2.13")
     assert report.max_abs_err == 0.5
-    assert report.notes[-1] == "failed points: P[off] rel=3.333e-01"
+    assert report.notes[-1] == f"failed points: P[off] {note}"
 
 
 def test_numeric_error_fails_its_own_report(monkeypatch):
