@@ -83,7 +83,7 @@ _LAZY = {
     "fps_geometric": "fps",
     "fps_one": "fps",
     "fps_x": "fps",
-    "AuxPolynomial": "identities.auxpoly",
+    "AuxPolynomial": "identities.bridges",
     "IdentityCase": "identities.registry",
     "VerificationReport": "identities.report",
     "all_ids": "identities.registry",

@@ -3,7 +3,8 @@
 The registry names load with the package: every command reads the
 registry, and its `registry` function must replace the submodule of that
 name, which the import system binds on the package when the submodule
-loads.  The bridge-polynomial names load `auxpoly` on first access.
+loads.  The bridge-polynomial names load `bridges` or `auxpoly` on first
+access.
 """
 
 from .. import _lazy_exports
@@ -25,7 +26,7 @@ from .registry import (
 from .report import VerificationReport
 
 _LAZY = {
-    "AuxPolynomial": "auxpoly",
+    "AuxPolynomial": "bridges",
     "compare_with_printed": "auxpoly",
     "derive_aux_polynomial": "auxpoly",
     "satisfies_template": "auxpoly",

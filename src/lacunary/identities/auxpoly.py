@@ -14,7 +14,8 @@ re-homogenizing afterwards loses nothing.  The fit matches coefficients of
 t^n x^w exactly, one integer equation each.  The system is solved modulo
 word-size primes, lifted to rationals by Chinese remaindering and rational
 reconstruction, and the lift is kept only once exact integer arithmetic
-certifies it.
+certifies it.  Only `derive-aux` fits; `verify` evaluates the printed
+displays in `bridges` and never loads this module.
 """
 
 from __future__ import annotations
@@ -28,39 +29,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import DomainError, ExactnessViolation, NoSolution
 from ..polys import assoc_laguerre_xpoly
+from .bridges import _PRINTED, AuxPolynomial, Key
 
-Key = tuple[int, int, int]  # (r-power d, t-power j, x-power a); y-power = step*j - a
 Vector = tuple[list[int], int]  # (numerators, common denominator)
-
-
-class AuxPolynomial(NamedTuple):
-    """Polynomial in r with (t, x, y)-monomial coefficients.
-
-    null_basis spans the directions the fitting window leaves free: adding
-    any combination of them to coeffs satisfies the same fitted equations.
-    """
-
-    family: str
-    m: int
-    step: int
-    factorial_shift: int
-    coeffs: dict[Key, Fraction]
-    notes: tuple[str, ...] = ()
-    null_basis: tuple[dict[Key, Fraction], ...] = ()
-
-    @property
-    def degree(self) -> int:
-        return max((d for (d, _, _) in self.coeffs), default=0)
-
-    def evaluate(self, r, x, y, t):
-        """Sum of c r^d t^j x^a y^(step j - a); an int r with a float t
-        rounds c r^d once, by int true division, as its Fraction would."""
-        fast = isinstance(r, int) and isinstance(t, float)
-        total = 0
-        for (d, j, a), c in self.coeffs.items():
-            w = (c.numerator * r**d) / c.denominator if fast else c * r**d
-            total = total + w * t**j * x**a * y ** (self.step * j - a)
-        return total
 
 
 def _is_prime(n: int) -> bool:
@@ -445,83 +416,6 @@ def _fit(
     return coeffs, null_basis
 
 
-# Bridge polynomials as printed in the source displays, in the same
-# (r-power, t-power, x-power) key convention (y-power = step*j - a).
-
-PRINTED_P2: dict[Key, Fraction] = {
-    (2, 0, 0): Fraction(1),
-    (2, 1, 0): Fraction(2),
-    (1, 0, 0): Fraction(5),
-    (1, 1, 1): Fraction(-4),
-    (1, 1, 0): Fraction(10),
-    (0, 0, 0): Fraction(6),
-    (0, 1, 0): Fraction(12),
-    (0, 1, 1): Fraction(-12),
-    (0, 1, 2): Fraction(2),
-}
-
-PRINTED_P4: dict[Key, Fraction] = {
-    (4, 0, 0): Fraction(2),
-    (4, 1, 0): Fraction(10),
-    (4, 2, 0): Fraction(4),
-    (3, 0, 0): Fraction(36),
-    (3, 1, 0): Fraction(180),
-    (3, 1, 1): Fraction(-20),
-    (3, 2, 0): Fraction(72),
-    (3, 2, 1): Fraction(-16),
-    (2, 0, 0): Fraction(238),
-    (2, 1, 2): Fraction(10),
-    (2, 1, 0): Fraction(1190),
-    (2, 1, 1): Fraction(-300),
-    (2, 2, 1): Fraction(-240),
-    (2, 2, 2): Fraction(24),
-    (2, 2, 0): Fraction(476),
-    (1, 0, 0): Fraction(684),
-    (1, 1, 2): Fraction(110),
-    (1, 1, 1): Fraction(-1480),
-    (1, 1, 0): Fraction(3420),
-    (1, 2, 1): Fraction(-1184),
-    (1, 2, 2): Fraction(264),
-    (1, 2, 3): Fraction(-16),
-    (1, 2, 0): Fraction(1368),
-    (0, 0, 0): Fraction(720),
-    (0, 1, 1): Fraction(-2400),
-    (0, 1, 0): Fraction(3600),
-    (0, 1, 2): Fraction(300),
-    (0, 2, 1): Fraction(-1920),
-    (0, 2, 3): Fraction(-96),
-    (0, 2, 2): Fraction(720),
-    (0, 2, 0): Fraction(1440),
-    (0, 2, 4): Fraction(4),
-}
-
-# The printed q3 display carries an apparent one-character slip: the third
-# displayed group multiplies "t" where every consistent reading needs "r".
-# This table is the r-reading.
-PRINTED_Q3_R_READING: dict[Key, Fraction] = {
-    (3, 0, 0): Fraction(1),
-    (3, 1, 0): Fraction(3),
-    (2, 0, 0): Fraction(9),
-    (2, 1, 0): Fraction(27),
-    (2, 1, 1): Fraction(-9),
-    (1, 0, 0): Fraction(26),
-    (1, 1, 0): Fraction(78),
-    (1, 1, 1): Fraction(-63),
-    (1, 1, 2): Fraction(9),
-    (0, 0, 0): Fraction(24),
-    (0, 1, 0): Fraction(72),
-    (0, 1, 1): Fraction(-108),
-    (0, 1, 2): Fraction(36),
-    (0, 1, 3): Fraction(-3),
-}
-
-_PRINTED = {
-    ("p", 1): (PRINTED_P2, "printed p2"),
-    ("p", 2): (PRINTED_P4, "printed p4"),
-    ("q", 1): (PRINTED_Q3_R_READING, "printed q3 (r-reading)"),
-}
-
-
 def satisfies_template(candidate: AuxPolynomial, n_max: int | None = None) -> bool:
     """True when the candidate reproduces every matched series coefficient.
 
@@ -542,9 +436,10 @@ def compare_with_printed(derived: AuxPolynomial) -> tuple[str, str]:
     so they are interchangeable inside the closed form.  "deviation" means
     the printed display fails the equations the derived one satisfies.
     """
-    if (derived.family, derived.m) not in _PRINTED:
+    display = _PRINTED.get((derived.family, derived.m))
+    if display is None:
         return "no_printed_display", f"no display to compare for {derived.family}, m={derived.m}"
-    printed, label = _PRINTED[derived.family, derived.m]
+    printed, label = display.coeffs, display.notes[0]
     if derived.coeffs == printed:
         return "exact_match", f"derived coefficients match {label} term by term"
     if satisfies_template(derived._replace(coeffs=printed)):

@@ -116,15 +116,6 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
     return wrap
 
 
-@functools.lru_cache(maxsize=None)
-def _aux(family: str, m: int):
-    """The bridge polynomial of EQ2.8 (p) or EQ3.4 (q), fitted once; auxpoly
-    is imported here, so runs without these cases never compile it."""
-    from .auxpoly import derive_aux_polynomial
-
-    return derive_aux_polynomial(family, m)
-
-
 def __getattr__(name: str):
     """`derive_aux_polynomial`, read from auxpoly on access (PEP 562)."""
     if name != "derive_aux_polynomial":
@@ -134,9 +125,12 @@ def __getattr__(name: str):
     return derive_aux_polynomial
 
 
-def _bridge_sum(p, x: float, y: float, t: float, coeffs, ctrl: SumControl) -> float:
-    """sum_r p(r; x, y, t) c_r / (r + shift)! for a bridge polynomial p and
-    the coefficients c_0, c_1, ... read from the iterable `coeffs`."""
+def _bridge_sum(family: str, m: int, x, y, t, coeffs, ctrl: SumControl) -> float:
+    """sum_r p(r; x, y, t) c_r / (r + shift)! for the printed bridge polynomial
+    p of (family, m) and the c_r read from `coeffs`; loads `bridges` on first use."""
+    from .bridges import printed
+
+    p = printed(family, m)
     shift = p.factorial_shift
     terms = (
         float(p.evaluate(r, x, y, t)) * c * rgamma(r + shift + 1.0)
@@ -269,7 +263,7 @@ def eq2_8(g, t, top, ctrl):
     seq = assoc_laguerre_sequence(2 * top, m, x, y)
     fac = _egf_factors(t, top)
     c2 = hermite_coeffs(2, (-2.0 * x * y * t, t * x * x))
-    rhs = math.exp(t * y * y) * _bridge_sum(_aux("p", m), x, y, t, c2, ctrl)
+    rhs = math.exp(t * y * y) * _bridge_sum("p", m, x, y, t, c2, ctrl)
     return fac, seq[::2], rhs
 
 
@@ -427,7 +421,7 @@ def eq3_4(g, t, top, ctrl):
     seq = assoc_laguerre_sequence(3 * top, 1, x)
     fac = _egf_factors(t, top)
     c3 = hermite_coeffs(3, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3))
-    rhs = math.exp(t) * _bridge_sum(_aux("q", 1), x, 1.0, t, c3, ctrl)
+    rhs = math.exp(t) * _bridge_sum("q", 1, x, 1.0, t, c3, ctrl)
     return fac, seq[::3], rhs
 
 

@@ -176,9 +176,9 @@ _CASES = (
         "weight polynomial",
         numeric_runner=lambda *a: _pointwise().eq2_8(*a),
         notes=(
-            "the m=2 weight polynomial is fitted; it differs from the printed "
-            "display by a null direction of the weight recurrences and induces "
-            "the same sums",
+            "the printed p2 and p4 displays are verified; p4 differs from the "
+            "fitted representative by a null direction of the weight "
+            "recurrences and induces the same sums",
         ),
     ),
     IdentityCase(
@@ -231,8 +231,8 @@ _CASES = (
         numeric_runner=lambda *a: _pointwise().eq3_4(*a),
         notes=(
             "inner summation index in the printed display shadows the outer "
-            "one; the independent-index reading is verified and the fitted "
-            "cubic weight confirms it",
+            "one; the independent-index reading is verified with the q3 table, "
+            "the r-reading of the printed display",
         ),
     ),
     IdentityCase(

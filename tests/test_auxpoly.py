@@ -17,7 +17,7 @@ from lacunary.identities import (
     derive_aux_polynomial,
     satisfies_template,
 )
-from lacunary.identities import auxpoly
+from lacunary.identities import auxpoly, bridges
 from lacunary.identities.auxpoly import (
     _TEMPLATES,
     _certified,
@@ -533,8 +533,8 @@ def test_null_basis_is_certified_and_holds_beyond_the_window(family, m, n_free):
 def test_printed_p4_minus_derived_lies_in_the_null_span():
     poly = _derived("p", 2)
     diff = {
-        key: auxpoly.PRINTED_P4.get(key, 0) - poly.coeffs.get(key, 0)
-        for key in {*auxpoly.PRINTED_P4, *poly.coeffs}
+        key: bridges.PRINTED_P4.get(key, 0) - poly.coeffs.get(key, 0)
+        for key in {*bridges.PRINTED_P4, *poly.coeffs}
     }
     assert any(diff.values())
     for vec in poly.null_basis:

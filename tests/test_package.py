@@ -77,6 +77,10 @@ def _loaded_by(argv) -> set:
 #: or a timestamped report.
 _COLD = {"dataclasses", "inspect", "csv", "datetime"}
 
+#: The printed bridge tables and the fitter.  EQ2.8 and EQ3.4 load only the
+#: tables; only `derive-aux` compiles the fitter.
+_BRIDGES = {"identities.bridges", "identities.auxpoly"}
+
 
 @pytest.mark.parametrize(
     "argv, needed, unloaded",
@@ -84,22 +88,27 @@ _COLD = {"dataclasses", "inspect", "csv", "datetime"}
         (
             ["verify", "--all", "--mode", "exact", "--no-timestamp"],
             {"identities.exact", "umbral", "fps"},
-            {"identities.pointwise", "specialfns", "identities.auxpoly", *_COLD},
+            {"identities.pointwise", "specialfns", *_BRIDGES, *_COLD},
         ),
         (
             ["verify", "--mode", "numeric", "--id", "EQ1.7"],
             {"identities.pointwise", "specialfns", "datetime"},
+            {*_BRIDGES, "dataclasses", "inspect", "csv"},
+        ),
+        (
+            ["verify", "--mode", "numeric", "--id", "EQ2.8"],
+            {"identities.pointwise", "identities.bridges"},
             {"identities.auxpoly", "dataclasses", "inspect", "csv"},
         ),
         (
             ["derive-aux", "--family", "p", "--m", "1"],
-            {"identities.auxpoly"},
+            {"identities.auxpoly", "identities.bridges"},
             {"identities.pointwise", "specialfns", *_COLD},
         ),
         (
             ["verify", "--all", "--no-timestamp"],
-            {"identities.exact", "identities.pointwise", "identities.auxpoly"},
-            _COLD,
+            {"identities.exact", "identities.pointwise", "identities.bridges"},
+            {"identities.auxpoly", *_COLD},
         ),
         (
             ["verify", "--id", "EQ1.7", "--mode", "numeric", "--format", "csv"],
