@@ -39,7 +39,6 @@ from .polys import (
     hermite_coeffs,
     hermite_h_sequence,
     hermite_h_values,
-    lacunary_decomposition,
     laguerre,
     laguerre_sequence,
     laguerre_xpoly,

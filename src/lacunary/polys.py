@@ -1,10 +1,10 @@
-"""Polynomial families: two-variable Laguerre, Gamma-weighted variants,
-higher-order Hermite, and the lacunary decompositions that tie them together.
+"""Polynomial families: two-variable Laguerre, Gamma-weighted variants and
+higher-order Hermite.
 
 The row kernels (`laguerre_sequence`, `assoc_laguerre_sequence`,
 `lambda_sequence`, `assoc_laguerre_diagonal`) serve both verification modes
 by one rule: exact when every input is exact, float otherwise; the last two
-take the index step of a lacunary sum and sum only the rows it reads.  Exact
+take the index step of a lacunary sum and return only the rows it reads.  Exact
 rows run on int numerators over one known denominator per row (a factorial
 times powers of the input denominators) and make one Fraction per value.  A
 float weight of an int ratio is one int true division, correctly rounded and
@@ -82,28 +82,26 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
 def lambda_sequence(
     nmax: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1, step: int = 1
 ) -> list:
-    """[lambda_poly(n, alpha, beta, x, y) for n = 0, step, 2 step, ... <= nmax],
-    the same values and types for int or float alpha and beta: exact when
-    every input is exact (integer alpha and beta), float otherwise.
+    """[lambda_poly(n, alpha, beta, x, y) for n = 0, step, 2 step, ... <= nmax]:
+    exact when every input is exact (integer alpha and beta), float otherwise.
 
-    The binomial rows come from Pascal's rule on ints, advanced through
-    every n, and the powers and one Gamma weight per r are computed once;
-    only the rows a lacunary sum reads (n a multiple of step) are summed.
-    With x = p/q, y = r/s and F = (max_r (beta r + alpha))!, an exact row is
+    Every path computes one Gamma weight g_r per r.  With x = p/q, y = r/s
+    and F = (max_r (beta r + alpha))!, an exact row is
 
         sum_r C(n,r) (F / (beta r + alpha)!) (-p s)^r (q r)^(n-r) / (F (q s)^n),
 
-    summed on ints, a term with beta r + alpha < 0 being 0; the factorials
-    come from one running product.  For float inputs the weight kind is
-    chosen once per call.  With int alpha and beta every argument
-    beta r + 1 + alpha is an int: the binomial is divided by (beta r + alpha)!
-    in one int true division (the float of the exact Fraction, as in
-    _gamma_weight), and at a pole by inf, which gives the +0.0 (or the
-    OverflowError) of multiplying by rgamma there.  Otherwise every binomial
-    is multiplied by its _gamma_weight, exact for an integral Fraction
-    argument, as in lambda_poly.  Products and sums keep lambda_poly's
-    left-to-right order, so floats agree bit for bit when x is a float; a
-    float row that is not finite raises NumericError.
+    summed on ints over Pascal's rows, a term with beta r + alpha < 0 being
+    0; the factorials come from one running product.  A float row is the
+    binomial transform of a_r = g_r (-x)^r: one table whose level n + 1 is
+    b_j <- y b_j + b_(j+1) of level n, starting at b = a, gives row n as b_0
+    at level n, and a lacunary sum reads every step-th level.  With int
+    alpha and beta, g_r = 1/(beta r + alpha)! is one int true division,
+    correctly rounded, and 0.0 at a pole; otherwise it is the float of
+    _gamma_weight, exact for an integral Fraction argument.  Each term
+    of a float row passes at most 2n + 3 roundings, so with u = 2^-53 and
+    M_n = sum_r C(n,r) |g_r| |x|^r |y|^(n-r), a row is within (2n + 4) u M_n
+    of the exact sum of its weights (outside underflow); a float row that
+    is not finite raises NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -121,27 +119,19 @@ def lambda_sequence(
         powy = _powers(x.denominator * y.numerator, nmax)
         rows = _pascal_rows(nmax, step)
         return [Fraction(_row_dot(row, scaled, powy), top * qs**n) for n, row in rows]
-    divide = isinstance(alpha, int) and isinstance(beta, int)
-    if divide:
+    if isinstance(alpha, int) and isinstance(beta, int):
         args = [beta * r + alpha for r in range(nmax + 1)]
         fact = _factorials(args)
-        weights = [fact.get(a, math.inf) for a in args]
+        weights = [1 / fact[a] if a >= 0 else 0.0 for a in args]
     else:
-        weights = [_gamma_weight(beta * r + 1 + alpha) for r in range(nmax + 1)]
+        weights = [float(_gamma_weight(beta * r + 1 + alpha)) for r in range(nmax + 1)]
     try:
-        powx = [(-x) ** r for r in range(nmax + 1)]
-        powy = [y**k for k in range(nmax + 1)]
-        out = []
-        for n, row in _pascal_rows(nmax, step):
-            terms = zip(row, weights, powx, reversed(powy[: n + 1]))
-            total = 0
-            if divide:
-                for c, f, px, py in terms:
-                    total += c / f * px * py
-            else:
-                for c, g, px, py in terms:
-                    total += c * g * px * py
-            out.append(total)
+        b = [g * (-x) ** r for r, g in enumerate(weights)]
+        out = [b[0]]
+        for n in range(1, nmax + 1):
+            b = [y * u + v for u, v in zip(b, b[1:])]
+            if n % step == 0:
+                out.append(b[0])
         return _finite(out, f"float lambda rows to degree {nmax}")
     except OverflowError as exc:
         raise NumericError(f"float lambda rows to degree {nmax} overflow: {exc}") from exc
@@ -367,29 +357,6 @@ def hermite_h_sequence(nmax: int, u: complex) -> list[complex]:
     if nmax < 0:
         raise DomainError("degree must be >= 0")
     return list(itertools.islice(hermite_h_values(u), nmax + 1))
-
-
-def lacunary_decomposition(kind: str, n: int, x: Scalar, y: Scalar = 1):
-    """Reassemble L_{2n} or L_{3n} from degree-n Gamma-weighted pieces.
-
-    kind "double":  sum_r C(n,r) (-x)^r y^(n-r) Lambda_n^(r)(x, y)
-    kind "triple":  sum_{r,k} C(n,r) C(n,k) (-x)^(r+k) y^(2n-r-k) Lambda_n^(r+k)(x, y)
-    """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    if kind not in ("double", "triple"):
-        raise DomainError("kind must be 'double' or 'triple'")
-    pieces = 1 if kind == "double" else 2
-    total = 0
-    for rs in itertools.product(range(n + 1), repeat=pieces):
-        s = sum(rs)
-        total = total + (
-            Fraction(math.prod(math.comb(n, r) for r in rs))
-            * (-x) ** s
-            * y ** (pieces * n - s)
-            * lambda_poly(n, s, 1, x, y)
-        )
-    return total
 
 
 def laguerre_xpoly(n: int, y: Scalar = 1) -> list:

@@ -19,12 +19,12 @@ from lacunary import (
     check_pointwise,
     cli,
     get_case,
-    lacunary_decomposition,
     laguerre,
     lambda_poly,
 )
 from lacunary.identities import compare_with_printed, derive_aux_polynomial, pointwise
 from lacunary.identities.exact import eq2_12_block
+from test_polys import lacunary_decomposition
 
 # The package re-exports a registry() function under the submodule's name,
 # so the mutation test reaches the module through sys.modules.

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from lacunary import cli
+from lacunary import cli, polys
+from lacunary.identities import pointwise
 
 
 def _run(capsys, *argv):
@@ -313,12 +314,34 @@ OVERFLOW = "float lambda rows to degree 1110 overflow"
 
 @pytest.mark.parametrize("case_id", ["EQ1.7", "EQ1.9"])
 def test_float_overflow_at_large_nmax_is_a_typed_error(capsys, case_id):
-    # The kernel's NumericError fails the case's own report.
+    # The kernel's NumericError fails the case's own report.  Point 1
+    # (t = 0.3) stays in the float range and is evaluated.
     code, out, err = _run(capsys, "verify", "--id", case_id, "--mode", "numeric", "--nmax", "1100")
     assert code == 1 and not err
     (result,) = json.loads(out)["results"]
-    assert result["pass"] is False and result["grid_size"] == 0
+    assert result["pass"] is False and result["grid_size"] == 1
     assert result["notes"][-1].startswith(f"failed points: {OVERFLOW}")
+
+
+def test_only_exact_lambda_rows_walk_pascal_rows(capsys, monkeypatch):
+    # Float rows come from one binomial-transform table per grid point.
+    calls = []
+    pascal_rows = polys._pascal_rows
+
+    def counting(*args):
+        calls.append(args)
+        return pascal_rows(*args)
+
+    monkeypatch.setattr(polys, "_pascal_rows", counting)
+    pointwise._lambda_rows.cache_clear()
+    try:
+        ids = ("--id", "EQ1.7", "--id", "EQ1.9", "--id", "EQ2.9")
+        code, _, _ = _run(capsys, "verify", "--mode", "numeric", "--nmax", "160", *ids)
+    finally:
+        pointwise._lambda_rows.cache_clear()
+    assert code == 0 and calls == []
+    code, _, _ = _run(capsys, "verify", "--mode", "exact", "--id", "EQ1.7")
+    assert code == 0 and calls
 
 
 def test_numeric_error_in_one_case_keeps_the_other_reports(capsys):

@@ -411,8 +411,8 @@ def test_eq1_7_and_eq1_9_build_their_shared_rows_once(monkeypatch):
 
 
 def test_shared_rows_are_keyed_by_type():
-    # int 1 divides by factorials and float 1.0 multiplies by rgamma; the
-    # two tables differ in some bits, so one must not stand in for the other.
+    # int 1 takes the weights 1/k! and float 1.0 takes rgamma(k + 1.0); the
+    # weights differ in some bits, so one table must not stand in for the other.
     pointwise._lambda_rows.cache_clear()
     try:
         for alpha in (1, 1.0):
