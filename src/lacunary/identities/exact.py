@@ -8,15 +8,19 @@ Two recurring strategies:
   * reduce a truncated umbral expansion and extract the t-coefficients,
     then convolve with the exponential prefactor;
   * build both sides as formal power series and compare term by term.
+
+This module loads with the registry, but `umbral` and `fps` load only when
+the first exact engine runs (`_stack`), so a numeric-only run never
+compiles them.  The engines read every name off those modules at call
+time, so a wrapper rebound on a module global sees each call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..fps import FormalPowerSeries, fps_exp, fps_geometric, fps_x
 from ..polys import (
     assoc_laguerre_diagonal,
     assoc_laguerre_sequence,
@@ -25,9 +29,20 @@ from ..polys import (
     laguerre_sequence,
 )
 from ..scalars import binomial, rgamma_exact
-from ..umbral import UmbralSeries, umb_exp
+
+if TYPE_CHECKING:
+    from ..fps import FormalPowerSeries
+    from ..umbral import UmbralSeries
 
 Check = tuple[str, Fraction, Fraction]
+
+
+def _stack():
+    """(umbral, fps), imported when the first exact engine runs."""
+    from .. import fps, umbral
+
+    return umbral, fps
+
 
 # The x-degree slot of UmbralSeries doubles as a t-degree tracker in the
 # generating-function engines below: each factor of t tags one unit.
@@ -40,8 +55,9 @@ def _exp_conv(
 
     The weights rate^j / j! are built once, as the series exp(rate * t).
     """
-    dense = FormalPowerSeries([poly.get(k, 0) for k in range(nmax + 1)])
-    return dense * fps_exp(nmax, rate)
+    _, fps = _stack()
+    dense = fps.FormalPowerSeries([poly.get(k, 0) for k in range(nmax + 1)])
+    return dense * fps.fps_exp(nmax, rate)
 
 
 def _label(name: str, binding: dict, n: int) -> str:
@@ -57,11 +73,13 @@ def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
 
     RHS built as c^alpha exp(-c^beta x t) reduced termwise, times e^{y t}.
     """
+    umbral, _ = _stack()
     for binding in tuples:
         alpha, beta = int(binding["alpha"]), int(binding["beta"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = UmbralSeries.monomial(-x, beta, x_degree=1)
-        reduced = (UmbralSeries.symbol(alpha) * umb_exp(arg, nmax)).reduce_poly()
+        arg = umbral.UmbralSeries.monomial(-x, beta, x_degree=1)
+        symbol = umbral.UmbralSeries.symbol(alpha)
+        reduced = (symbol * umbral.umb_exp(arg, nmax)).reduce_poly()
         rhs = _exp_conv(reduced, y, nmax)
         seq = lambda_sequence(nmax, alpha, beta, x, y)
         for n in range(nmax + 1):
@@ -71,12 +89,13 @@ def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
 
 def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     """Ordinary generating function against the composed closed form."""
+    _, fps = _stack()
     for binding in tuples:
         alpha, beta = int(binding["alpha"]), int(binding["beta"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        geom = fps_geometric(nmax, y)  # 1/(1 - t y)
-        inner = geom * fps_x(nmax, -x)
-        outer = FormalPowerSeries(
+        geom = fps.fps_geometric(nmax, y)  # 1/(1 - t y)
+        inner = geom * fps.fps_x(nmax, -x)
+        outer = fps.FormalPowerSeries(
             [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
         )
         rhs_series = outer.compose(inner) * geom
@@ -87,11 +106,12 @@ def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
 
 def eq1_11(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     """Classical associated generating function, fully composed."""
+    _, fps = _stack()
     for binding in tuples:
         alpha = int(binding["alpha"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        geom = fps_geometric(nmax, y)
-        rhs_series = (geom * fps_x(nmax, -x)).exp() * geom.pow(1 + alpha)
+        geom = fps.fps_geometric(nmax, y)
+        rhs_series = (geom * fps.fps_x(nmax, -x)).exp() * geom.pow(1 + alpha)
         seq = assoc_laguerre_sequence(nmax, alpha, x, y)
         for n in range(nmax + 1):
             yield _label("EQ1.11", binding, n), seq[n], rhs_series[n]
@@ -104,12 +124,14 @@ def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     t-coefficients times the e^{y^2 t} convolution must match the lacunary
     polynomials exactly.
     """
+    umbral, _ = _stack()
     for binding in tuples:
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = UmbralSeries.monomial(x * x, 2, x_degree=1) + UmbralSeries.monomial(
-            -2 * x * y, 1, x_degree=1
+        arg = (
+            umbral.UmbralSeries.monomial(x * x, 2, x_degree=1)
+            + umbral.UmbralSeries.monomial(-2 * x * y, 1, x_degree=1)
         )
-        rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), y * y, nmax)
+        rhs = _exp_conv(umbral.umb_exp(arg, nmax).reduce_poly(), y * y, nmax)
         seq = laguerre_sequence(2 * nmax, x, y)
         for n in range(nmax + 1):
             lhs = seq[2 * n] * rgamma_exact(n + 1)
@@ -122,11 +144,13 @@ def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     The inverse-symbol exponential block supplies the binomial factor:
     Gamma(1+alpha) c^alpha e^{y t / c} reduces to sum_k C(alpha,k) (y t)^k.
     """
+    umbral, _ = _stack()
     for binding in tuples:
         alpha = int(binding["alpha"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = UmbralSeries.monomial(y, -1, x_degree=1)
-        reduced = (UmbralSeries.symbol(alpha) * umb_exp(arg, nmax)).reduce_poly()
+        arg = umbral.UmbralSeries.monomial(y, -1, x_degree=1)
+        symbol = umbral.UmbralSeries.symbol(alpha)
+        reduced = (symbol * umbral.umb_exp(arg, nmax)).reduce_poly()
         gamma_alpha = Fraction(math.factorial(alpha))
         binom = {k: gamma_alpha * c for k, c in reduced.items()}
         rhs = _exp_conv(binom, -x, nmax)
@@ -141,25 +165,28 @@ def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Chec
     Exact for integer alpha once the truncation passes alpha (the series
     terminates there because negative-integer weights vanish).
     """
+    umbral, _ = _stack()
     for alpha in alphas:
-        arg = UmbralSeries.monomial(b, -1, x_degree=0)
-        got = (UmbralSeries.symbol(alpha) * umb_exp(arg, max(nmax, alpha + 1))).reduce()
+        arg = umbral.UmbralSeries.monomial(b, -1, x_degree=0)
+        symbol = umbral.UmbralSeries.symbol(alpha)
+        got = (symbol * umbral.umb_exp(arg, max(nmax, alpha + 1))).reduce()
         want = (1 + b) ** alpha * rgamma_exact(alpha + 1)
         yield f"EQ2.12[alpha={alpha}, b={b}]", got, want
 
 
 def eq3_8(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     """Bilateral generating function via two commuting symbols."""
+    umbral, _ = _stack()
     for binding in tuples:
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
         z, u = Fraction(binding["z"]), Fraction(binding["u"])
         arg = (
-            UmbralSeries.monomial(-x * u, 1, x_degree=1, which=1)
-            + UmbralSeries.monomial(-y * z, 1, x_degree=1, which=2)
-            + UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
-            * UmbralSeries.symbol(1, which=2)
+            umbral.UmbralSeries.monomial(-x * u, 1, x_degree=1, which=1)
+            + umbral.UmbralSeries.monomial(-y * z, 1, x_degree=1, which=2)
+            + umbral.UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
+            * umbral.UmbralSeries.symbol(1, which=2)
         )
-        rhs = _exp_conv(umb_exp(arg, nmax).reduce_poly(), u * y, nmax)
+        rhs = _exp_conv(umbral.umb_exp(arg, nmax).reduce_poly(), u * y, nmax)
         seq_a, seq_b = laguerre_sequence(nmax, x, y), laguerre_sequence(nmax, z, u)
         for n in range(nmax + 1):
             lhs = seq_a[n] * seq_b[n] * rgamma_exact(n + 1)
@@ -219,7 +246,9 @@ def eq3_15(order: int, depth: int = 10) -> Iterator[Check]:
 
 def _pseudo_gaussian(order: int) -> UmbralSeries:
     """exp(-c (x/2)^2) truncated; x-degree metadata carries the monomials."""
-    return umb_exp(UmbralSeries.monomial(Fraction(-1, 4), 1, x_degree=2), order)
+    umbral, _ = _stack()
+    arg = umbral.UmbralSeries.monomial(Fraction(-1, 4), 1, x_degree=2)
+    return umbral.umb_exp(arg, order)
 
 
 def eq3_17(order: int) -> Iterator[Check]:
@@ -241,9 +270,10 @@ def eq3_18_exact(order: int) -> Iterator[Check]:
 
 def eq3_20(order: int) -> Iterator[Check]:
     """Gaussian as an umbral Lorentzian: geometric series in -c x^2."""
-    acc = UmbralSeries.scalar(Fraction(0))
+    umbral, _ = _stack()
+    acc = umbral.UmbralSeries.scalar(Fraction(0))
     for k in range(order + 1):
-        acc = acc + UmbralSeries.monomial(Fraction((-1) ** k), k, x_degree=2 * k)
+        acc = acc + umbral.UmbralSeries.monomial(Fraction((-1) ** k), k, x_degree=2 * k)
     reduced = acc.reduce_poly()
     for k in range(order + 1):
         want = Fraction((-1) ** k, math.factorial(k))
@@ -256,12 +286,13 @@ def eq3_21(order: int) -> Iterator[Check]:
     Half-integer symbol powers cancel in the product, so the reduction stays
     exact; term k carries x^{2k+1}/(2k+1) and weight 1/k!.
     """
-    acc = UmbralSeries.scalar(Fraction(0))
+    umbral, _ = _stack()
+    acc = umbral.UmbralSeries.scalar(Fraction(0))
     for k in range(order + 1):
-        acc = acc + UmbralSeries.monomial(
+        acc = acc + umbral.UmbralSeries.monomial(
             Fraction((-1) ** k, 2 * k + 1), Fraction(2 * k + 1, 2), x_degree=2 * k + 1
         )
-    reduced = (UmbralSeries.symbol(Fraction(-1, 2)) * acc).reduce_poly()
+    reduced = (umbral.UmbralSeries.symbol(Fraction(-1, 2)) * acc).reduce_poly()
     for k in range(order + 1):
         want = Fraction((-1) ** k, (2 * k + 1) * math.factorial(k))
         yield f"EQ3.21[x^{2 * k + 1}]", reduced.get(2 * k + 1, Fraction(0)), want

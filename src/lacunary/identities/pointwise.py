@@ -25,7 +25,7 @@ import math
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ..errors import QuadratureFailure
+from ..errors import NumericError, QuadratureFailure
 from ..polys import (
     assoc_laguerre,
     assoc_laguerre_diagonal,
@@ -150,6 +150,14 @@ def _diagonal_sum(x: float, t: float, c: float, alpha: int, ctrl: SumControl) ->
             factor *= z / (c + r)
 
     return sum_series(terms(), ctrl)[0]
+
+
+def _laguerre_rows(xi: float) -> Callable[[int], list[float]]:
+    """a -> [L_s^(a)(xi) for s <= a // 2], one assoc_laguerre_sequence row
+    per Laguerre parameter a, built on first use.  The right sides of EQ2.11
+    and EQ3.11 read L_s^(s + r + alpha) for s <= r: rows serve their double
+    sums in O(R^2) for R terms, where per-index values take O(R^3)."""
+    return functools.cache(lambda a: assoc_laguerre_sequence(a // 2, a, xi))
 
 
 def _half_pochhammer_weights(t: float, b: float, top: int) -> list[float]:
@@ -305,6 +313,7 @@ def eq2_11(g, t, top, ctrl):
     x = g["x"]
     seq = laguerre_sequence(3 * top, x)
     w = -3.0 * t * x / (1.0 - t)
+    lag = _laguerre_rows(x / 3.0)
 
     def rhs_terms() -> Iterator[float]:
         for r in range(ctrl.max_terms + 1):
@@ -312,13 +321,17 @@ def eq2_11(g, t, top, ctrl):
             for s in range(r + 1):
                 inner += (
                     (-x) ** s
-                    * float(assoc_laguerre(s, s + r, x / 3.0))
+                    * lag(s + r)[s]
                     * math.factorial(r)
                     / (math.factorial(r - s) * math.factorial(r + 2 * s))
                 )
             yield w**r * inner
 
-    total, _ = sum_series(rhs_terms(), ctrl)
+    try:
+        total, _ = sum_series(rhs_terms(), ctrl)
+    except OverflowError as exc:
+        # r! leaves the float range at r = 171.
+        raise NumericError(f"EQ2.11 rhs overflows: {exc}") from exc
     rhs = total / (1.0 - t)
     return [t**n for n in range(top)], seq[::3], rhs
 
@@ -528,6 +541,7 @@ def eq3_11(g, t, top, ctrl):
             / ((n + 1.0 + a3) * (n + (2.0 + alpha) / 3.0))
         )
     wz = -t * x / (9.0 * (1.0 - t))
+    lag = _laguerre_rows(x / 3.0)
 
     def rhs_terms() -> Iterator[float]:
         # prefactor_r = Gamma(3r+a+1) / ((1+a/3)_r ((2+a)/3)_r) * wz^r
@@ -537,7 +551,7 @@ def eq3_11(g, t, top, ctrl):
             for s in range(r + 1):
                 inner += (
                     (-x) ** s
-                    * float(assoc_laguerre(s, s + alpha + r, x / 3.0))
+                    * lag(s + alpha + r)[s]
                     / math.factorial(r - s)
                     * rgamma(2.0 * s + alpha + r + 1.0)
                 )

@@ -81,39 +81,54 @@ _COLD = {"dataclasses", "inspect", "csv", "datetime"}
 #: tables; only `derive-aux` compiles the fitter.
 _BRIDGES = {"identities.bridges", "identities.auxpoly"}
 
+#: The exact algebra: only an exact report loads it.
+_ALGEBRA = {"umbral", "fps"}
+
+#: perfbench's numeric-deep run: every numeric case but EQ2.8 and EQ3.4.
+_NUMERIC_DEEP = (
+    "EQ1.7", "EQ1.9", "EQ1.12", "EQ2.7", "EQ2.9", "EQ2.10", "EQ2.11", "EQ2.13",
+    "EQ2.14", "EQ3.1", "EQ3.3", "EQ3.5", "EQ3.8", "EQ3.9", "EQ3.10", "EQ3.11",
+)
+
 
 @pytest.mark.parametrize(
     "argv, needed, unloaded",
     [
         (
             ["verify", "--all", "--mode", "exact", "--no-timestamp"],
-            {"identities.exact", "umbral", "fps"},
+            {"identities.exact", *_ALGEBRA},
             {"identities.pointwise", "specialfns", *_BRIDGES, *_COLD},
         ),
         (
             ["verify", "--mode", "numeric", "--id", "EQ1.7"],
             {"identities.pointwise", "specialfns", "datetime"},
-            {*_BRIDGES, "dataclasses", "inspect", "csv"},
+            {*_BRIDGES, *_ALGEBRA, "dataclasses", "inspect", "csv"},
         ),
         (
             ["verify", "--mode", "numeric", "--id", "EQ2.8"],
             {"identities.pointwise", "identities.bridges"},
-            {"identities.auxpoly", "dataclasses", "inspect", "csv"},
+            {"identities.auxpoly", *_ALGEBRA, "dataclasses", "inspect", "csv"},
         ),
         (
             ["derive-aux", "--family", "p", "--m", "1"],
             {"identities.auxpoly", "identities.bridges"},
-            {"identities.pointwise", "specialfns", *_COLD},
+            {"identities.pointwise", "specialfns", *_ALGEBRA, *_COLD},
         ),
         (
             ["verify", "--all", "--no-timestamp"],
-            {"identities.exact", "identities.pointwise", "identities.bridges"},
+            {"identities.exact", "identities.pointwise", "identities.bridges", *_ALGEBRA},
             {"identities.auxpoly", *_COLD},
         ),
         (
             ["verify", "--id", "EQ1.7", "--mode", "numeric", "--format", "csv"],
             {"csv", "datetime"},
             {"dataclasses", "inspect"},
+        ),
+        (
+            ["verify", "--mode", "numeric", "--nmax", "160", "--no-timestamp",
+             *(a for case_id in _NUMERIC_DEEP for a in ("--id", case_id))],
+            {"identities.exact", "identities.pointwise", "specialfns"},
+            {*_BRIDGES, *_ALGEBRA, *_COLD},
         ),
     ],
 )
@@ -129,3 +144,23 @@ def test_import_loads_only_the_base_modules():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lacunary'))))\n"
     )
     assert loaded == ["lacunary", "lacunary.errors", "lacunary.polys", "lacunary.scalars"]
+
+
+def test_exact_engines_read_umb_exp_off_its_module_at_call_time(monkeypatch):
+    # Rebind every lacunary global bound to umb_exp, as perfbench's tracer
+    # does: the lazily reached exact engines must still call the wrapper.
+    from lacunary import umbral
+
+    original, calls = umbral.umb_exp, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lacunary"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert lacunary.check_coefficients("EQ3.8", nmax=6).passed
+    assert len(calls) == 5

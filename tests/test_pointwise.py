@@ -11,8 +11,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lacunary import QuadratureFailure, SumControl, check_pointwise, cli, specialfns
-from lacunary.identities import pointwise
+from lacunary import (
+    LacunaryError,
+    NumericError,
+    QuadratureFailure,
+    SumControl,
+    check_pointwise,
+    cli,
+    specialfns,
+)
+from lacunary.identities import DEFAULT_TOL, pointwise
 from lacunary.polys import laguerre_sequence
 
 CTRL = SumControl(max_terms=400, rel_tol=1e-16)
@@ -113,6 +121,81 @@ def test_eq2_14_deep_left_sides_are_finite():
 
 def test_eq2_9_passes_at_400_terms():
     assert check_pointwise("EQ2.9", n_terms=400).passed
+
+
+@pytest.mark.parametrize("x, t", [(2.0, 0.8), (1.0, 0.9)])
+def test_eq2_11_rhs_past_the_float_factorials_raises_numeric_error(x, t):
+    # The sum runs past r = 170, where its weight's r! leaves the float range.
+    with pytest.raises(NumericError, match="EQ2.11 rhs overflows"):
+        pointwise.eq2_11.__wrapped__({"x": x}, t, 10, CTRL)
+
+
+@pytest.mark.parametrize("t", [0.9, 0.95, 0.99])
+def test_eq3_11_rhs_near_the_radius_raises_numeric_error(t):
+    with pytest.raises(NumericError):
+        pointwise.eq3_11.__wrapped__({"alpha": 0, "x": 2.0}, t, 10, CTRL)
+
+
+def _nested_rhs_mpmath(case_id, alpha, x, t):
+    """The EQ2.11 or EQ3.11 right side as the engine's nested series over
+    L_s^(s + alpha + r)(x / 3), s <= r, summed in 30 digits by mpmath until
+    three terms in a row fall below 1e-32 of the sum."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        x, t, alpha = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(alpha)
+        fac = mpmath.factorial
+        total, small = mpmath.mpf(0), 0
+        for r in range(400):
+            inner = mpmath.mpf(0)
+            for s in range(r + 1):
+                lag = (-x) ** s * mpmath.laguerre(s, s + alpha + r, x / 3)
+                if case_id == "EQ2.11":
+                    inner += lag * fac(r) / (fac(r - s) * fac(r + 2 * s))
+                else:
+                    inner += lag / fac(r - s) * mpmath.rgamma(2 * s + alpha + r + 1)
+            if case_id == "EQ2.11":
+                term = (-3 * t * x / (1 - t)) ** r * inner
+            else:
+                pochhammers = mpmath.rf(1 + alpha / 3, r) * mpmath.rf((2 + alpha) / 3, r)
+                wz = -t * x / (9 * (1 - t))
+                term = mpmath.gamma(3 * r + alpha + 1) / pochhammers * wz**r * inner
+            total += term
+            small = small + 1 if abs(term) <= mpmath.mpf(10) ** -32 * abs(total) else 0
+            if small == 3:
+                break
+        else:
+            raise AssertionError("the mpmath reference did not converge")
+        if case_id == "EQ2.11":
+            return total / (1 - t)
+        return (1 - t) ** (-(1 + alpha) / 3) * total
+
+
+#: (alpha, x, t) off the registered grids, toward larger x and toward the
+#: radius t = 1; EQ2.11 has no alpha.
+_RHS_LADDER = {
+    "EQ2.11": [(0, 1.0, 0.6), (0, 2.0, 0.5), (0, 4.0, 0.3), (0, 8.0, 0.2),
+               (0, 2.0, 0.8), (0, 1.0, 0.9)],
+    "EQ3.11": [(0, 1.0, 0.5), (1, 2.0, 0.3), (0, 4.0, 0.2), (1, 8.0, 0.1),
+               (0, 2.0, 0.9), (0, 2.0, 0.95), (0, 2.0, 0.99)],
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(_RHS_LADDER))
+def test_laguerre_row_right_sides_match_mpmath_off_grid_or_raise(case_id):
+    # Each ladder point gives a right side within DEFAULT_TOL (relative, as
+    # the point rule scales it) of the mpmath sum, or ends in a typed error.
+    point = getattr(pointwise, case_id.replace(".", "_").lower()).__wrapped__
+    compared = 0
+    for alpha, x, t in _RHS_LADDER[case_id]:
+        try:
+            rhs = point({"alpha": alpha, "x": x}, t, 10, CTRL)[2]
+        except LacunaryError:
+            continue
+        want = _nested_rhs_mpmath(case_id, alpha, x, t)
+        assert abs(rhs - want) <= DEFAULT_TOL * max(1, abs(want)), (alpha, x, t, rhs)
+        compared += 1
+    assert compared >= 4
 
 
 def test_borel_points_grid():

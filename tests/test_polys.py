@@ -185,21 +185,48 @@ def test_assoc_laguerre_matches_the_fraction_loop(n, alpha, x, y, offset_by_n):
     assert _same(value, want), (value, want)
 
 
-def test_assoc_laguerre_matches_the_fraction_loop_on_the_engine_calls(monkeypatch):
-    # The (n, alpha, x) the right sides of EQ2.10, EQ2.11, EQ3.1, EQ3.3,
-    # EQ3.9 and EQ3.11 pass over one default run.
-    calls = []
+#: Relative error allowed a value of pointwise._laguerre_rows against the
+#: exact sum at its float argument: the recurrence rows come within 1.6e-15
+#: on the engine rows, and moving their argument by a relative 1e-12 moves
+#: every value of degree >= 1 there by at least 9.9e-15.
+ROW_REL_BOUND = 4e-15
+
+
+def test_engine_laguerre_values_match_the_fraction_loop(monkeypatch):
+    # The right sides of EQ2.10, EQ3.1, EQ3.3 and EQ3.9 call assoc_laguerre
+    # per index; those of EQ2.11 and EQ3.11 read L_s^(a)(xi) off the rows of
+    # _laguerre_rows.  Over one default run, each per-index value must be
+    # the fraction loop's float, and each row value the exact sum at its
+    # float xi within ROW_REL_BOUND.
+    calls, served = [], set()
 
     def recording(*args):
         calls.append(args)
         return assoc_laguerre(*args)
 
+    def recording_rows(xi):
+        rows = make_rows(xi)
+
+        def row(a):
+            values = rows(a)
+            served.update((s, a, xi, v) for s, v in enumerate(values))
+            return values
+
+        return row
+
+    make_rows = pointwise._laguerre_rows
     monkeypatch.setattr(pointwise, "assoc_laguerre", recording)
+    monkeypatch.setattr(pointwise, "_laguerre_rows", recording_rows)
     for case_id in ("EQ2.10", "EQ2.11", "EQ3.1", "EQ3.3", "EQ3.9", "EQ3.11"):
         assert check_pointwise(case_id).passed, case_id
-    assert len(calls) > 500
+    assert len(calls) > 200 and len(served) > 600
+    assert max(s for s, *_ in served) > 20
     for args in calls:
         assert _same(assoc_laguerre(*args), _assoc_laguerre_fraction_loop(*args)), args
+    for s, a, xi, v in served:
+        want = _assoc_laguerre_fraction_loop(s, a, Fraction(xi))
+        assert type(v) is float
+        assert abs(Fraction(v) - want) <= ROW_REL_BOUND * abs(want), (s, a, xi, v)
 
 
 def test_assoc_laguerre_int_offset_float_x_constructs_no_fraction():
