@@ -107,6 +107,7 @@ _LAZY = {
     "sum_series": "summation",
     "sum_shells": "summation",
     "UmbralSeries": "umbral",
+    "reduce_exp": "umbral",
     "umb_exp": "umbral",
 }
 

@@ -5,8 +5,10 @@ mismatch fails the case.  Each engine yields (label, lhs, rhs) triples so
 the caller can count comparisons and collect mismatches uniformly.
 
 Two recurring strategies:
-  * reduce a truncated umbral expansion and extract the t-coefficients,
-    then convolve with the exponential prefactor;
+  * reduce a truncated umbral exponential to its t-coefficients, then
+    convolve with the exponential prefactor.  `umbral.reduce_exp` folds the
+    expansion straight into the reduction, so only EQ3.18, which dilates
+    its exponential first, builds the series;
   * build both sides as formal power series and compare term by term.
 
 This module loads with the registry, but `umbral` and `fps` load only when
@@ -78,9 +80,7 @@ def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         alpha, beta = int(binding["alpha"]), int(binding["beta"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
         arg = umbral.UmbralSeries.monomial(-x, beta, x_degree=1)
-        symbol = umbral.UmbralSeries.symbol(alpha)
-        reduced = (symbol * umbral.umb_exp(arg, nmax)).reduce_poly()
-        rhs = _exp_conv(reduced, y, nmax)
+        rhs = _exp_conv(umbral.reduce_exp(arg, nmax, alpha), y, nmax)
         seq = lambda_sequence(nmax, alpha, beta, x, y)
         for n in range(nmax + 1):
             lhs = seq[n] * rgamma_exact(n + 1)
@@ -131,7 +131,7 @@ def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             umbral.UmbralSeries.monomial(x * x, 2, x_degree=1)
             + umbral.UmbralSeries.monomial(-2 * x * y, 1, x_degree=1)
         )
-        rhs = _exp_conv(umbral.umb_exp(arg, nmax).reduce_poly(), y * y, nmax)
+        rhs = _exp_conv(umbral.reduce_exp(arg, nmax), y * y, nmax)
         seq = laguerre_sequence(2 * nmax, x, y)
         for n in range(nmax + 1):
             lhs = seq[2 * n] * rgamma_exact(n + 1)
@@ -149,8 +149,7 @@ def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
         alpha = int(binding["alpha"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
         arg = umbral.UmbralSeries.monomial(y, -1, x_degree=1)
-        symbol = umbral.UmbralSeries.symbol(alpha)
-        reduced = (symbol * umbral.umb_exp(arg, nmax)).reduce_poly()
+        reduced = umbral.reduce_exp(arg, nmax, alpha)
         gamma_alpha = Fraction(math.factorial(alpha))
         binom = {k: gamma_alpha * c for k, c in reduced.items()}
         rhs = _exp_conv(binom, -x, nmax)
@@ -168,8 +167,7 @@ def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Chec
     umbral, _ = _stack()
     for alpha in alphas:
         arg = umbral.UmbralSeries.monomial(b, -1, x_degree=0)
-        symbol = umbral.UmbralSeries.symbol(alpha)
-        got = (symbol * umbral.umb_exp(arg, max(nmax, alpha + 1))).reduce()
+        got = umbral.reduce_exp(arg, max(nmax, alpha + 1), alpha).get(0, Fraction(0))
         want = (1 + b) ** alpha * rgamma_exact(alpha + 1)
         yield f"EQ2.12[alpha={alpha}, b={b}]", got, want
 
@@ -186,7 +184,7 @@ def eq3_8(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
             + umbral.UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
             * umbral.UmbralSeries.symbol(1, which=2)
         )
-        rhs = _exp_conv(umbral.umb_exp(arg, nmax).reduce_poly(), u * y, nmax)
+        rhs = _exp_conv(umbral.reduce_exp(arg, nmax), u * y, nmax)
         seq_a, seq_b = laguerre_sequence(nmax, x, y), laguerre_sequence(nmax, z, u)
         for n in range(nmax + 1):
             lhs = seq_a[n] * seq_b[n] * rgamma_exact(n + 1)
@@ -244,16 +242,17 @@ def eq3_15(order: int, depth: int = 10) -> Iterator[Check]:
 # -- pseudo-Gaussian family -------------------------------------------------
 
 
-def _pseudo_gaussian(order: int) -> UmbralSeries:
-    """exp(-c (x/2)^2) truncated; x-degree metadata carries the monomials."""
+def _pseudo_gaussian_exponent() -> UmbralSeries:
+    """-c (x/2)^2, exponentiated by EQ3.17 and EQ3.18; x-degree metadata
+    carries the monomials."""
     umbral, _ = _stack()
-    arg = umbral.UmbralSeries.monomial(Fraction(-1, 4), 1, x_degree=2)
-    return umbral.umb_exp(arg, order)
+    return umbral.UmbralSeries.monomial(Fraction(-1, 4), 1, x_degree=2)
 
 
 def eq3_17(order: int) -> Iterator[Check]:
     """Bessel J0 as a pseudo-Gaussian: reduction vs Taylor coefficients."""
-    reduced = _pseudo_gaussian(order).reduce_poly()
+    umbral, _ = _stack()
+    reduced = umbral.reduce_exp(_pseudo_gaussian_exponent(), order)
     for k in range(order + 1):
         want = Fraction((-1) ** k, 4**k * math.factorial(k) ** 2)
         yield f"EQ3.17[x^{2 * k}]", reduced.get(2 * k, Fraction(0)), want
@@ -261,7 +260,8 @@ def eq3_17(order: int) -> Iterator[Check]:
 
 def eq3_18_exact(order: int) -> Iterator[Check]:
     """Dilation by sigma = -1/2 turns the pseudo-Gaussian into a Gaussian."""
-    dilated = _pseudo_gaussian(order).dilate(Fraction(-1, 2))
+    umbral, _ = _stack()
+    dilated = umbral.umb_exp(_pseudo_gaussian_exponent(), order).dilate(Fraction(-1, 2))
     reduced = dilated.reduce_poly()
     for k in range(order + 1):
         want = Fraction((-1) ** k, 4**k * math.factorial(k))

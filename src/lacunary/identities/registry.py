@@ -451,11 +451,17 @@ def check_pointwise(
     n_terms: Optional[int] = None,
     grid_scale: float = 1.0,
 ) -> VerificationReport:
-    """Numeric mode: relative error, tail, and stability rules per point."""
+    """Numeric mode: relative error, tail, and stability rules per point.
+
+    grid_scale shrinks every t of the registered grid; outside (0, 1], NaN
+    included, it raises DomainError.
+    """
     case = _case_with(case_id, NUMERIC)
     terms = DEFAULT_TERMS if n_terms is None else n_terms
     if terms < 1:
         raise DomainError(f"term count must be >= 1, got {terms}")
+    if not 0.0 < grid_scale <= 1.0:
+        raise DomainError(f"grid scale must lie in (0, 1], got {grid_scale!r}")
     rows = case.numeric_runner(terms, grid_scale, _CTRL)
     return _tally(case, NUMERIC, terms, rows, _point_rule(tol, budgeted=True))
 

@@ -361,7 +361,13 @@ def hermite_h_sequence(nmax: int, u: complex) -> list[complex]:
 
 def laguerre_xpoly(n: int, y: Scalar = 1) -> list:
     """Coefficients in x of L_n(x, y): [c_0, ..., c_n], exact for rational y."""
-    return [c * y ** (n - r) for r, c in enumerate(assoc_laguerre_xpoly(n, 0))]
+    try:
+        coeffs = [c * y ** (n - r) for r, c in enumerate(assoc_laguerre_xpoly(n, 0))]
+    except OverflowError as exc:
+        raise NumericError(f"float Laguerre x-coefficients of degree {n} overflow: {exc}") from exc
+    if is_exact(y):
+        return coeffs
+    return _finite(coeffs, f"float Laguerre x-coefficients of degree {n}")
 
 
 def assoc_laguerre_xpoly(n: int, alpha: Scalar) -> list:
@@ -375,4 +381,6 @@ def assoc_laguerre_xpoly(n: int, alpha: Scalar) -> list:
     for r in range(n + 1):
         w = Fraction((-1) ** r, math.factorial(r) * math.factorial(n - r))
         coeffs.append(w * prods[r])
-    return coeffs
+    if is_exact(alpha):
+        return coeffs
+    return _finite(coeffs, f"float associated Laguerre x-coefficients of degree {n}")

@@ -62,7 +62,9 @@ def rgamma(z: Scalar) -> float:
 
     Every real input, int and Fraction included, is evaluated as float(z).
     Uses the libm Gamma (relative error well under 1e-13 for |z| <= 170);
-    a complex argument raises DomainError.
+    a complex argument raises DomainError.  Past the float range the value
+    underflows to 0.0 for a large z and raises NumericError for a negative
+    z whose |1/Gamma| overflows.
     """
     if isinstance(z, complex):
         raise DomainError(f"rgamma takes real arguments, got {z!r}")
@@ -75,8 +77,12 @@ def rgamma(z: Scalar) -> float:
     if z <= 0.0 and z == math.floor(z):
         return 0.0
     if z > 170.0:
-        # lgamma avoids overflow past Gamma's range.
-        return math.exp(-math.lgamma(z))
+        # lgamma avoids overflow past Gamma's range; past its own, 1/Gamma
+        # is far below the smallest float.
+        try:
+            return math.exp(-math.lgamma(z))
+        except OverflowError:
+            return 0.0
     if z >= 0.5:
         return 1.0 / math.gamma(z)
     # Reflection keeps the negative real axis accurate between poles.
@@ -86,7 +92,10 @@ def rgamma(z: Scalar) -> float:
     # 1/Gamma(z) = sin(pi z)/pi * Gamma(1 - z)
     one_minus = 1.0 - z
     if one_minus > 170.0:
-        magnitude = math.exp(math.lgamma(one_minus) + math.log(abs(sin_term) / math.pi))
+        try:
+            magnitude = math.exp(math.lgamma(one_minus) + math.log(abs(sin_term) / math.pi))
+        except OverflowError:
+            raise NumericError(f"|1/Gamma({z!r})| exceeds the float range") from None
         return math.copysign(magnitude, sin_term)
     return sin_term / math.pi * math.gamma(one_minus)
 

@@ -19,7 +19,9 @@ reduced values.
 
 `umb_exp` expands exp(argument) to order N by multinomial weights, one
 pass per argument monomial, merging partial terms that share a key and a
-factor count.
+factor count.  `reduce_exp` runs the same passes (`_expand`) but folds the
+last one straight into the vacuum reduction, one int per x-degree, so an
+engine that only reduces the exponential never builds the series.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -230,11 +232,8 @@ class UmbralSeries:
                     )
         if eden != 1:
             num = {(n1 // eden, n2 // eden, d): c for (n1, n2, d), c in num.items()}
-        top1 = max(0, max(map(itemgetter(0), num), default=0))
-        top2 = max(0, max(map(itemgetter(1), num), default=0))
-        f1, f2 = math.factorial(top1), math.factorial(top2)
-        w1 = [f1 // math.factorial(e) for e in range(top1 + 1)]
-        w2 = [f2 // math.factorial(e) for e in range(top2 + 1)]
+        f1, w1 = _vacuum_weights(max(map(itemgetter(0), num), default=0), 0)
+        f2, w2 = _vacuum_weights(max(map(itemgetter(1), num), default=0), 0)
         sums: dict[int, int] = {}
         for (e1, e2, d), c in num.items():
             if e1 >= 0 and e2 >= 0:  # 1/Gamma vanishes at the poles
@@ -271,30 +270,27 @@ class UmbralSeries:
         return _make(out, self._den, eden)
 
 
-def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
-    """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term.
+def _expand(argument: UmbralSeries, order: int):
+    """Check the inputs of exp(argument) and run every pass but the last.
 
-    With the argument sum_i (n_i / D) M_i over m monomials and N = order,
-    the result's numerators over D^N N! are
-
-        sum_{|a|<=N} (N! / prod_i a_i!) prod_i n_i^(a_i) D^(N-|a|) M^a.
-
-    One pass per monomial extends each partial term (key, |a|) by j more
-    factors at weight C(N - |a|, j) n_i^j; the last pass also folds in
-    (N - |a|)! D^(N-|a|).  Every later weight depends only on |a|, so
-    partial terms that land on the same (key, |a|) are merged exactly.
-    Independent keys merge nothing: EQ3.8's three monomials make their
-    C(N+3, 3) terms once each (5,456 at N = 30).
+    Returns (states, last, rows): the partial terms {(e1, e2, d, used):
+    multinomial * prod n^a} over every monomial but the last, that last
+    monomial's key, and rows[used][j] = C(N-u, j) n^j (N-u-j)! D^(N-u-j),
+    the weight of j more of its factors with the tail (N-u)! D^(N-u) folded
+    in.  A zero argument gives last = None.  A monomial that carries at
+    most one symbol, if there is one, goes last, so `reduce_exp` moves at
+    most one symbol in its fold.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise DomainError(f"order must be an int >= 0, got {order!r}")
     if _ONE in argument._num:
         raise DomainError("umb_exp needs the pure-scalar term split off first")
-    if not argument._num:  # exp(0) = 1
-        return _make({_ONE: 1}, 1, argument._eden)
-    den = argument._den
-    *inner, ((v1, v2, vd), n) = argument._num.items()
     states = {(0, 0, 0, 0): 1}  # (e1, e2, d, used): multinomial * prod n^a
+    if not argument._num:
+        return states, None, None
+    # A stable sort: the monomials that carry both symbols go first.
+    *inner, (last, n) = sorted(argument._num.items(), key=lambda kv: not all(kv[0][:2]))
+    den = argument._den
     used = 0  # the largest count in states
     for (b1, b2, bd), m in inner:
         powers = [m**j for j in range(order + 1)]
@@ -322,6 +318,29 @@ def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
         for j in range(1, order - u + 1):
             row.append(row[-1] * n // (j * den))
         rows.append(row)
+    return states, last, rows
+
+
+def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
+    """sum_{k<=order} argument^k / k!; argument must have no pure-scalar term.
+
+    With the argument sum_i (n_i / D) M_i over m monomials and N = order,
+    the result's numerators over D^N N! are
+
+        sum_{|a|<=N} (N! / prod_i a_i!) prod_i n_i^(a_i) D^(N-|a|) M^a.
+
+    One pass per monomial extends each partial term (key, |a|) by j more
+    factors at weight C(N - |a|, j) n_i^j; the last pass also folds in
+    (N - |a|)! D^(N-|a|).  Every later weight depends only on |a|, so
+    partial terms that land on the same (key, |a|) are merged exactly.
+    Independent keys merge nothing: EQ3.18's one monomial makes N + 1
+    terms, EQ3.8's three would make C(N+3, 3).  A non-int or negative
+    order raises DomainError.
+    """
+    states, last, rows = _expand(argument, order)
+    if last is None:  # exp(0) = 1
+        return _make({_ONE: 1}, 1, argument._eden)
+    v1, v2, vd = last
     shifts = [(j * v1, j * v2, j * vd) for j in range(order + 1)]
     acc: dict[Key, int] = {}
     for (a1, a2, d, u), c in states.items():
@@ -332,4 +351,69 @@ def umb_exp(argument: UmbralSeries, order: int) -> UmbralSeries:
             else:
                 acc[key] = c * w
         _check_cap(len(acc))
-    return _make(acc, den**order * math.factorial(order), argument._eden)
+    return _make(acc, argument._den**order * math.factorial(order), argument._eden)
+
+
+def _vacuum_weights(top: int, pad: int) -> tuple[int, list[int]]:
+    """(t!, w) with t = max(top, 0): w[pad + e] = t!/e! for 0 <= e <= t, and
+    0, the weight at a pole, for the pad exponents -pad <= e < 0."""
+    t = max(top, 0)
+    f = math.factorial(t)
+    return f, [0] * pad + [f // math.factorial(e) for e in range(t + 1)]
+
+
+def reduce_exp(argument: UmbralSeries, order: int, alpha=0) -> dict[int, Fraction]:
+    """(UmbralSeries.symbol(alpha) * umb_exp(argument, order)).reduce_poly().
+
+    The series is never built.  `umb_exp`'s passes run with a monomial that
+    carries at most one symbol last, so the other symbol's 1/e! is fixed for
+    each partial term; the last pass multiplies each partial term's row by
+    the 1/e! of the symbol that moves and adds it into one int per degree,
+    and each degree makes one Fraction.  The cap counts each pass's partial
+    terms, then every term the last pass folds.  That count is at least the
+    series' term count and each of `umb_exp`'s pass counts, so this raises
+    TermBudgetExceeded wherever the two-step path does.  A non-integer alpha
+    or argument exponent takes the two-step path, whose reduction raises
+    ExactnessViolation unless the truncation or a cancellation removes
+    every such term.
+    """
+    a = _as_exponent(alpha)
+    if a.denominator != 1 or argument._eden != 1:
+        return (UmbralSeries.symbol(alpha) * umb_exp(argument, order)).reduce_poly()
+    alpha = a.numerator
+    states, last, rows = _expand(argument, order)
+    if last is None:  # exp(0) = 1
+        _check_cap(1)
+        return {0: Fraction(1, math.factorial(alpha))} if alpha >= 0 else {}
+    _check_cap(sum(order - u + 1 for (_, _, _, u) in states))
+    v1, v2, vd = last
+    # Exponents stay within alpha + N [min(0, b1), max(0, b1)] and
+    # N [min(0, b2), max(0, b2)]; |v| more zeros below the lowest keep a
+    # falling slice's end at or above 0.
+    e1s, e2s, ds = zip(*argument._num)
+    lo1, lo2 = alpha + order * min(0, *e1s), order * min(0, *e2s)
+    p1, p2 = abs(v1) - min(lo1, 0), abs(v2) - lo2
+    f1, w1 = _vacuum_weights(alpha + order * max(0, *e1s), p1)
+    f2, w2 = _vacuum_weights(order * max(0, *e2s), p2)
+    sums = [0] * (order * max(ds) + 1)
+    for (a1, a2, d, u), c in states.items():
+        size = order - u + 1
+        i1, i2 = a1 + alpha + p1, a2 + p2
+        if not v1:
+            c *= w1[i1]
+        if not v2:
+            c *= w2[i2]
+        if not c:  # a pole of the fixed symbol
+            continue
+        terms = rows[u]
+        if v1:
+            terms = map(mul, terms, w1[i1 : i1 + v1 * size : v1])
+        if v2:
+            terms = map(mul, terms, w2[i2 : i2 + v2 * size : v2])
+        if vd:
+            end = d + vd * size
+            sums[d:end:vd] = map(add, sums[d:end:vd], map(c.__mul__, terms))
+        else:
+            sums[d] += c * sum(terms)
+    scale = argument._den**order * math.factorial(order) * f1 * f2
+    return {d: Fraction(s, scale) for d, s in enumerate(sums) if s}

@@ -344,6 +344,26 @@ def test_only_exact_lambda_rows_walk_pascal_rows(capsys, monkeypatch):
     assert code == 0 and calls
 
 
+def test_only_eq3_18_reduces_a_built_exponential(capsys, monkeypatch):
+    # The exact right sides reduce their exponentials with reduce_exp; only
+    # EQ3.18 builds one, to dilate it before the reduction.
+    from lacunary import umbral
+
+    calls = []
+    reduce_poly = umbral.UmbralSeries.reduce_poly
+
+    def counting(self):
+        calls.append(len(self.terms))
+        return reduce_poly(self)
+
+    monkeypatch.setattr(umbral.UmbralSeries, "reduce_poly", counting)
+    ids = ("--id", "EQ1.7", "--id", "EQ2.7", "--id", "EQ2.13", "--id", "EQ3.8", "--id", "EQ3.17")
+    code, _, _ = _run(capsys, "verify", "--mode", "exact", *ids)
+    assert code == 0 and calls == []
+    code, _, _ = _run(capsys, "verify", "--mode", "exact", "--id", "EQ3.18")
+    assert code == 0 and calls
+
+
 def test_numeric_error_in_one_case_keeps_the_other_reports(capsys):
     code, out, err = _run(
         capsys, "verify", "--id", "EQ2.7", "--id", "EQ1.7",

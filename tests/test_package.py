@@ -147,20 +147,26 @@ def test_import_loads_only_the_base_modules():
 
 
 def test_exact_engines_read_umb_exp_off_its_module_at_call_time(monkeypatch):
-    # Rebind every lacunary global bound to umb_exp, as perfbench's tracer
-    # does: the lazily reached exact engines must still call the wrapper.
+    # Rebind every lacunary global bound to umb_exp or reduce_exp, as
+    # perfbench's tracer does: the lazily reached exact engines must still
+    # call the wrappers.  EQ3.8 reduces one exponential per tuple through
+    # reduce_exp; EQ3.18 builds one with umb_exp to dilate it.
     from lacunary import umbral
 
-    original, calls = umbral.umb_exp, []
+    calls = {"umb_exp": 0, "reduce_exp": 0}
+    for name in calls:
+        original = getattr(umbral, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lacunary"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("lacunary"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
     assert lacunary.check_coefficients("EQ3.8", nmax=6).passed
-    assert len(calls) == 5
+    assert calls == {"umb_exp": 0, "reduce_exp": 5}
+    assert lacunary.check_coefficients("EQ3.18", nmax=6).passed
+    assert calls == {"umb_exp": 1, "reduce_exp": 5}

@@ -825,6 +825,23 @@ def test_xpoly_coefficient_lists():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_xpoly_float_paths_reject_non_finite_values(bad):
+    with pytest.raises(NumericError):
+        assoc_laguerre_xpoly(3, bad)
+    with pytest.raises(NumericError):
+        laguerre_xpoly(3, bad)
+
+
+def test_xpoly_float_overflow_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        assoc_laguerre_xpoly(200, 1e300)  # the Gamma product passes inf
+    with pytest.raises(NumericError):
+        laguerre_xpoly(3, 1e200)  # y**3 overflows
+    assert assoc_laguerre_xpoly(2, 0.5) == [1.875, -2.5, F(1, 2)]
+    assert laguerre_xpoly(2, 2.0) == [4.0, -4.0, 0.5]
+
+
 @pytest.mark.parametrize("step", (1, 2, 3))
 def test_step_rows_are_every_step_th_row(step):
     # Float draws, bit for bit, then exact draws, value and type.

@@ -141,6 +141,15 @@ def test_shrunk_grid_still_passes():
     assert check_pointwise("EQ1.7", grid_scale=0.5).passed
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, 5.0, 1.0 + 1e-12, math.nan, math.inf])
+def test_grid_scale_outside_the_unit_interval_is_rejected(scale):
+    # At 0 every point sits at t = 0, and above 1 off the registered grid.
+    with pytest.raises(DomainError):
+        check_pointwise("EQ1.7", grid_scale=scale)
+    with pytest.raises(DomainError):
+        run_case("EQ1.7", mode="numeric", grid_scale=scale)
+
+
 def test_eq3_10_report_notes_the_normalization():
     report = check_pointwise("EQ3.10")
     assert report.passed

@@ -52,6 +52,29 @@ def test_rgamma_int_and_fraction_take_the_float_path():
 def test_rgamma_large_argument_underflows_to_zero():
     assert rgamma(400.0) == 0.0
     assert rgamma(171) > 0.0
+    # lgamma itself overflows past about 2.5e305; 1/Gamma is still 0.0.
+    assert rgamma(1e300) == rgamma(3e305) == rgamma(1.7e308) == 0.0
+
+
+def test_rgamma_beyond_the_float_range_is_a_numeric_error():
+    # |1/Gamma| of a negative half-integer passes 1.8e308 between -171
+    # and -172; the last finite values stay what the reflection gives.
+    for z in (-171.5, -200.5, -1e10 + 0.5):
+        with pytest.raises(NumericError):
+            rgamma(z)
+    for z in (-170.5, -169.25):
+        sin_term = math.sin(math.pi * (z - math.floor(z))) * (-1.0) ** math.floor(z)
+        magnitude = math.exp(math.lgamma(1.0 - z) + math.log(abs(sin_term) / math.pi))
+        assert rgamma(z) == math.copysign(magnitude, sin_term)
+    assert rgamma(-170.5) < -1e307
+
+
+def test_series_over_rgamma_fail_typed_past_the_float_range():
+    from lacunary import mittag_leffler, wright
+
+    for series in (wright, mittag_leffler):
+        with pytest.raises(NumericError):
+            series(1.0, -200.5, 0.5)
 
 
 @given(

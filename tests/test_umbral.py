@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from lacunary import (
     assoc_laguerre,
     laguerre,
     lambda_poly,
+    reduce_exp,
     rgamma_exact,
     umb_exp,
 )
@@ -148,6 +150,21 @@ def test_umb_exp_zero_argument():
 def test_umb_exp_rejects_scalar_term():
     with pytest.raises(DomainError):
         umb_exp(UmbralSeries.scalar(F(1)), 3)
+    with pytest.raises(DomainError):
+        reduce_exp(UmbralSeries.scalar(F(1)), 3)
+
+
+@pytest.mark.parametrize("order", [True, False, 2.5, F(3), -1, "3", None])
+@pytest.mark.parametrize("terms", [{(1, 0, 1): F(-2)}, {}])
+def test_order_must_be_a_non_negative_int(terms, order):
+    # True once expanded to order 1, and 2.5 or Fraction(3) raised TypeError.
+    arg = UmbralSeries(terms)
+    with pytest.raises(DomainError):
+        umb_exp(arg, order)
+    with pytest.raises(DomainError):
+        reduce_exp(arg, order)
+    with pytest.raises(DomainError):
+        reduce_exp(arg, order, F(1, 2))  # the two-step path checks it too
 
 
 def test_reduce_examples():
@@ -441,3 +458,124 @@ def test_cancelled_terms_are_dropped_as_in_oracle(s, m, e, d):
     assert set(got.terms) == set(want)
     assert not (plus - plus).terms
     assert not (plus * UmbralSeries.scalar(F(0))).terms
+
+
+# -- reduce_exp against the two-step path ----------------------------------------
+
+
+def _two_step(series, order, alpha):
+    return (UmbralSeries.symbol(alpha) * umb_exp(series, order)).reduce_poly()
+
+
+def _assert_reduce_exp_matches(terms, order, alpha):
+    series = UmbralSeries(terms)
+    try:
+        want = _two_step(series, order, alpha)
+    except ExactnessViolation:
+        with pytest.raises(ExactnessViolation):
+            reduce_exp(series, order, alpha)
+        return
+    got = reduce_exp(series, order, alpha)
+    assert got == want
+    assert list(got) == sorted(got)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+# Integer exponents on both symbols, negative ones (poles) included.
+int_keys = st.tuples(
+    st.integers(min_value=-2, max_value=3),
+    st.integers(min_value=-2, max_value=3),
+    st.integers(min_value=0, max_value=3),
+).filter(lambda key: key != (0, 0, 0))
+alphas = st.integers(min_value=-3, max_value=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(int_keys, exp_coeffs, max_size=4),
+    st.integers(min_value=0, max_value=9),
+    alphas,
+)
+def test_reduce_exp_equals_the_two_step_path(terms, order, alpha):
+    _assert_reduce_exp_matches(terms, order, alpha)
+
+
+@pytest.mark.parametrize(
+    "terms, order, alpha",
+    [
+        ({}, 5, 0),  # the zero argument
+        ({}, 5, 3),
+        ({}, 5, -2),
+        ({(1, 0, 1): F(-2, 3)}, 0, 2),
+        ({(3, 0, 1): F(-5, 7)}, 25, 2),  # EQ1.7 at beta = 3
+        ({(2, 0, 1): F(9, 25), (1, 0, 1): F(12, 35)}, 25, 0),  # EQ2.7
+        ({(-1, 0, 1): F(7, 3)}, 25, 4),  # EQ2.13: poles past j = alpha
+        ({(-1, 0, 0): F(-2, 5)}, 12, 8),  # the EQ2.12 block, all at degree 0
+        ({(1, 0, 1): F(-3, 4), (0, 1, 1): F(5, 6), (1, 1, 1): F(-7, 8)}, 20, 0),  # EQ3.8
+        ({(1, 0, 2): F(-1, 4)}, 30, 0),  # EQ3.17
+        ({(1, 1, 1): F(2)}, 8, 1),  # no monomial carries one symbol only
+        ({(1, 1, 1): F(2), (0, -1, 2): F(-1, 3)}, 8, -1),
+        ({(0, 0, 1): F(1, 2), (0, 2, 1): F(3)}, 8, 2),  # a symbol-free monomial
+        ({(0, 1, 1): F(1), (-2, 0, 0): F(1, 2)}, 9, 5),  # c2 moves last
+        ({(k, 0, 1): F(k, 7) for k in range(1, 7)}, 12, 1),  # dependent keys
+        ({(-2, 1, 2): F(1, 3), (2, -1, 1): F(-4, 5)}, 10, 3),
+        ({(1, 0, 1): F(1, 2), (F(1, 2), 0, 1): F(1)}, 4, 0),  # half-integer
+        ({(F(1, 2), 0, 1): F(1)}, 0, 0),  # order 0 keeps no half-integer
+        ({(1, 0, 1): F(1)}, 3, F(1, 2)),  # half-integer alpha
+        ({(F(1, 2), 0, 1): F(1)}, 3, F(-1, 2)),
+    ],
+)
+def test_reduce_exp_equals_the_two_step_path_on_named_arguments(terms, order, alpha):
+    _assert_reduce_exp_matches(terms, order, alpha)
+
+
+def test_reduce_exp_keeps_the_exactness_check():
+    half = UmbralSeries.monomial(F(1), F(1, 2), x_degree=1)
+    with pytest.raises(ExactnessViolation):
+        reduce_exp(half, 3)
+    with pytest.raises(ExactnessViolation):
+        reduce_exp(UmbralSeries.monomial(F(1), 1, x_degree=1), 3, F(1, 2))
+    # A half-integer key that cancels leaves integer exponents over 2.
+    whole = half + UmbralSeries.monomial(F(2), 1, x_degree=1) - half
+    assert reduce_exp(whole, 6, 1) == _two_step(whole, 6, 1)
+    assert reduce_exp(half, 0) == {0: 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(int_keys, exp_coeffs, max_size=4),
+    st.integers(min_value=0, max_value=6),
+    alphas,
+    st.integers(min_value=0, max_value=90),
+)
+def test_reduce_exp_meets_the_term_cap_wherever_the_two_step_path_does(
+    terms, order, alpha, cap
+):
+    series = UmbralSeries(terms)
+    with mock.patch.object(umbral_mod, "DEFAULT_TERM_CAP", cap):
+        try:
+            want = _two_step(series, order, alpha)
+        except TermBudgetExceeded:
+            with pytest.raises(TermBudgetExceeded):
+                reduce_exp(series, order, alpha)
+            return
+        try:
+            got = reduce_exp(series, order, alpha)
+        except TermBudgetExceeded:
+            return  # the kernel may count more terms than survive merging
+    assert got == want
+
+
+def test_reduce_exp_counts_every_term_it_folds(monkeypatch):
+    # EQ3.8's argument: 28 partial terms after two passes, C(9, 3) = 84 folded.
+    arg = UmbralSeries({(1, 0, 1): F(-3, 4), (0, 1, 1): F(5, 6), (1, 1, 1): F(-7, 8)})
+    monkeypatch.setattr(umbral_mod, "DEFAULT_TERM_CAP", 83)
+    with pytest.raises(TermBudgetExceeded, match="84 terms exceed the cap of 83"):
+        reduce_exp(arg, 6)
+    with pytest.raises(TermBudgetExceeded):
+        umb_exp(arg, 6)
+    monkeypatch.setattr(umbral_mod, "DEFAULT_TERM_CAP", 84)
+    assert reduce_exp(arg, 6) == _two_step(arg, 6, 0)
+    monkeypatch.setattr(umbral_mod, "DEFAULT_TERM_CAP", 0)
+    with pytest.raises(TermBudgetExceeded):
+        reduce_exp(UmbralSeries({}), 3)
