@@ -44,7 +44,7 @@ from .polys import (
     laguerre_xpoly,
     lambda_poly,
 )
-from .scalars import as_real, binomial, is_exact, pochhammer, rgamma, rgamma_exact
+from .scalars import as_real, is_exact, rgamma, rgamma_exact
 
 __version__ = "0.1.0"
 
@@ -78,9 +78,8 @@ def _lazy_exports(namespace: dict, lazy: dict) -> tuple:
 #: Every other public name, by the submodule that defines it.
 _LAZY = {
     "FormalPowerSeries": "fps",
+    "fps_binomial": "fps",
     "fps_exp": "fps",
-    "fps_geometric": "fps",
-    "fps_one": "fps",
     "fps_x": "fps",
     "AuxPolynomial": "identities.bridges",
     "IdentityCase": "identities.registry",

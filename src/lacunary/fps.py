@@ -5,6 +5,10 @@ denominator, kept in lowest terms, so every kernel runs on ints and two
 equal series have equal storage.  `coeffs` and indexing hand out Fractions.
 The order of a binary result is the minimum of the operand orders, so
 truncation never manufactures spurious high-order coefficients.
+
+The algebra is what the exact engines run: sums, products, `exp`, `compose`
+and the constructors `fps_x`, `fps_exp` and `fps_binomial`.  A bad order
+raises DomainError (`check_order`), an inexact input ModeMismatch.
 """
 
 from __future__ import annotations
@@ -14,15 +18,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DomainError
-from .scalars import is_exact
+from .errors import DomainError, ModeMismatch
+from .scalars import check_order, is_exact
 
-__all__ = ["FormalPowerSeries", "fps_exp", "fps_geometric", "fps_one", "fps_x"]
+__all__ = ["FormalPowerSeries", "fps_binomial", "fps_exp", "fps_x"]
 
 
 def _as_fraction(value) -> Fraction:
     if not is_exact(value):
-        raise TypeError(f"exact coefficient required, got {type(value).__name__}")
+        raise ModeMismatch(f"exact coefficient required, got {type(value).__name__}")
     return Fraction(value)
 
 
@@ -81,66 +85,16 @@ class FormalPowerSeries:
         tail = ", ..." if self.order >= 5 else ""
         return f"FormalPowerSeries([{head}{tail}], order={self.order})"
 
-    def _combine(self, other: "FormalPowerSeries", sign: int) -> "FormalPowerSeries":
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
-
     def __add__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "FormalPowerSeries":
-        return _make([-c for c in self._num], self._den)
-
-    def scale(self, factor: Fraction | int) -> "FormalPowerSeries":
-        f = _as_fraction(factor)
-        return _make([f.numerator * c for c in self._num], self._den * f.denominator)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
 
     def __mul__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
         n = min(self.order, other.order)
         a, b = self._num, other._num
         out = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)]
         return _make(out, self._den * other._den)
-
-    def shift(self, k: int) -> "FormalPowerSeries":
-        """Multiply by t^k (keeps the truncation order)."""
-        if k < 0:
-            raise DomainError("shift must be >= 0")
-        n = self.order
-        return _make(
-            [0] * min(k, n + 1) + list(self._num[: max(0, n + 1 - k)]), self._den
-        )
-
-    def pow(self, exponent: int) -> "FormalPowerSeries":
-        if exponent < 0:
-            return self.reciprocal().pow(-exponent)
-        out = fps_one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def reciprocal(self) -> "FormalPowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Over L = N0^(order+1) the inverse of N/D has integer numerators
-        C_0 = D N0^order, C_k = -(sum_{j>=1} N_j C_{k-j}) / N0, exactly.
-        """
-        num, n = self._num, self.order
-        lead = num[0]
-        if lead == 0:
-            raise DomainError("reciprocal needs a nonzero constant term")
-        out = [self._den * lead**n]
-        for k in range(1, n + 1):
-            out.append(-sum(map(mul, num[1 : k + 1], out[::-1])) // lead)
-        return _make(out, lead ** (n + 1))
 
     def exp(self) -> "FormalPowerSeries":
         """exp of a series with zero constant term (h' = f' h recursion).
@@ -178,13 +132,8 @@ class FormalPowerSeries:
         return _make(acc, self._den * inner._den**n)
 
 
-def fps_one(order: int) -> FormalPowerSeries:
-    return _make([1] + [0] * order, 1)
-
-
 def fps_x(order: int, coefficient: Fraction | int = 1) -> FormalPowerSeries:
-    if order < 1:
-        raise DomainError("order must be >= 1 to hold a linear term")
+    check_order(order, 1)
     c = _as_fraction(coefficient)
     return _make([0, c.numerator] + [0] * (order - 1), c.denominator)
 
@@ -194,6 +143,7 @@ def fps_exp(order: int, rate: Fraction | int = 1) -> FormalPowerSeries:
 
     With rate = p/q, [t^k] is p^k q^(order-k) order!/k! over q^order order!.
     """
+    check_order(order)
     r = _as_fraction(rate)
     p, q = r.numerator, r.denominator
     out = [q**order * math.factorial(order)]
@@ -202,14 +152,18 @@ def fps_exp(order: int, rate: Fraction | int = 1) -> FormalPowerSeries:
     return _make(out, out[0])
 
 
-def fps_geometric(order: int, ratio: Fraction | int = 1) -> FormalPowerSeries:
-    """Series of 1/(1 - ratio * t) through `order`.
+def fps_binomial(order: int, ratio: Fraction | int, power: Fraction | int) -> FormalPowerSeries:
+    """Series of (1 - ratio * t)^(-power) through `order`.
 
-    With ratio = p/q, [t^k] is p^k q^(order-k) over q^order.
+    [t^k] is ratio^k power (power + 1) ... (power + k - 1) / k!.  With
+    ratio = p/q and power = a/b, the numerators over (q b)^order order!
+    step by (a + (k-1) b) p / (k q b), and every step divides exactly.
     """
-    r = _as_fraction(ratio)
+    check_order(order)
+    r, s = _as_fraction(ratio), _as_fraction(power)
     p, q = r.numerator, r.denominator
-    out = [q**order]
-    for _ in range(order):
-        out.append(out[-1] * p // q)
+    a, b = s.numerator, s.denominator
+    out = [(q * b) ** order * math.factorial(order)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * (a + (k - 1) * b) * p // (k * q * b))
     return _make(out, out[0])

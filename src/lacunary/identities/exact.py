@@ -30,7 +30,7 @@ from ..polys import (
     lambda_sequence,
     laguerre_sequence,
 )
-from ..scalars import binomial, rgamma_exact
+from ..scalars import rgamma_exact
 
 if TYPE_CHECKING:
     from ..fps import FormalPowerSeries
@@ -93,7 +93,7 @@ def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     for binding in tuples:
         alpha, beta = int(binding["alpha"]), int(binding["beta"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        geom = fps.fps_geometric(nmax, y)  # 1/(1 - t y)
+        geom = fps.fps_binomial(nmax, y, 1)  # 1/(1 - t y)
         inner = geom * fps.fps_x(nmax, -x)
         outer = fps.FormalPowerSeries(
             [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
@@ -105,13 +105,13 @@ def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
 
 
 def eq1_11(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
-    """Classical associated generating function, fully composed."""
+    """Classical associated generating function e^(-xt/(1-yt)) (1-yt)^(-1-alpha)."""
     _, fps = _stack()
     for binding in tuples:
         alpha = int(binding["alpha"])
         x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        geom = fps.fps_geometric(nmax, y)
-        rhs_series = (geom * fps.fps_x(nmax, -x)).exp() * geom.pow(1 + alpha)
+        inner = fps.fps_binomial(nmax, y, 1) * fps.fps_x(nmax, -x)
+        rhs_series = inner.exp() * fps.fps_binomial(nmax, y, 1 + alpha)
         seq = assoc_laguerre_sequence(nmax, alpha, x, y)
         for n in range(nmax + 1):
             yield _label("EQ1.11", binding, n), seq[n], rhs_series[n]
@@ -218,7 +218,7 @@ def eq3_14(total_order: int) -> Iterator[Check]:
             a_fact *= a
         for b in range(total_order + 1 - a):
             lhs = (current[b] if b < len(current) else Fraction(0)) / a_fact
-            rhs = Fraction((-1) ** b * binomial(a + b, a), math.factorial(b))
+            rhs = Fraction((-1) ** b * math.comb(a + b, a), math.factorial(b))
             yield f"EQ3.14[y^{a} x^{b}]", lhs, rhs
 
 

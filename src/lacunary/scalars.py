@@ -1,4 +1,4 @@
-"""Scalar primitives: exact and real floating reciprocal Gamma, Pochhammer symbols.
+"""Scalar primitives: exact and real floating reciprocal Gamma, input guards.
 
 The reciprocal Gamma function is the basic vacuum expectation of the umbral
 symbol: c^n applied to the vacuum evaluates to rgamma(n + 1).  It is entire,
@@ -22,6 +22,12 @@ IMAG_SLACK = 1e-12
 
 def is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def check_order(order, least: int = 0) -> None:
+    """Raise DomainError unless `order` is an int >= least; a bool is none."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < least:
+        raise DomainError(f"order must be an int >= {least}, got {order!r}")
 
 
 def ensure_finite(value: float, where: str = "computation") -> float:
@@ -98,24 +104,3 @@ def rgamma(z: Scalar) -> float:
             raise NumericError(f"|1/Gamma({z!r})| exceeds the float range") from None
         return math.copysign(magnitude, sin_term)
     return sin_term / math.pi * math.gamma(one_minus)
-
-
-def pochhammer(a: Scalar, n: int) -> Scalar:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1.
-
-    Exact for int/Fraction a, floating otherwise.
-    """
-    if n < 0:
-        raise DomainError("pochhammer needs n >= 0")
-    out: Scalar = Fraction(1) if is_exact(a) else 1.0
-    for k in range(n):
-        out = out * (a + k)
-    if isinstance(out, Fraction) and out.denominator == 1 and isinstance(a, int):
-        return int(out)
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -40,7 +40,7 @@ from .errors import (
     ModeMismatch,
     TermBudgetExceeded,
 )
-from .scalars import is_exact
+from .scalars import check_order, is_exact
 
 #: (c1 exponent numerator, c2 exponent numerator, x-degree).
 Key = tuple[int, int, int]
@@ -164,22 +164,6 @@ class UmbralSeries:
             out[key] = out.get(key, 0) + c * fb
         return _make(out, den, eden)
 
-    def __sub__(self, other: "UmbralSeries") -> "UmbralSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "UmbralSeries":
-        return _make({k: -c for k, c in self._num.items()}, self._den, self._eden)
-
-    def scale(self, factor: Fraction) -> "UmbralSeries":
-        if not is_exact(factor):
-            raise ModeMismatch("cannot scale an umbral series by a float")
-        f = Fraction(factor)
-        return _make(
-            {k: c * f.numerator for k, c in self._num.items()},
-            self._den * f.denominator,
-            self._eden,
-        )
-
     def __mul__(self, other: "UmbralSeries") -> "UmbralSeries":
         """The cap is checked per left term; zeros drop out in `_make`."""
         eden = math.lcm(self._eden, other._eden)
@@ -197,19 +181,6 @@ class UmbralSeries:
                     f"product exceeded the {DEFAULT_TERM_CAP}-term cap"
                 )
         return _make(out, self._den * other._den, eden)
-
-    def pow(self, exponent: int) -> "UmbralSeries":
-        if exponent < 0:
-            raise DomainError("umbral pow needs an integer exponent >= 0")
-        out = _make({_ONE: 1}, 1, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     # -- reduction ---------------------------------------------------------
 
@@ -281,8 +252,7 @@ def _expand(argument: UmbralSeries, order: int):
     most one symbol, if there is one, goes last, so `reduce_exp` moves at
     most one symbol in its fold.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise DomainError(f"order must be an int >= 0, got {order!r}")
+    check_order(order)
     if _ONE in argument._num:
         raise DomainError("umb_exp needs the pure-scalar term split off first")
     states = {(0, 0, 0, 0): 1}  # (e1, e2, d, used): multinomial * prod n^a

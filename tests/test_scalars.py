@@ -1,4 +1,4 @@
-"""Scalar helpers: reciprocal Gamma, Pochhammer, realness guards."""
+"""Scalar helpers: reciprocal Gamma, realness guards."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,7 @@ from lacunary import (
     ImaginaryResidue,
     NumericError,
     as_real,
-    binomial,
     is_exact,
-    pochhammer,
     rgamma,
     rgamma_exact,
 )
@@ -91,31 +89,6 @@ def test_rgamma_functional_equation(z):
 def test_rgamma_rejects_complex_argument():
     with pytest.raises(DomainError):
         rgamma(complex(3.0, 0.0))
-
-
-def test_pochhammer_values():
-    assert pochhammer(Fraction(1, 2), 0) == 1
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(3, 0) == 1
-
-
-@given(st.integers(min_value=0, max_value=30))
-def test_pochhammer_of_one_is_factorial(n):
-    assert pochhammer(1, n) == math.factorial(n)
-
-
-@given(
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    st.integers(min_value=0, max_value=12),
-)
-def test_pochhammer_recurrence(a, n):
-    assert pochhammer(a, n + 1) == pochhammer(a, n) * (a + n)
-
-
-def test_binomial_edges():
-    assert binomial(5, 2) == 10
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
 
 
 def test_as_real_accepts_tiny_imaginary_part():
