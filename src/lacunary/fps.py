@@ -6,7 +6,7 @@ equal series have equal storage.  `coeffs` and indexing hand out Fractions.
 The order of a binary result is the minimum of the operand orders, so
 truncation never manufactures spurious high-order coefficients.
 
-The algebra is what the exact engines run: sums, products, `exp`, `compose`
+The algebra is what the exact engines run: products, `exp`, `compose`
 and the constructors `fps_x`, `fps_exp` and `fps_binomial`.  A bad order
 raises DomainError (`check_order`), an inexact input ModeMismatch.
 """
@@ -84,11 +84,6 @@ class FormalPowerSeries:
         head = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"FormalPowerSeries([{head}{tail}], order={self.order})"
-
-    def __add__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        return _make([a * fa + b * fb for a, b in zip(self._num, other._num)], den)
 
     def __mul__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
         n = min(self.order, other.order)

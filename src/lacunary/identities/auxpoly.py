@@ -11,11 +11,16 @@ has 2m, m, m and q (triple, m = 1 only) has 3, 1, 1.  Scaling covariance
 under (x, y, t) -> (lx, ly, t/l^step) forces every monomial of p to look
 like r^d t^j x^a y^(step*j - a) with a <= step*j, so fitting at y = 1 and
 re-homogenizing afterwards loses nothing.  The fit matches coefficients of
-t^n x^w exactly, one integer equation each.  The system is solved modulo
-word-size primes, lifted to rationals by Chinese remaindering and rational
+t^n x^w exactly, one integer equation each, whose entries are one base per
+(t-power, x-power) pair times powers of r.  The system is solved modulo
+word-size primes: forward elimination on packed rows that shrink as their
+columns are done, then back-substitution on the free columns alone.  The
+residues are lifted to rationals by Chinese remaindering and rational
 reconstruction, and the lift is kept only once exact integer arithmetic
-certifies it.  Only `derive-aux` fits; `verify` evaluates the printed
-displays in `bridges` and never loads this module.
+certifies it.  The re-check past the fitting window groups the coefficients
+by pair into polynomials in r and builds no rows.  Only `derive-aux` fits;
+`verify` evaluates the printed displays in `bridges` and never loads this
+module.
 """
 
 from __future__ import annotations
@@ -62,53 +67,60 @@ def _primes() -> Iterator[int]:
 
 
 def _rref_mod(mat: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
-    """(pivot columns, reduced rows) of the reduced row echelon form over GF(p).
+    """(pivot columns, reduced rows at the non-pivot columns) of the reduced
+    row echelon form over GF(p): the entries that are not 0 or 1 by position.
 
-    Gauss-Jordan in column order.  Each row is packed into one integer, entry
-    i in bytes [i*size, (i+1)*size), so that a row operation is one
-    big-integer multiply-add (Kronecker substitution).  Entries are reduced
-    only when a row becomes a pivot: an update adds (p - f) * w < p**2 to an
-    entry, a row takes at most one update per pivot, so len(mat) updates fit
-    in the size.  A row that is zero modulo p never enters the elimination.
+    Forward elimination in column order packs each row into one integer,
+    entry i in bytes [i*size, (i+1)*size), so that a row operation is one
+    big-integer multiply-add (Kronecker substitution); once a column is done,
+    every row left drops its low slot, so a head is `row & mask` and an
+    update touches only the columns to come.  Entries are reduced only when
+    a row becomes a pivot: an update adds (p - f) * w < p**2 to an entry, a
+    row takes at most one update per pivot, so len(mat) updates fit in the
+    size.  A row that is zero modulo p never enters the elimination.
+    Back-substitution runs on the free columns alone: reduced row i is pivot
+    row i less its entry at each later pivot k times reduced row k, again
+    one multiply-add of reduced entries per pivot.
     """
     if not mat:
         return [], []
     width = len(mat[0])
     size = (2 * p.bit_length() + len(mat).bit_length() + 8) // 8
     slot, mask = 8 * size, (1 << 8 * size) - 1
+    cuts = [slice(i, i + size) for i in range(0, width * size, size)]
+    little = itertools.repeat("little")
 
     def pack(values: list[int]) -> int:
-        raw = b"".join(v.to_bytes(size, "little") for v in values)
+        raw = b"".join(map(int.to_bytes, values, itertools.repeat(size), little))
         return int.from_bytes(raw, "little")
 
-    def unpack(packed: int) -> list[int]:
-        raw = packed.to_bytes(width * size, "little")
-        return [
-            int.from_bytes(raw[i : i + size], "little") % p
-            for i in range(0, width * size, size)
-        ]
+    def unpack(packed: int, count: int) -> list[int]:
+        raw = packed.to_bytes(count * size, "little")
+        chunks = map(raw.__getitem__, cuts[:count])
+        return list(map(p.__rmod__, map(int.from_bytes, chunks, little)))
 
     live = [pack(row) for row in ([v % p for v in r] for r in mat) if any(row)]
-    reduced: list[int] = []
-    pivots: list[int] = []
+    tops: list[tuple[int, list[int]]] = []  # (pivot column, pivot row from there on)
     for col in range(width):
-        shift = col * slot
-        heads = [(row >> shift & mask) % p for row in live]
+        heads = [(row & mask) % p for row in live]
         at = next((i for i, f in enumerate(heads) if f), None)
-        if at is None:
-            continue
-        del heads[at]
-        top = unpack(live.pop(at))
-        inv = pow(top[col], -1, p)
-        top = pack([v * inv % p for v in top])
-        live = [row + (p - f) * top if f else row for row, f in zip(live, heads)]
-        reduced = [
-            row + (p - f) * top if (f := (row >> shift & mask) % p) else row
-            for row in reduced
-        ]
-        reduced.append(top)
-        pivots.append(col)
-    return pivots, [unpack(row) for row in reduced]
+        if at is not None:
+            del heads[at]
+            top = unpack(live.pop(at), width - col)
+            inv = pow(top[0], -1, p)
+            top = [v * inv % p for v in top]
+            tops.append((col, top))
+            rest = pack(top[1:])
+        live = [(row >> slot) + (p - f) * rest if f else row >> slot for row, f in zip(live, heads)]
+    free = sorted(set(range(width)).difference(col for col, _ in tops))
+    done: list[tuple[int, int]] = []  # (pivot column, packed reduced row)
+    reduced: list[list[int]] = []
+    for col, top in reversed(tops):
+        row = pack([top[c - col] if c > col else 0 for c in free])
+        row += sum((p - f) * later for k, later in done if (f := top[k - col]))
+        reduced.append(unpack(row, len(free)))
+        done.append((col, pack(reduced[-1])))
+    return [col for col, _ in tops], reduced[::-1]
 
 
 def _lift(residues: list[int], modulus: int) -> Vector | None:
@@ -224,7 +236,7 @@ def _solve_exact(
         free = sorted(set(range(width + 1)).difference(pivots))
         if pivots[-1:] == [width]:  # inconsistent modulo p
             pivots, reduced = pivots[:-1], reduced[:-1]
-        residues = [[row[c] for row in reduced] for c in free]
+        residues = [[row[i] for row in reduced] for i in range(len(free))]
         if best is None or key < best:
             best, modulus, table = key, p, residues
         elif key == best:
@@ -331,32 +343,21 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     raise last_err if last_err is not None else NoSolution("no candidate shift")
 
 
-def _equations(
-    m: int,
-    tpl: _Template,
-    shift: int,
-    unknowns: list[Key],
-    n_values: Iterable[int],
+def _bases(
+    m: int, tpl: _Template, shift: int, pairs: list[tuple[int, int]], n_values: Iterable[int]
 ) -> Iterator[tuple[int, int, list[int], int]]:
-    """Yield (n, w, row, rhs): one integer equation per matched [t^n x^w] coefficient.
+    """Yield (n, w, bases, rhs): one integer equation per matched [t^n x^w] coefficient.
 
     The matched coefficient reads sum over unknowns (d, j, a) of
     r^d s(r, n - j) = [x^w] L_{step n}^{(m)}(x) / n!, with r = w - a and
-    s(r, k) = sum_u g(r, u, shift) / (k - u)!.  The row is that equation
-    times n! (w+shift)!: its entry r^d S(r, k) n!/k! (w+shift)!/(r+shift)!,
-    with S = k! (r+shift)! s from `_s`, is an integer by construction, and
-    the right side is checked to be one.
+    s(r, k) = sum_u g(r, u, shift) / (k - u)!.  Times n! (w+shift)!, the
+    unknown (d, j, a) takes r^d times the base S(r, k) n!/k! (w+shift)!/(r+shift)!
+    of its pair (j, a), with S = k! (r+shift)! s from `_s`, an integer by
+    construction, and 0 where a > w or j > n; bases[i] is that of pairs[i].
+    The right side is checked to be an integer.
     """
     step, g = tpl.step, tpl.g_coeff
-    max_d, max_j, max_a = map(max, zip((0, 0, 0), *unknowns))
-    entries: dict[tuple[int, int], list[int]] = {}
-
-    def powers(r: int, k: int) -> list[int]:
-        if (r, k) not in entries:
-            s = _s(g, r, k)
-            entries[r, k] = [r**d * s for d in range(max_d + 1)]
-        return entries[r, k]
-
+    max_j, max_a = map(max, zip((0, 0), *pairs))
     for n in n_values:
         poly = assoc_laguerre_xpoly(step * n, m)
         by_j = [math.perm(n, j) for j in range(max_j + 1)]  # n!/(n-j)!, 0 past n
@@ -369,25 +370,55 @@ def _equations(
                     f"[x^{w}] L_{step * n}^({m}) times {w + shift}! is not an integer"
                 )
             by_a = [math.perm(w + shift, a) for a in range(min(w, max_a) + 1)]
-            row = [
-                powers(w - a, n - j)[d] * by_j[j] * by_a[a] if a <= w and j <= n else 0
-                for (d, j, a) in unknowns
+            bases = [
+                _s(g, w - a, n - j) * by_j[j] * by_a[a] if a <= w and j <= n else 0
+                for j, a in pairs
             ]
-            yield n, w, row, rhs
+            yield n, w, bases, rhs
+
+
+def _equations(
+    m: int, tpl: _Template, shift: int, unknowns: list[Key], n_values: Iterable[int]
+) -> Iterator[tuple[int, int, list[int], int]]:
+    """Yield (n, w, row, rhs), the row holding the entry r^d base(j, a) of each
+    unknown in turn, read off one table per (n, w): the bases times r^0, r^1, ..."""
+    pairs = sorted({(j, a) for _, j, a in unknowns})
+    index = {pair: i for i, pair in enumerate(pairs)}
+    where = [d * len(pairs) + index[j, a] for d, j, a in unknowns]
+    max_d = max((d for d, _, _ in unknowns), default=0)
+    for n, w, bases, rhs in _bases(m, tpl, shift, pairs, n_values):
+        rs = [w - a for _, a in pairs]
+        table, level = list(bases), bases
+        for _ in range(max_d):
+            level = list(map(operator.mul, level, rs))
+            table += level
+        yield n, w, list(map(table.__getitem__, where)), rhs
 
 
 def _first_miss(
-    m: int,
-    tpl: _Template,
-    shift: int,
-    coeffs: dict[Key, Fraction],
-    orders: Iterable[int],
+    m: int, tpl: _Template, shift: int, coeffs: dict[Key, Fraction], orders: range
 ) -> tuple[int, int] | None:
-    """(n, w) of the first [t^n x^w] equation over `orders` that coeffs fail, or None."""
+    """(n, w) of the first [t^n x^w] equation over `orders` that coeffs fail, or None.
+
+    The coefficients are grouped by (j, a) into integer polynomials in r,
+    each tabulated once at every r the orders reach; an equation sums its
+    bases times their polynomials at r = w - a, and no row is built.
+    """
     den = math.lcm(*(v.denominator for v in coeffs.values()))
-    nums = [v.numerator * (den // v.denominator) for v in coeffs.values()]
-    for n, w, row, b in _equations(m, tpl, shift, list(coeffs), orders):
-        if sum(map(operator.mul, row, nums)) != b * den:
+    grouped: dict[tuple[int, int], list[int]] = {}  # highest power of r first
+    for (d, j, a), v in sorted(coeffs.items(), reverse=True):
+        poly = grouped.setdefault((j, a), [0] * (d + 1))
+        poly[-1 - d] += v.numerator * (den // v.denominator)
+    pairs, rs = sorted(grouped), range(tpl.step * max(orders, default=0) + 1)
+    at_r = []
+    for pair in pairs:
+        values = [0] * len(rs)
+        for c in grouped[pair]:
+            values = [v * r + c for v, r in zip(values, rs)]
+        at_r.append(values)
+    for n, w, bases, rhs in _bases(m, tpl, shift, pairs, orders):
+        total = sum(b * values[w - a] for b, (_, a), values in zip(bases, pairs, at_r) if b)
+        if total != rhs * den:
             return n, w
     return None
 

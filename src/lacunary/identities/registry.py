@@ -14,7 +14,6 @@ from a seeded generator, so a fixed seed reproduces the report exactly.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -24,6 +23,8 @@ from . import exact
 from .report import VerificationReport
 
 if TYPE_CHECKING:
+    import random
+
     from .pointwise import Engine, PointOutcome
 
 EXACT = "exact"
@@ -40,7 +41,7 @@ MAX_NOTED_FAILURES = 5
 
 _CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
-ExactRunner = Callable[[int, random.Random], Iterator[exact.Check]]
+ExactRunner = Callable[[int, "random.Random"], Iterator[exact.Check]]
 QuadratureRunner = Callable[[float], Iterator["PointOutcome"]]
 
 
@@ -441,6 +442,8 @@ def check_coefficients(
     order = case.exact_order if nmax is None else nmax
     if order < 1:
         raise DomainError(f"expansion order must be >= 1, got {order}")
+    import random  # only the exact runners draw
+
     rows = case.exact_runner(order, random.Random(seed))
     return _tally(case, EXACT, order, rows, _exact_rule)
 

@@ -94,14 +94,17 @@ def lambda_sequence(
     0; the factorials come from one running product.  A float row is the
     binomial transform of a_r = g_r (-x)^r: one table whose level n + 1 is
     b_j <- y b_j + b_(j+1) of level n, starting at b = a, gives row n as b_0
-    at level n, and a lacunary sum reads every step-th level.  With int
+    at level n, and a lacunary sum reads every step-th level; past the last
+    nonzero a_r every level stays zero, so the table stops there.  With int
     alpha and beta, g_r = 1/(beta r + alpha)! is one int true division,
     correctly rounded, and 0.0 at a pole; otherwise it is the float of
     _gamma_weight, exact for an integral Fraction argument.  Each term
     of a float row passes at most 2n + 3 roundings, so with u = 2^-53 and
     M_n = sum_r C(n,r) |g_r| |x|^r |y|^(n-r), a row is within (2n + 4) u M_n
-    of the exact sum of its weights (outside underflow); a float row that
-    is not finite raises NumericError.
+    of the exact sum of its weights (outside underflow): a kept entry sees
+    the same operations, and a dropped one is an exact zero (only the sign
+    of a zero row can differ).  A float row that is not finite raises
+    NumericError.
     """
     if nmax < 0:
         raise DomainError("degree must be >= 0")
@@ -127,9 +130,11 @@ def lambda_sequence(
         weights = [float(_gamma_weight(beta * r + 1 + alpha)) for r in range(nmax + 1)]
     try:
         b = [g * (-x) ** r for r, g in enumerate(weights)]
+        while len(b) > 1 and not b[-1]:
+            b.pop()
         out = [b[0]]
-        for n in range(1, nmax + 1):
-            b = [y * u + v for u, v in zip(b, b[1:])]
+        for n in range(1, nmax + 1):  # level n holds min(support, nmax + 1 - n) entries
+            b = [y * u + v for u, v in zip(b[: nmax + 1 - n], [*b[1:], 0.0])]
             if n % step == 0:
                 out.append(b[0])
         return _finite(out, f"float lambda rows to degree {nmax}")
@@ -181,7 +186,10 @@ def assoc_laguerre_diagonal(
     coefficients of (1 + y t)^alpha e^(-x t), as the Cauchy product of
     b_m = C(alpha, m) y^m and e_r = (-x)^r / r!, each by its ratio.  The
     factor tables run through every index; only the coefficients a
-    lacunary sum reads (k a multiple of step) are summed.
+    lacunary sum reads (k a multiple of step) are summed, each over the
+    support of both tables alone (a binomial that terminates at an integer
+    alpha, an e_r that is zero at x = 0 or underflows): the products left
+    out are exact zeros, which add nothing to the same float sum.
 
     This regroups assoc_laguerre(k, alpha - k, x, y): exact values when
     every input is exact, floats otherwise.  The per-k assoc_laguerre with
@@ -211,10 +219,11 @@ def assoc_laguerre_diagonal(
     for m in range(kmax):
         b.append(b[m] * (alpha - m) / (m + 1) * y)
         e.append(e[m] * -x / (m + 1))
-    diagonal = [
-        sum(map(operator.mul, e[: k + 1], reversed(b[: k + 1])))
-        for k in range(0, kmax + 1, step)
-    ]
+    nb, ne = (max(i for i, v in enumerate(t) if v) + 1 for t in (b, e))  # supports
+    diagonal = []
+    for k in range(0, kmax + 1, step):
+        lo = max(0, k - nb + 1)
+        diagonal.append(sum(map(operator.mul, e[lo : min(k + 1, ne)], b[k - lo :: -1]), 0.0))
     return _finite(diagonal, f"float diagonal Laguerre row to degree {kmax}")
 
 

@@ -22,6 +22,7 @@ from lacunary.identities.auxpoly import (
     _TEMPLATES,
     _certified,
     _equations,
+    _first_miss,
     _rref_mod,
     _solve_exact,
 )
@@ -288,7 +289,7 @@ def test_unlucky_prime_is_rejected_by_the_certificate(monkeypatch):
     rows, rhs = [[1, 1], [1, 1 + UNLUCKY]], [2, 2 + UNLUCKY]
     pivots, reduced = _rref_mod([[*row, b] for row, b in zip(rows, rhs)], UNLUCKY)
     assert pivots == [0]
-    table = [[row[c] for row in reduced] for c in (1, 2)]
+    table = [[row[i] for row in reduced] for i in (0, 1)]  # free columns 1 and 2
     assert _certified([*zip(*rows), rhs], pivots, [1, 2], table, UNLUCKY) is None
     drawn = _counting_primes(monkeypatch, first=(UNLUCKY,))
     assert _solved(rows, rhs)[:2] == _bareiss(rows, rhs) == ([F(1), F(1)], 0)
@@ -303,7 +304,7 @@ def test_certificate_checks_the_solution_and_each_null_vector():
     pivots, reduced = _rref_mod([[*row, b] for row, b in zip(rows, rhs)], p)
     assert pivots == [0, 2]
     free = [1, 3]
-    table = [[row[c] for row in reduced] for c in free]
+    table = [[row[i] for row in reduced] for i in range(len(free))]
     columns = [*zip(*rows), rhs]
     assert _certified(columns, pivots, free, table, p) == (
         ([3, 0, 1], 1),
@@ -334,6 +335,148 @@ def test_unlucky_prime_cannot_decide_consistency(monkeypatch, rhs):
     else:
         assert _solved(rows, rhs)[:2] == want
     assert drawn[0] == UNLUCKY and len(drawn) == 2
+
+
+def _rref_by_lists(mat, p):
+    """Reference: Gauss-Jordan over GF(p) on lists, in column order, as
+    (pivots, reduced rows at the non-pivot columns)."""
+    rows = [[v % p for v in row] for row in mat]
+    width = len(mat[0]) if mat else 0
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        at = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[top], rows[at] = rows[at], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        rows[top] = [v * inv % p for v in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [(v - row[col] * w) % p for v, w in zip(row, rows[top])]
+        pivots.append(col)
+    free = [c for c in range(width) if c not in pivots]
+    return pivots, [[row[c] for c in free] for row in rows[: len(pivots)]]
+
+
+@st.composite
+def _int_matrices(draw):
+    """Up to 7 x 6 integer rows, small or wider than a word; some rows are
+    combinations of the first and last, some columns zero."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    entry = st.integers(-5, 5) | st.integers(-(2**70), 2**70)
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in draw(st.sets(st.integers(0, n_rows - 1), max_size=2)):
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [f * a + g * b for a, b in zip(rows[0], rows[-1])]
+    for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@given(_int_matrices(), st.sampled_from([2, 3, 7, UNLUCKY, (1 << 61) - 1]))
+@example([[5]], 7)  # 1 x 1
+@example([[0]], 7)  # 1 x 1, zero
+@example([[2], [4], [0]], 3)  # one column, a zero row
+@example([[0, 1], [0, 2], [0, 0]], 7)  # a zero column; the pivot in the right-hand column
+@example([[1, 1, 2], [1, 1 + UNLUCKY, 2 + UNLUCKY]], UNLUCKY)  # rank 1 modulo UNLUCKY
+@example([[3, 6, 9, 1], [1, 2, 3, 0], [4, 8, 12, 1]], (1 << 61) - 1)  # rank deficient
+def test_rref_mod_is_the_list_gauss_jordan(mat, p):
+    assert _rref_mod(mat, p) == _rref_by_lists(mat, p)
+
+
+def _rows_per_key(m, tpl, shift, unknowns, n_values):
+    """The fit's equations as they were built before the (j, a) table: each
+    entry read off a per-(r, k) cache of r^d S(r, k), the right side from
+    the Fraction coefficients of assoc_laguerre_xpoly."""
+    step, g = tpl.step, tpl.g_coeff
+    max_d, max_j, max_a = map(max, zip((0, 0, 0), *unknowns))
+    entries = {}
+
+    def powers(r, k):
+        if (r, k) not in entries:
+            s = auxpoly._s(g, r, k)
+            entries[r, k] = [r**d * s for d in range(max_d + 1)]
+        return entries[r, k]
+
+    for n in n_values:
+        poly = assoc_laguerre_xpoly(step * n, m)
+        by_j = [math.perm(n, j) for j in range(max_j + 1)]
+        for w in range(step * n + 1):
+            rhs = poly[w] * math.factorial(w + shift)
+            assert rhs.denominator == 1
+            by_a = [math.perm(w + shift, a) for a in range(min(w, max_a) + 1)]
+            row = [
+                powers(w - a, n - j)[d] * by_j[j] * by_a[a] if a <= w and j <= n else 0
+                for (d, j, a) in unknowns
+            ]
+            yield n, w, row, int(rhs)
+
+
+def _first_miss_by_rows(m, tpl, shift, coeffs, orders):
+    """_first_miss as it ran before the grouped re-check: every equation's
+    row dotted with the coefficient numerators."""
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    nums = [v.numerator * (den // v.denominator) for v in coeffs.values()]
+    for n, w, row, b in _rows_per_key(m, tpl, shift, list(coeffs), orders):
+        if sum(map(operator.mul, row, nums)) != b * den:
+            return n, w
+    return None
+
+
+def _unknowns(tpl, m):
+    return [
+        (d, j, a)
+        for d in range(tpl.step * m + 1)
+        for j in range(m + 1)
+        for a in range(tpl.step * j + 1)
+    ]
+
+
+@pytest.mark.parametrize("family, m", [("p", 1), ("p", 2), ("q", 1), ("p", 3)])
+def test_table_rows_are_the_per_key_rows(family, m):
+    tpl = _TEMPLATES[family]
+    shift, unknowns = tpl.shifts(m)[0], _unknowns(tpl, m)
+    orders = range(2 * (tpl.step * m + 4))
+    # Every unknown in fit order, then a reversed subset, as the tests read them.
+    for keys in (unknowns, unknowns[::-3]):
+        got = list(_equations(m, tpl, shift, keys, orders))
+        assert got == list(_rows_per_key(m, tpl, shift, keys, orders))
+
+
+def test_first_miss_is_the_row_check_on_every_printed_mutant():
+    # The 55 single-coefficient mutants of tests/test_bridges.py.
+    missed = 0
+    for (family, m), display in bridges._PRINTED.items():
+        tpl, shift = _TEMPLATES[family], display.factorial_shift
+        orders = range(2 * tpl.step * m + 8)
+        assert _first_miss(m, tpl, shift, display.coeffs, orders) is None
+        for key in display.coeffs:
+            mutant = {**display.coeffs, key: display.coeffs[key] + 1}
+            miss = _first_miss(m, tpl, shift, mutant, orders)
+            assert miss == _first_miss_by_rows(m, tpl, shift, mutant, orders), key
+            missed += miss is not None
+    assert missed == 55
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("p", 1), ("p", 2), ("q", 1)]),
+    st.data(),
+    st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)), min_size=1, max_size=3),
+)
+def test_first_miss_is_the_row_check_on_perturbed_fits(fit, data, deltas):
+    family, m = fit
+    poly, tpl = _derived(family, m), _TEMPLATES[family]
+    keys = data.draw(st.lists(st.sampled_from(_unknowns(tpl, m)), min_size=len(deltas)))
+    coeffs = dict(poly.coeffs)
+    for key, delta in zip(keys, deltas):
+        coeffs[key] = coeffs.get(key, 0) + delta
+    coeffs = {key: F(v) for key, v in coeffs.items() if v}
+    orders = range(2 * (tpl.step * m + 4))
+    miss = _first_miss(m, tpl, poly.factorial_shift, coeffs, orders)
+    assert miss == _first_miss_by_rows(m, tpl, poly.factorial_shift, coeffs, orders)
 
 
 # Display for the double-lacunary m = 1 case, keyed (r-power, t-power,

@@ -17,10 +17,15 @@ SRC = str(Path(lacunary.__file__).resolve().parents[1])
 
 
 def _fresh(script: str) -> object:
-    """The JSON that `script` prints in a fresh interpreter on this source tree."""
+    """The JSON that `script` prints in a fresh interpreter on this source tree.
+
+    The interpreter runs without `site` (-S): a site hook, such as a `.pth`
+    file of an installed package, can import modules before lacunary runs
+    and so hide what a command loads.
+    """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -112,7 +117,7 @@ _NUMERIC_DEEP = (
         (
             ["derive-aux", "--family", "p", "--m", "1"],
             {"identities.auxpoly", "identities.bridges"},
-            {"identities.pointwise", "specialfns", *_ALGEBRA, *_COLD},
+            {"identities.pointwise", "specialfns", "random", *_ALGEBRA, *_COLD},
         ),
         (
             ["verify", "--all", "--no-timestamp"],
@@ -128,7 +133,7 @@ _NUMERIC_DEEP = (
             ["verify", "--mode", "numeric", "--nmax", "160", "--no-timestamp",
              *(a for case_id in _NUMERIC_DEEP for a in ("--id", case_id))],
             {"identities.exact", "identities.pointwise", "specialfns"},
-            {*_BRIDGES, *_ALGEBRA, *_COLD},
+            {"random", *_BRIDGES, *_ALGEBRA, *_COLD},
         ),
     ],
 )

@@ -32,7 +32,7 @@ from lacunary import (
     rgamma_exact,
 )
 from lacunary.identities import check_pointwise, pointwise
-from lacunary.polys import assoc_laguerre_diagonal, lambda_sequence
+from lacunary.polys import _gamma_weight, assoc_laguerre_diagonal, lambda_sequence
 
 F = Fraction
 
@@ -703,6 +703,44 @@ def test_lambda_sequence_at_the_eq2_9_grid():
         assert [v.hex() for v in rows] == [v.hex() for v in seq[::2]]
 
 
+def _lambda_table_rows(nmax, alpha, beta, x, y, step):
+    """The float lambda_sequence as a full binomial-transform table, each
+    level one entry shorter than the last: the reference for the table that
+    stops at the support of a_r."""
+    nmax -= nmax % step
+    if isinstance(alpha, int) and isinstance(beta, int):
+        args = [beta * r + alpha for r in range(nmax + 1)]
+        weights = [1 / math.factorial(a) if a >= 0 else 0.0 for a in args]
+    else:
+        weights = [float(_gamma_weight(beta * r + 1 + alpha)) for r in range(nmax + 1)]
+    b = [g * (-x) ** r for r, g in enumerate(weights)]
+    out = [b[0]]
+    for n in range(1, nmax + 1):
+        b = [y * u + v for u, v in zip(b, b[1:])]
+        if n % step == 0:
+            out.append(b[0])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_draw, st.integers(min_value=0, max_value=200), st.sampled_from((1, 2, 3)))
+@example((0, 2, 1.0, 1.0), 340, 1)  # beta = 2: 1/(2r)! underflows from r = 86
+@example((-4, 2, 0.7, -1.3), 40, 1)  # poles at r = 0, 1
+@example((-4, 2, 0.7, -1.3), 2, 1)  # the poles, then a_2 last: zeros inside the support
+@example((1, 1, 0.0, 1.3), 30, 1)  # x = 0.0: the support is a_0 alone
+@example((-1, 1, 0.0, 1.3), 30, 2)  # a pole at x = 0.0: every a_r is zero
+@example((1, 1, 0.7, 0.0), 30, 1)  # y = 0.0: row n is a_n
+@example((2, 1, 0.7, -1.0), 60, 1)  # y = -1.0
+@example((3.0, 1, 0.7, 1.3), 200, 3)  # a float alpha takes rgamma
+def test_float_lambda_rows_are_the_full_table_bit_for_bit(draw, nmax, step):
+    # The full table adds the entries past the support as exact zeros: a
+    # nonzero row is the same bit for bit, and a zero row is a zero, whose
+    # sign may differ (+0 + -0 is +0; the dropped additions can flip it).
+    rows = lambda_sequence(nmax, *draw, step=step)
+    want = _lambda_table_rows(nmax, *draw, step)
+    assert [v.hex() if v else 0.0 for v in rows] == [v.hex() if v else 0.0 for v in want]
+
+
 @pytest.mark.parametrize(
     "args, cause",
     [
@@ -797,6 +835,23 @@ def _diagonal_generator_sum(kmax, alpha, x, y, step):
     st.sampled_from((1, 2, 3)),
 )
 def test_float_diagonal_is_the_generator_sum_bit_for_bit(alpha, x, y, kmax, step):
+    diag = assoc_laguerre_diagonal(kmax, alpha, x, y, step)
+    want = _diagonal_generator_sum(kmax, alpha, x, y, step)
+    assert [v.hex() for v in diag] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize(
+    "alpha, x, y, kmax, step",
+    [
+        (3.0, 0.7, 1.3, 60, 1),  # C(3, m) = 0 from m = 4: a terminating binomial
+        (0.0, 1.5, -1.0, 60, 2),  # C(0, m) = 0 from m = 1
+        (0.5, 0.0, 1.3, 60, 1),  # x = 0.0: e_r is +-0 from r = 1
+        (3.0, 0.0, -1.0, 60, 3),  # both short: the rows past k = 3 are empty sums
+        (0.5, 1.0, 0.0, 60, 1),  # y = 0.0: b_m is +-0 from m = 1
+        (2.5, 1.0, 1.0, 400, 2),  # e_r underflows to 0 near r = 178
+    ],
+)
+def test_float_diagonal_support_edges_are_the_generator_sum(alpha, x, y, kmax, step):
     diag = assoc_laguerre_diagonal(kmax, alpha, x, y, step)
     want = _diagonal_generator_sum(kmax, alpha, x, y, step)
     assert [v.hex() for v in diag] == [v.hex() for v in want]

@@ -1,6 +1,6 @@
 """Source hygiene of src/lacunary, checked on the syntax tree.
 
-Four rules keep dead or repeated code out:
+Five rules keep dead or repeated code out:
 
 - every imported name is used in its module.  A package `__init__.py`
   re-exports names, `from __future__` imports switch on features, and a
@@ -12,6 +12,8 @@ Four rules keep dead or repeated code out:
   re-export of a name is no read, and neither is a test's:
   `READ_OUTSIDE_SRC` gives each name that only code outside `src/` reads,
   with its reason;
+- likewise every public non-dunder method or property of a module-level
+  class, keyed `Class.name` in `READ_OUTSIDE_SRC`;
 - a function imports `from M` only when its module does not already do so
   at module level.  A lazy import of a module the file does not import at
   the top stays allowed.
@@ -35,6 +37,7 @@ generator builds nothing and stays allowed.
 
 import ast
 import importlib
+import itertools
 from collections import defaultdict
 from pathlib import Path
 
@@ -54,6 +57,7 @@ READ_OUTSIDE_SRC = {
     "tricomi": "perfbench's tracer wraps it (specialfns)",
     "h_bessel_j": "perfbench's tracer wraps it (specialfns)",
     "eq2_12_block": "tests/test_acceptance.py reads it",
+    "UmbralSeries.reduce": "tests/test_acceptance.py reads it",
 }
 
 
@@ -158,13 +162,26 @@ def _definitions(tree: ast.Module, public: bool):
                 yield name, node
 
 
-def _unreferenced(trees: dict[str, ast.Module], public: bool = False) -> list[str]:
+def _members(tree: ast.Module):
+    """(`Class.name`, defining node) for each public non-dunder method or
+    property of a module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _unreferenced(
+    trees: dict[str, ast.Module], public: bool = False, members: bool = False
+) -> list[str]:
     """`module:line name` for each module-level name of `trees` that no code
     in `trees` reads, by name, attribute or import.
 
     With `public`, the names checked are the public ones outside package
     `__init__.py` files, and a package's relative import (a re-export) is
-    no read; otherwise they are the _private ones.
+    no read; with `members`, they are the `_members` of every class, read
+    by their own name; otherwise they are the _private ones.
     """
     refs = defaultdict(list)
     for module, tree in trees.items():
@@ -181,9 +198,9 @@ def _unreferenced(trees: dict[str, ast.Module], public: bool = False) -> list[st
     for module, tree in trees.items():
         if public and module.endswith("__init__.py"):
             continue
-        for name, node in _definitions(tree, public):
+        for name, node in _members(tree) if members else _definitions(tree, public):
             own = {id(n) for n in ast.walk(node)}
-            if not any(ref not in own for ref in refs[name]):
+            if not any(ref not in own for ref in refs[name.rpartition(".")[2]]):
                 found.append(f"{module}:{node.lineno} {name}")
     return found
 
@@ -225,8 +242,17 @@ def test_every_public_name_is_read():
     assert [entry for entry in unread if entry.split()[-1] not in READ_OUTSIDE_SRC] == []
 
 
+def test_every_public_member_is_read():
+    unread = _unreferenced(TREES, members=True)
+    assert [entry for entry in unread if entry.split()[-1] not in READ_OUTSIDE_SRC] == []
+
+
 def test_every_name_read_outside_src_is_still_defined():
-    defined = {name for tree in TREES.values() for name, _ in _definitions(tree, public=True)}
+    defined = {
+        name
+        for tree in TREES.values()
+        for name, _ in itertools.chain(_definitions(tree, public=True), _members(tree))
+    }
     assert sorted(set(READ_OUTSIDE_SRC) - defined) == []
 
 
@@ -309,6 +335,15 @@ def test_the_checks_catch_dead_code():
     assert _unreferenced(package, public=True) == ["toy.py:12 x", "toy.py:15 lazy"]
     package["use.py"] = ast.parse("from .toy import lazy\nx = 1\n")
     assert _unreferenced(package, public=True) == ["toy.py:12 x", "use.py:2 x"]
+    # A class member read only by itself is flagged; dunder and _private
+    # members are not checked.
+    members = ast.parse(
+        "class A:\n    @property\n    def size(self):\n        return 1\n\n"
+        "    def grow(self):\n        return self.size + self.grow()\n\n"
+        "    def __add__(self, other):\n        return other\n\n"
+        "    def _hidden(self):\n        return 0\n"
+    )
+    assert _unreferenced({"toy.py": members}, members=True) == ["toy.py:6 A.grow"]
     # Every spelling of a dataclasses import is found, a lazy one included;
     # a relative import of a sibling that shares the name is not.
     records = ast.parse(
