@@ -572,14 +572,20 @@ def eq3_11(g, t, top, ctrl):
 # -- Borel-transform quadrature ---------------------------------------------
 
 _BOREL_XS = (0.0, 1.0, 2.0, 3.0)
-_BOREL_CTRL = SumControl(max_terms=700, rel_tol=1e-15)
-
+_BOREL_CTRL = SumControl(max_terms=100, rel_tol=1e-15)
+_U = 2.0**-53  # unit roundoff
 
 #: Newton steps allowed per node; at n <= 100 every node takes at most 9.
 _NEWTON_STEPS = 16
 
-#: Raw Christoffel weight below which a rule stops, once past its peak.
-_WEIGHT_CUT = 1e-20
+
+def _remainder(n: int, x: float) -> float:
+    """(n!)^2 (x^2/4)^(2n) / ((2n)!)^2, the n-node rule's proven error at x."""
+    return (math.factorial(n) / math.factorial(2 * n) * (x * x / 4.0) ** n) ** 2
+
+
+#: The smallest rule whose proven remainder at the largest grid x is at most u.
+_RULE_NODES = next(n for n in count(1) if _remainder(n, max(_BOREL_XS)) <= _U)
 
 
 def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
@@ -599,9 +605,8 @@ def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """(nodes, weights, omitted mass) of the n-point Gauss-Laguerre rule for
-    the weight e^-x on [0, inf), cut where its weights vanish.
+def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(nodes, weights) of the n-point Gauss-Laguerre rule for e^-x on [0, inf).
 
     Each node is Newton's method on L_n, using L_n' = n (L_n - L_{n-1}) / z,
     from the Stroud-Secrest starting guess (Numerical Recipes' gaulag at
@@ -612,12 +617,7 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     1 / sum_{k<n} L_k(x)^2 (the L_k are orthonormal for e^-x): the step
     moved the node by rounding only, and unlike x / ((n+1) L_{n+1}(x))^2
     this form does not amplify the rounding of the nodes near the origin.
-
-    The rule stops at, and drops, the first node past the weight peak whose
-    weight is below _WEIGHT_CUT.  From there the weights fall strictly and
-    the raw weights sum to 1, so |1 - sum kept| + (n - kept) _WEIGHT_CUT
-    bounds the skipped mass and the rounding of the kept weights.  These
-    are then divided by their sum, as numpy's laggauss does.
+    The weights are then divided by their sum, as numpy's laggauss does.
     """
     nodes: list[float] = []
     weights: list[float] = []
@@ -643,42 +643,40 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
             )
         seq = laguerre_sequence(n, z)
         z -= z * seq[n] / (n * (seq[n] - seq[n - 1]))
-        weight = 1.0 / math.fsum(v * v for v in seq[:n])
-        if weight < _WEIGHT_CUT and weight < weights[-1]:
-            break
         nodes.append(z)
-        weights.append(weight)
+        weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
     total = math.fsum(weights)
-    omitted = abs(1.0 - total) + (n - len(nodes)) * _WEIGHT_CUT
-    return tuple(nodes), tuple(w / total for w in weights), omitted
-
-
-def _borel_value(x: float, n_nodes: int) -> float:
-    """Gauss-Laguerre value of the exponential-weight Bessel integral."""
-    nodes, weights, _ = _laggauss(n_nodes)
-    return sum(
-        w * bessel_j0(math.sqrt(s) * x, _BOREL_CTRL) for s, w in zip(nodes, weights)
-    )
+    return tuple(nodes), tuple(w / total for w in weights)
 
 
 def borel_points(tol: float = 1e-8) -> Iterator[PointOutcome]:
-    """EQ3.19: the transform integral against the Gaussian closed form.
+    """EQ3.19: the transform integral against the Gaussian closed form, by
+    one _RULE_NODES-node Gauss-Laguerre rule for every x.
 
-    The integrand is entire of order 1/2 in the integration variable, so
-    80 nodes are far more than enough.  The error estimate is the 80-vs-100
-    node difference plus the weight mass both rules leave out, which bounds
-    what the skipped nodes would add since |J0| <= 1 on the real line
-    (Abramowitz and Stegun 9.1.60).  An estimate above tol (a NaN one
-    included) trips QuadratureFailure.
+    The rule's error is (n!)^2 / (2n)! f^(2n)(xi), xi > 0 (Abramowitz and
+    Stegun 25.4.45); for f(s) = J0(x sqrt s), f^(m)(s) = (-x^2/2)^m z^-m
+    J_m(z) at z = x sqrt s (DLMF 10.6.6) and |J_m(z)| <= (z/2)^m / m! for
+    z >= 0 (DLMF 10.14.4), hence _remainder.  Each estimate charges it,
+    plus rel_tol for the tail a J0 sum drops (while I0(z) < 1 / rel_tol it
+    stops past the peak of its terms, which then alternate and fall), plus
+    8 (K + n) u e^(x^2/4) for rounding, K = _BOREL_CTRL.max_terms: term k
+    carries 7k roundings and the running sum K, so a sum is off by at most
+    8 K u I0(z) to first order, I0 being its Sigma |term|; nodes, weights
+    and the outer sum add n u each; and the rule's sum of I0(x sqrt s)
+    stays below its integral e^(x^2/4), as every s-derivative is positive.
+    An estimate above tol (a NaN one included) trips QuadratureFailure.
     """
-    omitted = _laggauss(80)[2] + _laggauss(100)[2]
+    n = _RULE_NODES
+    rule = list(zip(*_laggauss(n)))
     for x in _BOREL_XS:
-        q80 = _borel_value(x, 80)
-        q100 = _borel_value(x, 100)
-        estimate = abs(q80 - q100) + omitted
-        if not estimate <= tol:
+        value = sum(w * bessel_j0(math.sqrt(s) * x, _BOREL_CTRL) for s, w in rule)
+        rounding = 8 * (_BOREL_CTRL.max_terms + n) * _U * math.exp(x * x / 4.0)
+        bound = _remainder(n, x)
+        charged = bound + _BOREL_CTRL.rel_tol + rounding
+        if not charged <= tol:
             raise QuadratureFailure(
-                f"node-count consistency {estimate:.3e} exceeds {tol:.1e} at x={x}"
+                f"charged error {charged:.3e} (proven remainder {bound:.3e}) "
+                f"exceeds {tol:.1e} at x={x}"
             )
         rhs = math.exp(-((x / 2.0) ** 2))
-        yield PointOutcome(f"EQ3.19[x={_fmt(x)}]", q80, rhs, estimate, estimate)
+        yield PointOutcome(f"EQ3.19[x={_fmt(x)}]", value, rhs, charged, charged)

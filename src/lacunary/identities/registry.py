@@ -14,10 +14,12 @@ from a seeded generator, so a fixed seed reproduces the report exactly.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..errors import DomainError, ModeUnsupported, NumericError, UnknownIdentity
+from ..scalars import check_order
 from ..summation import SumControl
 from . import exact
 from .report import VerificationReport
@@ -440,12 +442,19 @@ def check_coefficients(
     """Exact mode: every streamed coefficient pair must be literally equal."""
     case = _case_with(case_id, EXACT)
     order = case.exact_order if nmax is None else nmax
-    if order < 1:
-        raise DomainError(f"expansion order must be >= 1, got {order}")
+    check_order(order, 1)
     import random  # only the exact runners draw
 
     rows = case.exact_runner(order, random.Random(seed))
     return _tally(case, EXACT, order, rows, _exact_rule)
+
+
+def _check_tol(tol) -> None:
+    """Raise DomainError unless tol is a finite real > 0; a bool is none, and
+    an int past the float range is not finite."""
+    real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    if not (real and 0 < tol <= sys.float_info.max):
+        raise DomainError(f"tolerance must be a finite real > 0, got {tol!r}")
 
 
 def check_pointwise(
@@ -457,12 +466,13 @@ def check_pointwise(
     """Numeric mode: relative error, tail, and stability rules per point.
 
     grid_scale shrinks every t of the registered grid; outside (0, 1], NaN
-    included, it raises DomainError.
+    included, it raises DomainError, as do a term count that is not an
+    int >= 1 and a tol that is not a finite real > 0.
     """
     case = _case_with(case_id, NUMERIC)
     terms = DEFAULT_TERMS if n_terms is None else n_terms
-    if terms < 1:
-        raise DomainError(f"term count must be >= 1, got {terms}")
+    check_order(terms, 1)
+    _check_tol(tol)
     if not 0.0 < grid_scale <= 1.0:
         raise DomainError(f"grid scale must lie in (0, 1], got {grid_scale!r}")
     rows = case.numeric_runner(terms, grid_scale, _CTRL)
@@ -470,8 +480,10 @@ def check_pointwise(
 
 
 def check_quadrature(case_id: str, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Quadrature mode: transform integral against its closed form."""
+    """Quadrature mode: transform integral against its closed form; a tol
+    that is not a finite real > 0 raises DomainError."""
     case = _case_with(case_id, QUADRATURE)
+    _check_tol(tol)
     rows = case.quadrature_runner(tol)
     return _tally(case, QUADRATURE, 0, rows, _point_rule(tol, budgeted=False))
 

@@ -17,6 +17,7 @@ from lacunary import (
     QuadratureFailure,
     SumControl,
     check_pointwise,
+    check_quadrature,
     cli,
     specialfns,
 )
@@ -211,10 +212,9 @@ def test_borel_points_grid():
 
 @functools.lru_cache(maxsize=None)
 def _laggauss_table_per_step(n):
-    """The full n-node rule as it was built when every Newton step read the
-    full row laguerre_sequence(n, z): (nodes, weights, raw weights), where
-    the weights are the raw Christoffel numbers over their sum.  _laggauss
-    must be a prefix of it, bit for bit."""
+    """The n-node rule as it was built when every Newton step read the full
+    row laguerre_sequence(n, z): (nodes, weights), where the weights are the
+    Christoffel numbers over their sum.  _laggauss must equal it bit for bit."""
     nodes, raw = [], []
     z = 0.0
     for i in range(n):
@@ -237,14 +237,25 @@ def _laggauss_table_per_step(n):
         nodes.append(z)
         raw.append(1.0 / math.fsum(v * v for v in seq[:n]))
     total = math.fsum(raw)
-    return tuple(nodes), tuple(w / total for w in raw), tuple(raw)
+    return tuple(nodes), tuple(w / total for w in raw)
 
 
-@pytest.mark.parametrize("n", [80, 100])
+#: The rule EQ3.19 runs, and larger rules that stress the Newton loop.
+RULE_SIZES = [pointwise._RULE_NODES, 80, 100]
+
+
+def test_the_rule_is_the_smallest_with_remainder_below_u():
+    u = 2.0**-53
+    n = pointwise._RULE_NODES
+    assert n == 10
+    assert pointwise._remainder(n, 3.0) <= u < pointwise._remainder(n - 1, 3.0)
+    assert pointwise._remainder(n, 3.0) == pytest.approx(2.46e-17, rel=1e-2)
+    assert pointwise._remainder(9, 3.0) == pytest.approx(7.02e-15, rel=1e-2)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
 def test_laggauss_is_a_gauss_laguerre_rule(n):
-    # The full rule that _laggauss truncates; the truncated one is not exact
-    # to degree 2n - 1 (its degree-8 moment is already 2e-12 off).
-    nodes, weights, _ = _laggauss_table_per_step(n)
+    nodes, weights = pointwise._laggauss(n)
     assert len(nodes) == len(weights) == n
     assert 0.0 < nodes[0] and all(a < b for a, b in zip(nodes, nodes[1:]))
     assert all(w > 0.0 for w in weights)
@@ -255,12 +266,12 @@ def test_laggauss_is_a_gauss_laguerre_rule(n):
         assert moment == pytest.approx(math.factorial(k), rel=1e-12), k
 
 
-@pytest.mark.parametrize("n", [80, 100])
+@pytest.mark.parametrize("n", RULE_SIZES)
 def test_laggauss_matches_numpy(n):
     from numpy.polynomial.laguerre import laggauss
 
     want_nodes, want_weights = laggauss(n)
-    nodes, weights, _ = _laggauss_table_per_step(n)
+    nodes, weights = pointwise._laggauss(n)
     for got, want in zip(nodes, want_nodes):
         assert got == pytest.approx(float(want), rel=1e-12)
     # numpy's own weights at the two smallest nodes of the 100-point rule
@@ -274,7 +285,7 @@ def test_laggauss_matches_numpy(n):
 def test_laggauss_node_that_does_not_converge_raises(monkeypatch):
     monkeypatch.setattr(pointwise, "_NEWTON_STEPS", 1)
     with pytest.raises(QuadratureFailure, match="did not converge in 1 Newton steps"):
-        pointwise._laggauss.__wrapped__(80)
+        pointwise._laggauss.__wrapped__(pointwise._RULE_NODES)
 
 
 def _hex(values):
@@ -283,66 +294,151 @@ def _hex(values):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 80, 100])
 def test_laggauss_is_the_table_per_step_rule_bit_for_bit(n):
-    # A prefix of the full rule, normalised weights included.
-    want_nodes, want_weights, _ = _laggauss_table_per_step(n)
-    nodes, weights, _ = pointwise._laggauss.__wrapped__(n)
-    kept = len(nodes)
-    assert kept == n if n <= 10 else 0 < kept < n
-    assert _hex(nodes) == _hex(want_nodes[:kept])
-    assert _hex(weights) == _hex(want_weights[:kept])
-
-
-@pytest.mark.parametrize("n", [80, 100])
-def test_laggauss_omitted_mass_bounds_the_skipped_weights(n):
-    _, _, raw = _laggauss_table_per_step(n)
-    nodes, _, omitted = pointwise._laggauss(n)
-    cut = len(nodes)
-    # The first node dropped is past the peak and under the cut, and the
-    # weights fall strictly from there, so it is the largest one skipped.
-    assert raw[cut] < pointwise._WEIGHT_CUT and raw[cut] < raw[cut - 1]
-    assert all(a > b for a, b in zip(raw[cut:], raw[cut + 1 :]))
-    assert 0.0 <= math.fsum(raw[cut:]) <= omitted <= 1e-13
-
-
-@pytest.mark.parametrize("n", [80, 100])
-def test_laggauss_truncation_moves_bounded_integrals_by_at_most_omitted(n):
-    import mpmath
-
-    full_nodes, full_weights, _ = _laggauss_table_per_step(n)
-    nodes, weights, omitted = pointwise._laggauss(n)
-    integrands = [lambda s, w=w: math.cos(w * s) for w in (0.5, 1.0, 3.0)]
-    integrands += [
-        lambda s, x=x: float(mpmath.besselj(0, math.sqrt(s) * x))
-        for x in pointwise._BOREL_XS
-    ]
-    for f in integrands:
-        full = math.fsum(w * f(s) for s, w in zip(full_nodes, full_weights))
-        truncated = math.fsum(w * f(s) for s, w in zip(nodes, weights))
-        assert abs(full - truncated) <= omitted
-
-
-def test_borel_estimate_charges_the_omitted_mass():
-    omitted = pointwise._laggauss(80)[2] + pointwise._laggauss(100)[2]
-    assert omitted > 0.0
-    assert all(row.tail >= omitted for row in pointwise.borel_points(tol=1e-8))
+    want_nodes, want_weights = _laggauss_table_per_step(n)
+    nodes, weights = pointwise._laggauss.__wrapped__(n)
+    assert _hex(nodes) == _hex(want_nodes)
+    assert _hex(weights) == _hex(want_weights)
 
 
 def test_borel_bessel_values_match_mpmath():
-    # At every kept node the float J0 series is within rounding of mpmath's.
+    # At every node the float J0 series is within rounding of mpmath's.
     import mpmath
 
     largest = 0.0
-    for n in (80, 100):
-        nodes, weights, _ = pointwise._laggauss(n)
-        for x in pointwise._BOREL_XS:
-            err = 0.0
-            for s, w in zip(nodes, weights):
-                arg = math.sqrt(s) * x
-                largest = max(largest, arg)
-                got = specialfns.bessel_j0(arg, pointwise._BOREL_CTRL)
-                err += w * abs(got - float(mpmath.besselj(0, arg)))
-            assert err <= 1e-15, (n, x)
-    assert largest < 21.0
+    nodes, weights = pointwise._laggauss(pointwise._RULE_NODES)
+    for x in pointwise._BOREL_XS:
+        err = 0.0
+        for s, w in zip(nodes, weights):
+            arg = math.sqrt(s) * x
+            largest = max(largest, arg)
+            got = specialfns.bessel_j0(arg, pointwise._BOREL_CTRL)
+            err += w * abs(got - float(mpmath.besselj(0, arg)))
+        assert err <= 1e-15, x
+    assert largest < 17.0
+
+
+#: x ladder of the soundness tests: the grid's x = 3 and beyond it.
+_LADDER = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
+
+
+def _mp_laguerre_rule(n):
+    """The n-node Gauss-Laguerre rule at the working mpmath precision: the
+    roots s of L_n, weights s / ((n + 1)^2 L_{n+1}(s)^2)."""
+    import mpmath
+
+    coeffs = [
+        mpmath.mpf((-1) ** k * math.comb(n, k)) / math.factorial(k) for k in range(n, -1, -1)
+    ]
+    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+    nodes = sorted(mpmath.re(r) for r in roots)
+    return [(s, s / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, s) ** 2)) for s in nodes]
+
+
+def test_gauss_laguerre_remainder_bound_holds_at_50_digits():
+    # The proven bound against the 50-digit rule, for rules around the one
+    # EQ3.19 runs; below 1e-45 the working precision, not the rule, speaks.
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(50):
+        for n in range(4, 15):
+            rule = _mp_laguerre_rule(n)
+            for x in _LADDER:
+                value = mpmath.fsum(w * mpmath.besselj(0, x * mpmath.sqrt(s)) for s, w in rule)
+                err = float(abs(value - mpmath.exp(-mpmath.mpf(x) ** 2 / 4)))
+                bound = pointwise._remainder(n, x)
+                assert err <= bound + 1e-45, (n, x, err, bound)
+                if bound > 1e-40:
+                    worst = max(worst, err / bound)
+                # The rule underestimates the integral of I0(x sqrt s).
+                upper = mpmath.fsum(w * mpmath.besseli(0, x * mpmath.sqrt(s)) for s, w in rule)
+                assert upper <= mpmath.exp(mpmath.mpf(x) ** 2 / 4) + 1e-45, (n, x)
+    assert 0.5 < worst <= 1.0
+
+
+def test_float_rule_is_within_its_charge_on_the_ladder(monkeypatch):
+    monkeypatch.setattr(pointwise, "_BOREL_XS", _LADDER)
+    n = pointwise._RULE_NODES
+    nodes, weights = pointwise._laggauss(n)
+    rows = list(pointwise.borel_points(tol=1.0))
+    assert len(rows) == len(_LADDER)
+    for x, row in zip(_LADDER, rows):
+        assert pointwise._remainder(n, x) <= row.tail
+        assert abs(row.lhs - math.exp(-x * x / 4.0)) <= row.tail, x
+        # Sigma w I0, the charge's rounding scale, stays below e^(x^2/4) up
+        # to the rounding of this sum itself.
+        upper = sum(
+            w * specialfns.bessel_i(0, math.sqrt(s) * x) for s, w in zip(nodes, weights)
+        )
+        assert upper <= math.exp(x * x / 4.0) * (1.0 + 4 * n * 2.0**-53), x
+
+
+_BOREL_POINTS = pointwise.borel_points
+_LAGGAUSS = pointwise._laggauss
+
+
+def _moved_rhs(move):
+    def points(tol):
+        for x, row in zip(pointwise._BOREL_XS, _BOREL_POINTS(tol)):
+            yield row._replace(rhs=move(x, row.rhs))
+
+    return points
+
+
+def _heavier_largest_weight(n):
+    nodes, weights = _LAGGAUSS(n)
+    k = weights.index(max(weights))
+    return nodes, (*weights[:k], weights[k] * (1.0 + 1e-6), *weights[k + 1 :])
+
+
+#: EQ3.19 mutants, as (module attribute, replacement).
+_QUADRATURE_MUTANTS = {
+    "rhs * (1 + 1e-6)": ("borel_points", _moved_rhs(lambda x, r: r * (1.0 + 1e-6))),
+    "rhs + 1e-7": ("borel_points", _moved_rhs(lambda x, r: r + 1e-7)),
+    "rhs negated": ("borel_points", _moved_rhs(lambda x, r: -r)),
+    "closed form at x + 1": (
+        "borel_points",
+        _moved_rhs(lambda x, r: math.exp(-(((x + 1.0) / 2.0) ** 2))),
+    ),
+    "largest weight * (1 + 1e-6)": ("_laggauss", _heavier_largest_weight),
+    "6-node rule": ("_RULE_NODES", 6),
+    "9-node rule": ("_RULE_NODES", 9),
+}
+
+#: The kill table: how check_quadrature("EQ3.18") ends under each mutant.
+#: The 6-node rule's proven error at x = 3, 3.8e-8, is over tol, so it ends
+#: in QuadratureFailure.  The 9-node rule is the one expected survivor: its
+#: proven error at x = 3 is 7.0e-15, far below tol 1e-8.
+QUADRATURE_KILLS = {
+    "rhs * (1 + 1e-6)": "4 of 4 points fail",
+    "rhs + 1e-7": "4 of 4 points fail",
+    "rhs negated": "4 of 4 points fail",
+    "closed form at x + 1": "4 of 4 points fail",
+    "largest weight * (1 + 1e-6)": "4 of 4 points fail",
+    "6-node rule": "QuadratureFailure after 3 points: failed points: charged error "
+    "3.804e-08 (proven remainder 3.803e-08) exceeds 1.0e-08 at x=3.0",
+    "9-node rule": "pass",
+}
+
+
+def _quadrature_outcome():
+    report = check_quadrature("EQ3.18")
+    if report.passed:
+        return "pass"
+    note = report.notes[-1]
+    if "proven remainder" in note:
+        return f"QuadratureFailure after {report.grid_size} points: {note}"
+    return f"{note.count('EQ3.19[')} of {report.grid_size} points fail"
+
+
+def test_eq3_19_kill_table(monkeypatch):
+    kills = {}
+    for name, (attr, replacement) in _QUADRATURE_MUTANTS.items():
+        with monkeypatch.context() as m:
+            m.setattr(pointwise, attr, replacement)
+            kills[name] = _quadrature_outcome()
+    assert kills == QUADRATURE_KILLS
+    assert _quadrature_outcome() == "pass"
 
 
 @settings(max_examples=120, deadline=None)
@@ -362,10 +458,8 @@ def test_laggauss_reads_one_full_row_per_node(monkeypatch):
         return laguerre_sequence(*args)
 
     monkeypatch.setattr(pointwise, "laguerre_sequence", counting)
-    kept = len(pointwise._laggauss.__wrapped__(80)[0])
-    kept += len(pointwise._laggauss.__wrapped__(100)[0])
-    # One row per kept node and one for the node each rule drops.
-    assert len(calls) == kept + 2 == 83
+    pointwise._laggauss.__wrapped__(pointwise._RULE_NODES)
+    assert len(calls) == pointwise._RULE_NODES == 10
 
 
 def test_verify_all_reads_a_short_prefix_of_every_hermite_iterator(monkeypatch, capsys):

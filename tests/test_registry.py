@@ -117,6 +117,30 @@ def test_numeric_term_count_below_one_is_rejected():
             check_pointwise("EQ1.7", n_terms=n_terms)
 
 
+@pytest.mark.parametrize("n_terms", [2.5, True, "3"])
+def test_numeric_term_count_that_is_no_int_is_rejected(n_terms):
+    # 2.5 raised a bare TypeError; True ran a 1-term report.
+    with pytest.raises(DomainError, match="order must be an int >= 1"):
+        check_pointwise("EQ1.7", n_terms=n_terms)
+
+
+@pytest.mark.parametrize("nmax", [2.5, True])
+def test_exact_order_that_is_no_int_is_rejected(nmax):
+    with pytest.raises(DomainError, match="order must be an int >= 1"):
+        check_coefficients("EQ1.7", nmax=nmax)
+
+
+@pytest.mark.parametrize(
+    "tol", ["a", None, True, -1.0, 0.0, math.nan, math.inf, -math.inf, 10**400]
+)
+def test_tolerance_outside_the_finite_positive_reals_is_rejected(tol):
+    # "a" and None raised a bare TypeError; -1.0 failed the quadrature report
+    # as if the rule were at fault.
+    for check, case_id in ((check_pointwise, "EQ1.7"), (check_quadrature, "EQ3.18")):
+        with pytest.raises(DomainError, match="tolerance must be a finite real > 0"):
+            check(case_id, tol=tol)
+
+
 #: The two tuples each tuple-driven exact runner draws for seed 0, as their
 #: n = 0 labels read at order 1 before the draws became spec data.  A report
 #: shows labels only on failure, so the fixtures cannot see these draws.
@@ -285,7 +309,9 @@ def test_other_typed_errors_still_propagate(monkeypatch):
 
 
 def test_quadrature_failure_keeps_rows_tallied_so_far(monkeypatch):
-    message = "node-count consistency 1.000e-06 exceeds 1.0e-08 at x=2.0"
+    message = (
+        "charged error 1.000e-06 (proven remainder 1.000e-06) exceeds 1.0e-08 at x=2.0"
+    )
 
     def points(tol):
         yield PointOutcome("EQ3.19[x=0]", 1.0, 1.0, 0.0, 0.0)
@@ -301,15 +327,11 @@ def test_quadrature_failure_keeps_rows_tallied_so_far(monkeypatch):
 
 
 def test_nan_consistency_estimate_fails_quadrature(monkeypatch):
-    borel_value = pointwise._borel_value
-
-    def value(x, n_nodes):
-        return math.nan if n_nodes == 100 else borel_value(x, n_nodes)
-
-    monkeypatch.setattr(pointwise, "_borel_value", value)
+    # A NaN rule value meets a finite charged estimate, so the relative-error
+    # rule fails the point.
+    monkeypatch.setattr(pointwise, "bessel_j0", lambda z, ctrl: math.nan)
     report = check_quadrature("EQ3.18")
     assert not report.passed
-    assert report.grid_size == 0
-    assert report.notes[-1] == (
-        "failed points: node-count consistency nan exceeds 1.0e-08 at x=0.0"
-    )
+    assert report.grid_size == 4
+    assert math.isnan(report.max_abs_err)
+    assert report.notes[-1].startswith("failed points: EQ3.19[x=0] rel=nan; ")
