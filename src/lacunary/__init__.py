@@ -104,7 +104,6 @@ _LAZY = {
     "wright": "specialfns",
     "SumControl": "summation",
     "sum_series": "summation",
-    "sum_shells": "summation",
     "UmbralSeries": "umbral",
     "reduce_exp": "umbral",
     "umb_exp": "umbral",

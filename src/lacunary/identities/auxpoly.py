@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import DomainError, ExactnessViolation, NoSolution
 from ..polys import assoc_laguerre_xpoly
+from ..scalars import check_order
 from .bridges import _PRINTED, AuxPolynomial, Key
 
 Vector = tuple[list[int], int]  # (numerators, common denominator)
@@ -303,10 +304,9 @@ def derive_aux_polynomial(family: str, m: int) -> AuxPolynomial:
     """
     if family not in _TEMPLATES:
         raise DomainError("family must be 'p' or 'q'")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise DomainError(f"m must be an int, not {type(m).__name__}")
-    if m < 1 or (family == "q" and m != 1):
-        raise DomainError("m must be >= 1 ('q' supports only m = 1)")
+    check_order(m, 1)
+    if family == "q" and m != 1:
+        raise DomainError("family 'q' supports only m = 1")
     tpl = _TEMPLATES[family]
     step = tpl.step
     unknowns: list[Key] = [

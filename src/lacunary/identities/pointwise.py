@@ -588,40 +588,23 @@ def _remainder(n: int, x: float) -> float:
 _RULE_NODES = next(n for n in count(1) if _remainder(n, max(_BOREL_XS)) <= _U)
 
 
-def _laguerre_pair(n: int) -> Callable[[float], tuple[float, float]]:
-    """z -> (L_{n-1}(z), L_n(z)) for n >= 1, by laguerre_sequence's recurrence
-    at offset 0 and y = 1 keeping two values.  Its factors are the floats of
-    2k+1, k and k+1, so ((2k+1+0.0)*1.0 - z) L_k - (k+0.0)*1.0 L_{k-1} there
-    is the same float as (float(2k+1) - z) L_k - float(k) L_{k-1} here."""
-    steps = [(2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, n)]
-
-    def pair(z: float) -> tuple[float, float]:
-        prev, cur = 1.0, 1.0 - z
-        for odd, k, k1 in steps:
-            prev, cur = cur, ((odd - z) * cur - k * prev) / k1
-        return prev, cur
-
-    return pair
-
-
 @functools.lru_cache(maxsize=None)
 def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(nodes, weights) of the n-point Gauss-Laguerre rule for e^-x on [0, inf).
 
     Each node is Newton's method on L_n, using L_n' = n (L_n - L_{n-1}) / z,
     from the Stroud-Secrest starting guess (Numerical Recipes' gaulag at
-    alpha = 0); a step reads only (L_{n-1}, L_n) from _laguerre_pair(n).  It
-    stops one step after |dz| <= 1e-13 z, and a node that has not stopped
-    within _NEWTON_STEPS raises QuadratureFailure.  That last step reads the
-    row laguerre_sequence(n, z) for the weight, the Christoffel number
-    1 / sum_{k<n} L_k(x)^2 (the L_k are orthonormal for e^-x): the step
-    moved the node by rounding only, and unlike x / ((n+1) L_{n+1}(x))^2
-    this form does not amplify the rounding of the nodes near the origin.
-    The weights are then divided by their sum, as numpy's laggauss does.
+    alpha = 0); each step reads the row laguerre_sequence(n, z).  It stops
+    one step after |dz| <= 1e-13 z, and a node that has not stopped within
+    _NEWTON_STEPS raises QuadratureFailure.  The weight comes from the row
+    that last step read, as the Christoffel number 1 / sum_{k<n} L_k(x)^2
+    (the L_k are orthonormal for e^-x): the step moved the node by rounding
+    only, and unlike x / ((n+1) L_{n+1}(x))^2 this form does not amplify the
+    rounding of the nodes near the origin.  The weights are then divided by
+    their sum, as numpy's laggauss does.
     """
     nodes: list[float] = []
     weights: list[float] = []
-    pair = _laguerre_pair(n)
     z = 0.0
     for i in range(n):
         if i == 0:
@@ -630,19 +613,19 @@ def _laggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             z += 15.0 / (1.0 + 2.5 * n)
         else:
             z += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - nodes[i - 2])
-        for _ in range(_NEWTON_STEPS - 1):
-            prev, last = pair(z)
-            dz = z * last / (n * (last - prev))
+        converged = False
+        for _ in range(_NEWTON_STEPS):
+            seq = laguerre_sequence(n, z)
+            dz = z * seq[n] / (n * (seq[n] - seq[n - 1]))
             z -= dz
-            if abs(dz) <= 1e-13 * z:
+            if converged:
                 break
+            converged = abs(dz) <= 1e-13 * z
         else:
             raise QuadratureFailure(
                 f"Gauss-Laguerre node {i} of {n} did not converge in "
                 f"{_NEWTON_STEPS} Newton steps"
             )
-        seq = laguerre_sequence(n, z)
-        z -= z * seq[n] / (n * (seq[n] - seq[n - 1]))
         nodes.append(z)
         weights.append(1.0 / math.fsum(v * v for v in seq[:n]))
     total = math.fsum(weights)

@@ -20,7 +20,9 @@ their prefixes.
 
 The Laguerre-family and Hermite kernels never return or yield inf or NaN
 from a float path: when such a value is not finite, from an infinite or NaN
-input or from overflow, they raise NumericError instead.
+input or from overflow, they raise NumericError instead.  A degree that is
+not an int >= 0, or a step or Hermite order m that is not an int >= 1 (a
+bool is none), raises DomainError through scalars.check_order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ExactnessViolation, NumericError
-from .scalars import Scalar, ensure_finite, is_exact, rgamma, rgamma_exact
+from .scalars import Scalar, check_order, ensure_finite, is_exact, rgamma, rgamma_exact
 
 
 def _gamma_weight(arg: Scalar):
@@ -64,8 +66,7 @@ def lambda_poly(n: int, alpha: Scalar, beta: Scalar, x: Scalar, y: Scalar = 1):
     every input is exact; then alpha and beta must be integers, else
     ExactnessViolation.  A float sum that is not finite raises NumericError.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(n)
     if all(map(is_exact, (alpha, beta, x, y))):
         alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
     total = 0
@@ -106,10 +107,8 @@ def lambda_sequence(
     of a zero row can differ).  A float row that is not finite raises
     NumericError.
     """
-    if nmax < 0:
-        raise DomainError("degree must be >= 0")
-    if step < 1:
-        raise DomainError("step must be >= 1")
+    check_order(nmax)
+    check_order(step, 1)
     nmax -= nmax % step
     if all(map(is_exact, (alpha, beta, x, y))):
         alpha, beta = _integral(alpha, "alpha"), _integral(beta, "beta")
@@ -199,10 +198,8 @@ def assoc_laguerre_diagonal(
     alpha = u/v, exact inputs scale b_m m! (v s)^m = prod_{j<m} (u - j v) r^m
     and e_r r! q^r = (-p)^r to ints over the common k! q^k (v s)^k.
     """
-    if kmax < 0:
-        raise DomainError("degree must be >= 0")
-    if step < 1:
-        raise DomainError("step must be >= 1")
+    check_order(kmax)
+    check_order(step, 1)
     kmax -= kmax % step
     if is_exact(alpha) and is_exact(x) and is_exact(y):
         u, v = alpha.numerator, alpha.denominator
@@ -239,8 +236,7 @@ def assoc_laguerre(n: int, alpha: Scalar, x: Scalar, y: Scalar = 1):
     (float alpha) is scaled by the float 1 / (r! (n-r)!).  A float product
     or sum that is not finite raises NumericError.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(n)
     prods = [1] * (n + 1)
     for r in range(n - 1, -1, -1):
         prods[r] = prods[r + 1] * (alpha + (r + 1))  # one rounding for a float alpha
@@ -273,8 +269,7 @@ def hermite_coeffs(m: int, xs: Sequence[Scalar]) -> Iterator:
     NumericError instead of being yielded.  m and xs are checked when the
     first value is read.
     """
-    if m < 1:
-        raise DomainError("order m must be >= 1")
+    check_order(m, 1)
     if len(xs) != m:
         raise DomainError(f"expected {m} variables, got {len(xs)}")
     coeffs: list = [Fraction(1) if all(map(is_exact, xs)) else 1.0]
@@ -292,8 +287,7 @@ def hermite_coeffs(m: int, xs: Sequence[Scalar]) -> Iterator:
 def hermite_coeff_sequence(m: int, nmax: int, xs: Sequence[Scalar]) -> list:
     """[t^n] exp(sum_s x_s t^s) for n = 0..nmax: the first nmax + 1 values
     of hermite_coeffs."""
-    if nmax < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(nmax)
     return list(itertools.islice(hermite_coeffs(m, xs), nmax + 1))
 
 
@@ -318,8 +312,7 @@ def assoc_laguerre_sequence(nmax: int, alpha: Scalar, x: Scalar, y: Scalar = 1) 
     M_{n+1} = (((2n+1) v + u) q r - v p s) M_n - n (n v + u) v q^2 r^2 M_{n-1}.
     A float row that is not finite raises NumericError.
     """
-    if nmax < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(nmax)
     if is_exact(x) and is_exact(y) and is_exact(alpha):
         u, v = alpha.numerator, alpha.denominator
         qr, vps = x.denominator * y.numerator, v * x.numerator * y.denominator
@@ -363,8 +356,7 @@ def hermite_h_values(u: complex) -> Iterator[complex]:
 def hermite_h_sequence(nmax: int, u: complex) -> list[complex]:
     """Classical Hermite [H_0(u), ..., H_nmax(u)]: the first nmax + 1 values
     of hermite_h_values."""
-    if nmax < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(nmax)
     return list(itertools.islice(hermite_h_values(u), nmax + 1))
 
 
@@ -381,8 +373,7 @@ def laguerre_xpoly(n: int, y: Scalar = 1) -> list:
 
 def assoc_laguerre_xpoly(n: int, alpha: Scalar) -> list:
     """Coefficients in x of L_n^(alpha)(x) with the termwise Gamma product."""
-    if n < 0:
-        raise DomainError("degree must be >= 0")
+    check_order(n)
     coeffs = []
     prods = [1] * (n + 1)  # prods[r] = prod_{j=r+1..n}(alpha+j)
     for r in range(n - 1, -1, -1):

@@ -13,8 +13,8 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .scalars import rgamma
-from .summation import SumControl, sum_series, sum_shells
+from .scalars import check_order, rgamma
+from .summation import SumControl, sum_series
 from .polys import hermite_coeffs
 
 _DEFAULT = SumControl(max_terms=400, rel_tol=1e-14)
@@ -23,7 +23,10 @@ _DEFAULT = SumControl(max_terms=400, rel_tol=1e-14)
 def _rgamma_series(
     coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl
 ) -> float:
-    """sum_r a_r / Gamma(beta r + alpha), the kernel of the Wright family."""
+    """sum_r a_r / Gamma(beta r + alpha), the kernel of the Wright family;
+    DomainError unless beta > 0."""
+    if beta <= 0:
+        raise DomainError("the Wright family needs beta > 0")
     value, _ = sum_series(
         (a * rgamma(beta * r + alpha) for r, a in enumerate(coeffs)), ctrl
     )
@@ -39,16 +42,12 @@ def _ratio_sequence(ratio: Callable[[int], float], a: float = 1.0) -> Iterator[f
 
 def wright(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """Bessel-Wright W^(beta,alpha)(x) = sum_r x^r / (r! Gamma(beta r + alpha))."""
-    if beta <= 0:
-        raise DomainError("wright needs beta > 0")
     powers = _ratio_sequence(lambda r: x / (r + 1))
     return _rgamma_series(powers, beta, alpha, control or _DEFAULT)
 
 
 def mittag_leffler(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """E_(beta,alpha)(x) = sum_r x^r / Gamma(beta r + alpha)."""
-    if beta <= 0:
-        raise DomainError("mittag_leffler needs beta > 0")
     return _rgamma_series(_ratio_sequence(lambda r: x), beta, alpha, control or _DEFAULT)
 
 
@@ -60,8 +59,7 @@ def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
 
 def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
     """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!)."""
-    if m < 0:
-        raise DomainError("bessel_i needs m >= 0")
+    check_order(m)
     half = z / 2.0
     terms = _ratio_sequence(
         lambda k: half * half / ((k + 1.0) * (m + k + 1.0)), half**m / math.factorial(m)
@@ -92,12 +90,9 @@ def h_tricomi(
     """Hermite-based Tricomi: sum_r H_r^(m)(-a1, a2, ..., (-1)^m am) / (r! Gamma(1+s+r)).
 
     For m = 2 this is the two-variable hybrid; general m shows up in the
-    order-m lacunary closed forms.
+    order-m lacunary closed forms.  hermite_coeffs checks m and the
+    number of slots when the sum reads its first value.
     """
-    if m < 1:
-        raise DomainError("h_tricomi needs m >= 1")
-    if len(args) != m:
-        raise DomainError(f"expected {m} slot arguments, got {len(args)}")
     coeffs = hermite_coeffs(m, _signed([float(a) for a in args]))
     return _rgamma_series(coeffs, 1.0, 1.0 + s, control or _DEFAULT)
 
@@ -114,16 +109,13 @@ def h_wright(
     The first superscript multiplies r inside the Gamma, exactly as in the
     scalar Bessel-Wright function; no slot sign flips here.
     """
-    if beta <= 0:
-        raise DomainError("h_wright needs beta > 0")
     coeffs = hermite_coeffs(2, [float(x), float(y)])
     return _rgamma_series(coeffs, beta, alpha, control or _DEFAULT)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:
     """Hermite-based Bessel: sum_r (-1)^r H_(n+2r)^(2)(x, y) / (2^(n+2r) r! (n+r)!)."""
-    if n < 0:
-        raise DomainError("h_bessel_j needs n >= 0")
+    check_order(n)
     coeffs = islice(hermite_coeffs(2, [float(x), float(y)]), n, None, 2)
     # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
     factors = _ratio_sequence(
@@ -166,5 +158,5 @@ def h_tricomi_bilateral(
                 )
         return acc
 
-    value, _ = sum_shells(shell, ctrl)
+    value, _ = sum_series(map(shell, count()), ctrl)
     return value

@@ -3,16 +3,19 @@
 The stop rule is sign-agnostic: a run of CONSECUTIVE_SMALL terms each
 satisfying |term| <= rel_tol * |partial sum| ends the sum, so alternating
 series with interior zero terms (odd/even lacunary patterns) terminate only
-once they are genuinely done.
+once they are genuinely done.  A multi-index series is summed the same way,
+as sum_series over its shells of equal total order.  A SumControl whose
+max_terms is not an int >= 1 (a bool is none) or whose rel_tol lies outside
+(0, 1) raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, NonConvergence, NumericError
+from .scalars import check_order
 
 CONSECUTIVE_SMALL = 3
 
@@ -28,8 +31,7 @@ class SumControl(_SumFields):
     __slots__ = ()
 
     def __new__(cls, max_terms: int = 400, rel_tol: float = 1e-14) -> SumControl:
-        if max_terms < 1:
-            raise DomainError("max_terms must be positive")
+        check_order(max_terms, 1)
         if not (0.0 < rel_tol < 1.0):
             raise DomainError("rel_tol must lie in (0, 1)")
         return super().__new__(cls, max_terms, rel_tol)
@@ -80,14 +82,3 @@ def sum_series(
         f"no convergence after {ctrl.max_terms} terms "
         f"(last |term| = {last_mag:.3e}, |sum| = {abs(total):.3e})"
     )
-
-
-def sum_shells(
-    shell_total: Callable[[int], complex | float],
-    control: SumControl | None = None,
-) -> tuple[complex | float, float]:
-    """Sum shell_total(0) + shell_total(1) + ... under the same stop rule.
-
-    Used for multi-index series grouped by total index order.
-    """
-    return sum_series(map(shell_total, count()), control)

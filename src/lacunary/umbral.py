@@ -145,8 +145,7 @@ class UmbralSeries:
         coeff: Fraction, exponent, x_degree: int = 0, which: int = 1
     ) -> "UmbralSeries":
         """coeff * c^exponent * x^x_degree with degree metadata."""
-        if x_degree < 0:
-            raise DomainError("x_degree must be >= 0")
+        check_order(x_degree)
         e = _as_exponent(exponent)
         if which not in (1, 2):
             raise DomainError("symbol index must be 1 or 2")

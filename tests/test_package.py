@@ -135,6 +135,11 @@ _NUMERIC_DEEP = (
             {"identities.exact", "identities.pointwise", "specialfns"},
             {"random", *_BRIDGES, *_ALGEBRA, *_COLD},
         ),
+        (
+            ["list"],
+            {"identities.registry", "identities.exact"},
+            {"identities.pointwise", "specialfns", "random", *_BRIDGES, *_ALGEBRA, *_COLD},
+        ),
     ],
 )
 def test_each_command_loads_only_what_it_runs(argv, needed, unloaded):

@@ -212,8 +212,8 @@ def test_borel_points_grid():
 
 @functools.lru_cache(maxsize=None)
 def _laggauss_table_per_step(n):
-    """The n-node rule as it was built when every Newton step read the full
-    row laguerre_sequence(n, z): (nodes, weights), where the weights are the
+    """The n-node rule in which every Newton step reads the full row
+    laguerre_sequence(n, z): (nodes, weights), where the weights are the
     Christoffel numbers over their sum.  _laggauss must equal it bit for bit."""
     nodes, raw = [], []
     z = 0.0
@@ -439,27 +439,6 @@ def test_eq3_19_kill_table(monkeypatch):
             kills[name] = _quadrature_outcome()
     assert kills == QUADRATURE_KILLS
     assert _quadrature_outcome() == "pass"
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=120),
-    st.floats(min_value=0.0, max_value=400.0, exclude_min=True),
-)
-def test_laguerre_pair_is_the_last_two_values_of_the_row(n, z):
-    assert _hex(pointwise._laguerre_pair(n)(z)) == _hex(laguerre_sequence(n, z)[n - 1 :])
-
-
-def test_laggauss_reads_one_full_row_per_node(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return laguerre_sequence(*args)
-
-    monkeypatch.setattr(pointwise, "laguerre_sequence", counting)
-    pointwise._laggauss.__wrapped__(pointwise._RULE_NODES)
-    assert len(calls) == pointwise._RULE_NODES == 10
 
 
 def test_verify_all_reads_a_short_prefix_of_every_hermite_iterator(monkeypatch, capsys):

@@ -10,11 +10,26 @@ from lacunary import (
     DomainError,
     ImaginaryResidue,
     NumericError,
+    UmbralSeries,
     as_real,
+    assoc_laguerre,
+    assoc_laguerre_sequence,
+    assoc_laguerre_xpoly,
+    bessel_i,
+    h_bessel_j,
+    h_tricomi,
+    hermite_coeff_sequence,
+    hermite_coeffs,
+    hermite_h_sequence,
     is_exact,
+    laguerre,
+    laguerre_sequence,
+    laguerre_xpoly,
+    lambda_poly,
     rgamma,
     rgamma_exact,
 )
+from lacunary.polys import assoc_laguerre_diagonal, lambda_sequence
 
 INV_SQRT_PI = 0.5641895835477563
 
@@ -115,3 +130,43 @@ def test_is_exact_classification():
     assert is_exact(7)
     assert not is_exact(0.5)
     assert not is_exact(complex(1, 0))
+
+
+#: "function:argument" -> (a call passing v as that argument, the least v it takes).
+ORDER_ARGUMENTS = {
+    "laguerre:n": (lambda v: laguerre(v, 0.5), 0),
+    "lambda_poly:n": (lambda v: lambda_poly(v, 1, 1, 0.5), 0),
+    "lambda_sequence:nmax": (lambda v: lambda_sequence(v, 1, 1, 0.5), 0),
+    "lambda_sequence:step": (lambda v: lambda_sequence(4, 1, 1, 0.5, step=v), 1),
+    "assoc_laguerre:n": (lambda v: assoc_laguerre(v, 1, 0.5), 0),
+    "assoc_laguerre_diagonal:kmax": (lambda v: assoc_laguerre_diagonal(v, 0.5, 0.5), 0),
+    "assoc_laguerre_diagonal:step": (
+        lambda v: assoc_laguerre_diagonal(4, 0.5, 0.5, step=v), 1
+    ),
+    "assoc_laguerre_sequence:nmax": (lambda v: assoc_laguerre_sequence(v, 1, 0.5), 0),
+    "laguerre_sequence:nmax": (lambda v: laguerre_sequence(v, 1.0), 0),
+    "hermite_coeffs:m": (lambda v: next(hermite_coeffs(v, [1.0, 2.0])), 1),
+    "hermite_coeff_sequence:m": (lambda v: hermite_coeff_sequence(v, 3, [1.0, 2.0]), 1),
+    "hermite_coeff_sequence:nmax": (lambda v: hermite_coeff_sequence(2, v, [1.0, 2.0]), 0),
+    "hermite_h_sequence:nmax": (lambda v: hermite_h_sequence(v, 1.0), 0),
+    "laguerre_xpoly:n": (lambda v: laguerre_xpoly(v), 0),
+    "assoc_laguerre_xpoly:n": (lambda v: assoc_laguerre_xpoly(v, 1), 0),
+    "bessel_i:m": (lambda v: bessel_i(v, 1.0), 0),
+    "h_tricomi:m": (lambda v: h_tricomi(v, 0.5, [0.1, 0.2]), 1),
+    "h_bessel_j:n": (lambda v: h_bessel_j(v, 0.5, 0.25), 0),
+    "UmbralSeries.monomial:x_degree": (
+        lambda v: UmbralSeries.monomial(Fraction(1), 1, x_degree=v).reduce_poly(), 0
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "bool", "below"])
+@pytest.mark.parametrize("argument", sorted(ORDER_ARGUMENTS))
+def test_every_order_argument_is_checked_by_check_order(argument, bad):
+    # Before one rule owned these checks, 2.5 escaped as a bare TypeError or
+    # ValueError from 15 of them, the monomial kept it as its x-degree, and
+    # 16 ran True as 1.
+    call, least = ORDER_ARGUMENTS[argument]
+    value = {"float": 2.5, "bool": True, "below": least - 1}[bad]
+    with pytest.raises(DomainError, match="order must be an int"):
+        call(value)

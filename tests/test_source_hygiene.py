@@ -33,6 +33,12 @@ And one keeps series from paying for terms they never read: no call to a
 summation budget.  A series that stops after a few terms reads its values
 from an iterator instead; a `range(ctrl.max_terms + 1)` that bounds a lazy
 generator builds nothing and stays allowed.
+
+And one keeps a single owner for the range of an order argument: no
+function raises `DomainError` under an `if` that orders (`<`, `<=`, `>`,
+`>=`) one of its parameters named in `ORDER_PARAMS` against an int constant.
+`scalars.check_order` makes that check, and rejects a bool or a non-int too.
+An equality rule such as family 'q' taking only m = 1 stays allowed.
 """
 
 import ast
@@ -146,6 +152,49 @@ def _budget_sized_tables(name: str, tree: ast.Module) -> list[str]:
     return found
 
 
+#: Parameter names whose range only `scalars.check_order` checks.
+ORDER_PARAMS = {"n", "nmax", "kmax", "m", "step", "order", "x_degree"}
+
+
+def _raises_domain_error(statements: list[ast.stmt]) -> bool:
+    """Whether a `raise DomainError(...)` sits anywhere in `statements`."""
+    for node in (n for stmt in statements for n in ast.walk(stmt)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "DomainError":
+                return True
+    return False
+
+
+def _hand_rolled_order_checks(name: str, tree: ast.Module) -> list[str]:
+    """`module:line f` for each `if` in function f whose body raises
+    DomainError and whose test orders a parameter of f in ORDER_PARAMS
+    against an int constant."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        params &= ORDER_PARAMS
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.If) or not _raises_domain_error(node.body):
+                continue
+            for cmp in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
+                operands = [cmp.left, *cmp.comparators]
+                if (
+                    any(isinstance(op, ordering) for op in cmp.ops)
+                    and any(isinstance(o, ast.Name) and o.id in params for o in operands)
+                    and any(
+                        isinstance(o, ast.Constant) and type(o.value) is int for o in operands
+                    )
+                ):
+                    found.append(f"{name}:{node.lineno} {fn.name}")
+                    break
+    return found
+
+
 def _definitions(tree: ast.Module, public: bool):
     """(name, defining node) for each module-level binding, the public ones
     or the _private ones; dunder names are neither."""
@@ -230,6 +279,13 @@ def test_no_module_imports_dataclasses():
 
 def test_no_table_is_sized_to_the_summation_budget():
     found = [entry for name, tree in TREES.items() for entry in _budget_sized_tables(name, tree)]
+    assert found == []
+
+
+def test_no_function_checks_an_order_range_by_hand():
+    found = [
+        entry for name, tree in TREES.items() for entry in _hand_rolled_order_checks(name, tree)
+    ]
     assert found == []
 
 
@@ -365,4 +421,29 @@ def test_the_checks_catch_dead_code():
         "toy.py:1 hermite_h_sequence",
         "toy.py:2 hermite_coeff_sequence",
         "toy.py:3 hermite_coeff_sequence",
+    ]
+    # A range check of an order parameter against an int constant is
+    # flagged, either way round and inside a larger test; an equality rule,
+    # a check of another name, a float bound and an `if` that raises
+    # nothing are not.
+    orders = ast.parse(
+        "def kernel(n, x, step=1, *, m=2):\n"
+        "    if n < 0:\n"
+        "        raise DomainError('degree must be >= 0')\n"
+        "    if x < 0 or 1 > step:\n"
+        "        raise errors.DomainError('step must be >= 1')\n"
+        "    if m != 1:\n"
+        "        raise DomainError('only m = 1')\n"
+        "    if x < 0:\n"
+        "        raise DomainError('x must be >= 0')\n"
+        "    if n < 0.5:\n"
+        "        raise DomainError('n must be >= 0.5')\n"
+        "    if n > 5:\n"
+        "        return x\n"
+        "    check_order(n)\n"
+        "    return x\n"
+    )
+    assert _hand_rolled_order_checks("toy.py", orders) == [
+        "toy.py:2 kernel",
+        "toy.py:4 kernel",
     ]
