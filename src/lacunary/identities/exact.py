@@ -4,6 +4,10 @@ Every function here compares rational numbers for equality; a single
 mismatch fails the case.  Each engine yields (label, lhs, rhs) triples so
 the caller can count comparisons and collect mismatches uniformly.
 
+The six generating-function engines are row builders rows(nmax, **binding)
+-> (lhs_row, rhs_row) for one rational tuple; the _tupled driver walks the
+base and drawn tuples and labels each entry n <= nmax.
+
 Two recurring strategies:
   * reduce a truncated umbral exponential to its t-coefficients, then
     convolve with the exponential prefactor.  `umbral.reduce_exp` folds the
@@ -19,9 +23,10 @@ time, so a wrapper rebound on a module global sees each call.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..polys import (
     assoc_laguerre_diagonal,
@@ -33,10 +38,14 @@ from ..polys import (
 from ..scalars import rgamma_exact
 
 if TYPE_CHECKING:
+    import random
+
     from ..fps import FormalPowerSeries
     from ..umbral import UmbralSeries
 
 Check = tuple[str, Fraction, Fraction]
+Runner = Callable[[int, "random.Random"], Iterator[Check]]
+Rows = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction]]]
 
 
 def _stack():
@@ -67,57 +76,97 @@ def _label(name: str, binding: dict, n: int) -> str:
     return f"{name}[{parts}; n={n}]"
 
 
+def _rat(rng: random.Random, zero_ok: bool) -> Fraction:
+    while True:
+        v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        if zero_ok or v != 0:
+            return v
+
+
+#: A draw spec maps each key, in draw order, to an int range (lo, hi) or to
+#: a rational in [-4, 4] with denominator at most 4, nonzero or zero allowed.
+_NONZERO, _ZERO_OK = False, True
+
+
+def _draw(spec: dict, rng: random.Random) -> dict:
+    return {
+        key: rng.randint(*rule) if isinstance(rule, tuple) else _rat(rng, rule)
+        for key, rule in spec.items()
+    }
+
+
+def _tupled(case_id: str, base: Sequence[dict], spec: dict) -> Callable[[Rows], Runner]:
+    """Turn a row builder into a Runner over `base` and two draws from `spec`;
+    the runner keeps the builder as `__wrapped__` and the tuples as `base`."""
+
+    def wrap(rows: Rows) -> Runner:
+        @functools.wraps(rows)
+        def run(nmax: int, rng: random.Random) -> Iterator[Check]:
+            for binding in (*base, _draw(spec, rng), _draw(spec, rng)):
+                lhs, rhs = rows(nmax, **binding)
+                for n in range(nmax + 1):
+                    yield _label(case_id, binding, n), lhs[n], rhs[n]
+
+        run.base = base
+        return run
+
+    return wrap
+
+
 # -- generating functions over t -----------------------------------------
 
+_AB_BASE = (
+    {"alpha": 0, "beta": 1, "x": Fraction(1), "y": Fraction(1)},
+    {"alpha": 1, "beta": 2, "x": Fraction(1, 2), "y": Fraction(1)},
+    {"alpha": 2, "beta": 3, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
+)
+_AB_DRAW = {"alpha": (0, 3), "beta": (1, 3), "x": _NONZERO, "y": _ZERO_OK}
 
-def eq1_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+
+@_tupled("EQ1.7", _AB_BASE, _AB_DRAW)
+def eq1_7(nmax, alpha, beta, x, y):
     """Exponential generating function of the two-index family.
 
     RHS built as c^alpha exp(-c^beta x t) reduced termwise, times e^{y t}.
     """
     umbral, _ = _stack()
-    for binding in tuples:
-        alpha, beta = int(binding["alpha"]), int(binding["beta"])
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = umbral.UmbralSeries.monomial(-x, beta, x_degree=1)
-        rhs = _exp_conv(umbral.reduce_exp(arg, nmax, alpha), y, nmax)
-        seq = lambda_sequence(nmax, alpha, beta, x, y)
-        for n in range(nmax + 1):
-            lhs = seq[n] * rgamma_exact(n + 1)
-            yield _label("EQ1.7", binding, n), lhs, rhs[n]
+    arg = umbral.UmbralSeries.monomial(-x, beta, x_degree=1)
+    rhs = _exp_conv(umbral.reduce_exp(arg, nmax, alpha), y, nmax)
+    seq = lambda_sequence(nmax, alpha, beta, x, y)
+    return [seq[n] * rgamma_exact(n + 1) for n in range(nmax + 1)], rhs
 
 
-def eq1_9(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+@_tupled("EQ1.9", _AB_BASE, _AB_DRAW)
+def eq1_9(nmax, alpha, beta, x, y):
     """Ordinary generating function against the composed closed form."""
     _, fps = _stack()
-    for binding in tuples:
-        alpha, beta = int(binding["alpha"]), int(binding["beta"])
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        geom = fps.fps_binomial(nmax, y, 1)  # 1/(1 - t y)
-        inner = geom * fps.fps_x(nmax, -x)
-        outer = fps.FormalPowerSeries(
-            [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
-        )
-        rhs_series = outer.compose(inner) * geom
-        seq = lambda_sequence(nmax, alpha, beta, x, y)
-        for n in range(nmax + 1):
-            yield _label("EQ1.9", binding, n), seq[n], rhs_series[n]
+    geom = fps.fps_binomial(nmax, y, 1)  # 1/(1 - t y)
+    inner = geom * fps.fps_x(nmax, -x)
+    outer = fps.FormalPowerSeries(
+        [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
+    )
+    return lambda_sequence(nmax, alpha, beta, x, y), outer.compose(inner) * geom
 
 
-def eq1_11(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+@_tupled("EQ1.11", (
+    {"alpha": 0, "x": Fraction(2, 3), "y": Fraction(1)},
+    {"alpha": 2, "x": Fraction(1, 2), "y": Fraction(3, 4)},
+    {"alpha": 4, "x": Fraction(1), "y": Fraction(-1, 3)},
+), {"alpha": (0, 4), "x": _NONZERO, "y": _NONZERO})
+def eq1_11(nmax, alpha, x, y):
     """Classical associated generating function e^(-xt/(1-yt)) (1-yt)^(-1-alpha)."""
     _, fps = _stack()
-    for binding in tuples:
-        alpha = int(binding["alpha"])
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        inner = fps.fps_binomial(nmax, y, 1) * fps.fps_x(nmax, -x)
-        rhs_series = inner.exp() * fps.fps_binomial(nmax, y, 1 + alpha)
-        seq = assoc_laguerre_sequence(nmax, alpha, x, y)
-        for n in range(nmax + 1):
-            yield _label("EQ1.11", binding, n), seq[n], rhs_series[n]
+    inner = fps.fps_binomial(nmax, y, 1) * fps.fps_x(nmax, -x)
+    rhs = inner.exp() * fps.fps_binomial(nmax, y, 1 + alpha)
+    return assoc_laguerre_sequence(nmax, alpha, x, y), rhs
 
 
-def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+@_tupled("EQ2.7", (
+    {"x": Fraction(1), "y": Fraction(1)},
+    {"x": Fraction(1, 2), "y": Fraction(2, 3)},
+    {"x": Fraction(3, 2), "y": Fraction(-1)},
+), {"x": _NONZERO, "y": _NONZERO})
+def eq2_7(nmax, x, y):
     """Double-lacunary exponential generating function, oracle double sum.
 
     The quadratic umbral exponent reduces to the double sum directly; its
@@ -125,37 +174,32 @@ def eq2_7(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
     polynomials exactly.
     """
     umbral, _ = _stack()
-    for binding in tuples:
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = (
-            umbral.UmbralSeries.monomial(x * x, 2, x_degree=1)
-            + umbral.UmbralSeries.monomial(-2 * x * y, 1, x_degree=1)
-        )
-        rhs = _exp_conv(umbral.reduce_exp(arg, nmax), y * y, nmax)
-        seq = laguerre_sequence(2 * nmax, x, y)
-        for n in range(nmax + 1):
-            lhs = seq[2 * n] * rgamma_exact(n + 1)
-            yield _label("EQ2.7", binding, n), lhs, rhs[n]
+    arg = (
+        umbral.UmbralSeries.monomial(x * x, 2, x_degree=1)
+        + umbral.UmbralSeries.monomial(-2 * x * y, 1, x_degree=1)
+    )
+    rhs = _exp_conv(umbral.reduce_exp(arg, nmax), y * y, nmax)
+    seq = laguerre_sequence(2 * nmax, x, y)
+    return [seq[2 * n] * rgamma_exact(n + 1) for n in range(nmax + 1)], rhs
 
 
-def eq2_13(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+@_tupled("EQ2.13", (
+    {"alpha": 3, "x": Fraction(1), "y": Fraction(1)},
+    {"alpha": 1, "x": Fraction(1, 2), "y": Fraction(2)},
+    {"alpha": 5, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
+), {"alpha": (0, 5), "x": _NONZERO, "y": _ZERO_OK})
+def eq2_13(nmax, alpha, x, y):
     """Negative-offset family summed against (1 + y t)^alpha e^{-t x}.
 
     The inverse-symbol exponential block supplies the binomial factor:
     Gamma(1+alpha) c^alpha e^{y t / c} reduces to sum_k C(alpha,k) (y t)^k.
     """
     umbral, _ = _stack()
-    for binding in tuples:
-        alpha = int(binding["alpha"])
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        arg = umbral.UmbralSeries.monomial(y, -1, x_degree=1)
-        reduced = umbral.reduce_exp(arg, nmax, alpha)
-        gamma_alpha = Fraction(math.factorial(alpha))
-        binom = {k: gamma_alpha * c for k, c in reduced.items()}
-        rhs = _exp_conv(binom, -x, nmax)
-        diag = assoc_laguerre_diagonal(nmax, alpha, x, y)
-        for n in range(nmax + 1):
-            yield _label("EQ2.13", binding, n), diag[n], rhs[n]
+    arg = umbral.UmbralSeries.monomial(y, -1, x_degree=1)
+    reduced = umbral.reduce_exp(arg, nmax, alpha)
+    gamma_alpha = Fraction(math.factorial(alpha))
+    binom = {k: gamma_alpha * c for k, c in reduced.items()}
+    return assoc_laguerre_diagonal(nmax, alpha, x, y), _exp_conv(binom, -x, nmax)
 
 
 def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Check]:
@@ -172,23 +216,23 @@ def eq2_12_block(alphas: Sequence[int], b: Fraction, nmax: int) -> Iterator[Chec
         yield f"EQ2.12[alpha={alpha}, b={b}]", got, want
 
 
-def eq3_8(nmax: int, tuples: Sequence[dict]) -> Iterator[Check]:
+@_tupled("EQ3.8", (
+    {"x": Fraction(1), "y": Fraction(1), "z": Fraction(1, 2), "u": Fraction(1)},
+    {"x": Fraction(1, 2), "y": Fraction(2, 3), "z": Fraction(1), "u": Fraction(3, 4)},
+    {"x": Fraction(2), "y": Fraction(-1, 2), "z": Fraction(1, 3), "u": Fraction(1)},
+), dict.fromkeys("xyzu", _NONZERO))
+def eq3_8(nmax, x, y, z, u):
     """Bilateral generating function via two commuting symbols."""
     umbral, _ = _stack()
-    for binding in tuples:
-        x, y = Fraction(binding["x"]), Fraction(binding["y"])
-        z, u = Fraction(binding["z"]), Fraction(binding["u"])
-        arg = (
-            umbral.UmbralSeries.monomial(-x * u, 1, x_degree=1, which=1)
-            + umbral.UmbralSeries.monomial(-y * z, 1, x_degree=1, which=2)
-            + umbral.UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
-            * umbral.UmbralSeries.symbol(1, which=2)
-        )
-        rhs = _exp_conv(umbral.reduce_exp(arg, nmax), u * y, nmax)
-        seq_a, seq_b = laguerre_sequence(nmax, x, y), laguerre_sequence(nmax, z, u)
-        for n in range(nmax + 1):
-            lhs = seq_a[n] * seq_b[n] * rgamma_exact(n + 1)
-            yield _label("EQ3.8", binding, n), lhs, rhs[n]
+    arg = (
+        umbral.UmbralSeries.monomial(-x * u, 1, x_degree=1, which=1)
+        + umbral.UmbralSeries.monomial(-y * z, 1, x_degree=1, which=2)
+        + umbral.UmbralSeries.monomial(x * z, 1, x_degree=1, which=1)
+        * umbral.UmbralSeries.symbol(1, which=2)
+    )
+    rhs = _exp_conv(umbral.reduce_exp(arg, nmax), u * y, nmax)
+    seq_a, seq_b = laguerre_sequence(nmax, x, y), laguerre_sequence(nmax, z, u)
+    return [seq_a[n] * seq_b[n] * rgamma_exact(n + 1) for n in range(nmax + 1)], rhs
 
 
 # -- Laguerre derivative ---------------------------------------------------

@@ -6,10 +6,11 @@ the last three LHS terms), and the drift when the truncation is pushed ten
 terms further.  The caller applies the pass rule; engines only measure.
 
 Every left side is a lacunary sum sum_n w_n seq[m n + l], so an engine is
-written as point(g, t, top, ctrl) -> (weights, row, rhs) for one grid point
-g with its scaled t: the weights w_n, the strided row seq[l::m] and the
-closed-form value.  The _engine driver supplies the grid walk, forms the
-terms weights[n] * row[n] for n < top, sums them and builds the label.
+written as point(top, ctrl, **params) -> (weights, row, rhs), where params
+are one grid point's keys with its t scaled: the weights w_n, the strided
+row seq[l::m] and the closed-form value.  The _engine driver supplies the
+grid walk, forms the terms weights[n] * row[n] for n < top, sums them and
+builds the label from the same params.
 
 Grids are chosen so the LHS tail at the default truncation sits well below
 1e-9 and every RHS series is inside its numerically observed convergence
@@ -88,7 +89,7 @@ def _fmt(v: float) -> str:
     return format(v, "g")
 
 
-Point = Callable[[dict, float, int, SumControl], tuple[Sequence, Sequence, float]]
+Point = Callable[..., tuple[Sequence, Sequence, float]]
 
 
 def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
@@ -104,11 +105,11 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
         def engine(n_terms: int, scale: float, ctrl: SumControl) -> Iterator[PointOutcome]:
             top = n_terms + STABILITY_EXTRA
             for g in grid:
-                t = g["t"] * scale
-                weights, row, rhs = point(g, t, top, ctrl)
+                params = {**g, "t": g["t"] * scale}
+                weights, row, rhs = point(top, ctrl, **params)
                 terms = [weights[n] * row[n] for n in range(top)]
                 lhs, tail, drift = _sum_with_stability(terms, n_terms)
-                label = ", ".join(f"{k}={_fmt(v)}" for k, v in {**g, "t": t}.items())
+                label = ", ".join(f"{k}={_fmt(v)}" for k, v in params.items())
                 yield PointOutcome(f"{case_id}[{label}]", lhs, rhs, tail, drift)
 
         return engine
@@ -185,8 +186,7 @@ def _lambda_rows(top: int, alpha, beta, x: float, y: float) -> tuple[float, ...]
     {"alpha": 2, "beta": 3, "x": 0.7, "y": -1.0, "t": 0.25},
     {"alpha": 1.5, "beta": 2, "x": 1.2, "y": 0.8, "t": 0.35},
 ))
-def eq1_7(g, t, top, ctrl):
-    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+def eq1_7(top, ctrl, alpha, beta, x, y, t):
     seq = _lambda_rows(top, alpha, beta, x, y)
     fac = _egf_factors(t, top)
     rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
@@ -199,8 +199,7 @@ def eq1_7(g, t, top, ctrl):
     {"alpha": 2, "beta": 1, "x": 0.5, "y": -1.0, "t": 0.25},
     {"alpha": 0, "beta": 3, "x": 1.5, "y": 0.5, "t": 0.2},
 ))
-def eq1_9(g, t, top, ctrl):
-    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+def eq1_9(top, ctrl, alpha, beta, x, y, t):
     seq = _lambda_rows(top, alpha, beta, x, y)
     rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
         1.0 - t * y
@@ -214,8 +213,7 @@ def eq1_9(g, t, top, ctrl):
     {"m": 3, "x": 2.0, "y": 0.8, "t": 0.15},
     {"m": 2, "x": 1.0, "y": -0.5, "t": 0.25},
 ))
-def eq1_12(g, t, top, ctrl):
-    m, x, y = g["m"], g["x"], g["y"]
+def eq1_12(top, ctrl, m, x, y, t):
     seq = assoc_laguerre_sequence(top, m, x, y)
     fac = _egf_factors(t, top)
     rhs = 0.0
@@ -242,8 +240,7 @@ def eq1_12(g, t, top, ctrl):
     {"x": 2.0, "t": 0.09},
     {"x": 1.5, "t": 0.16},
 ))
-def eq2_7(g, t, top, ctrl):
-    x = g["x"]
+def eq2_7(top, ctrl, x, t):
     seq = laguerre_sequence(2 * top, x)
     fac = _egf_factors(t, top)
     st = math.sqrt(t)
@@ -266,8 +263,7 @@ def eq2_7(g, t, top, ctrl):
     {"m": 2, "x": 1.0, "y": 1.0, "t": 0.1},
     {"m": 2, "x": 1.5, "y": 0.5, "t": 0.12},
 ))
-def eq2_8(g, t, top, ctrl):
-    m, x, y = g["m"], g["x"], g["y"]
+def eq2_8(top, ctrl, m, x, y, t):
     seq = assoc_laguerre_sequence(2 * top, m, x, y)
     fac = _egf_factors(t, top)
     c2 = hermite_coeffs(2, (-2.0 * x * y * t, t * x * x))
@@ -281,8 +277,7 @@ def eq2_8(g, t, top, ctrl):
     {"alpha": 1, "beta": 2, "x": 1.0, "y": 0.8, "t": 0.1},
     {"alpha": 2, "beta": 2, "x": 0.7, "y": 1.0, "t": 0.12},
 ))
-def eq2_9(g, t, top, ctrl):
-    alpha, beta, x, y = g["alpha"], g["beta"], g["x"], g["y"]
+def eq2_9(top, ctrl, alpha, beta, x, y, t):
     seq = lambda_sequence(2 * top, alpha, beta, x, y, step=2)
     fac = _egf_factors(t, top)
     rhs = math.exp(y * y * t) * h_wright(
@@ -297,8 +292,7 @@ def eq2_9(g, t, top, ctrl):
     {"x": 2.0, "t": 0.1},
     {"x": 1.5, "t": 0.12},
 ))
-def eq2_10(g, t, top, ctrl):
-    x = g["x"]
+def eq2_10(top, ctrl, x, t):
     seq = laguerre_sequence(2 * top, x)
     rhs = _diagonal_sum(x, t, 0.5, 0, ctrl) / (1.0 - t)
     return [t**n for n in range(top)], seq[::2], rhs
@@ -309,8 +303,7 @@ def eq2_10(g, t, top, ctrl):
     {"x": 1.0, "t": 0.3},
     {"x": 2.0, "t": 0.15},
 ))
-def eq2_11(g, t, top, ctrl):
-    x = g["x"]
+def eq2_11(top, ctrl, x, t):
     seq = laguerre_sequence(3 * top, x)
     w = -3.0 * t * x / (1.0 - t)
     lag = _laguerre_rows(x / 3.0)
@@ -342,8 +335,7 @@ def eq2_11(g, t, top, ctrl):
     {"alpha": 1.5, "x": 2.0, "y": 0.5, "t": 0.4},
     {"alpha": 3.0, "x": 1.0, "y": -0.8, "t": 0.3},
 ))
-def eq2_13(g, t, top, ctrl):
-    alpha, x, y = g["alpha"], g["x"], g["y"]
+def eq2_13(top, ctrl, alpha, x, y, t):
     diag = assoc_laguerre_diagonal(top, alpha, x, y)
     rhs = (1.0 + y * t) ** alpha * math.exp(-t * x)
     return [t**n for n in range(top)], diag, rhs
@@ -355,8 +347,7 @@ def eq2_13(g, t, top, ctrl):
     {"alpha": 2.5, "x": 0.5, "y": 1.2, "t": 0.3},
     {"alpha": 1.5, "x": 0.0, "y": 1.0, "t": 0.4},
 ))
-def eq2_14(g, t, top, ctrl):
-    alpha, x, y = g["alpha"], g["x"], g["y"]
+def eq2_14(top, ctrl, alpha, x, y, t):
     diag = assoc_laguerre_diagonal(2 * top, alpha, x, y, step=2)
     st = cmath.sqrt(t)
     big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
@@ -374,8 +365,7 @@ def eq2_14(g, t, top, ctrl):
     {"l": 3, "x": 2.0, "t": 0.09},
     {"l": 1, "x": 1.5, "t": 0.16},
 ))
-def eq3_1(g, t, top, ctrl):
-    l, x = g["l"], g["x"]
+def eq3_1(top, ctrl, l, x, t):
     seq = laguerre_sequence(2 * top + l, x)
     fac = _egf_factors(t, top)
     st = math.sqrt(t)
@@ -397,8 +387,7 @@ def eq3_1(g, t, top, ctrl):
     {"l": 1, "x": 0.5, "t": 0.15},
     {"l": 2, "x": 1.5, "t": 0.08},
 ))
-def eq3_3(g, t, top, ctrl):
-    l, x = g["l"], g["x"]
+def eq3_3(top, ctrl, l, x, t):
     seq = laguerre_sequence(3 * top + l, x)
     fac = _egf_factors(t, top)
     s3t = math.sqrt(3.0 * t)
@@ -429,8 +418,7 @@ def eq3_3(g, t, top, ctrl):
     {"x": 0.5, "t": 0.2},
     {"x": 2.0, "t": 0.08},
 ))
-def eq3_4(g, t, top, ctrl):
-    x = g["x"]
+def eq3_4(top, ctrl, x, t):
     seq = assoc_laguerre_sequence(3 * top, 1, x)
     fac = _egf_factors(t, top)
     c3 = hermite_coeffs(3, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3))
@@ -446,8 +434,7 @@ def eq3_4(g, t, top, ctrl):
     {"m": 4, "l": 0, "x": 0.8, "y": 1.0, "t": 0.05},
     {"m": 4, "l": 1, "x": 1.0, "y": 0.9, "t": 0.05},
 ))
-def eq3_5(g, t, top, ctrl):
-    m, l, x, y = g["m"], g["l"], g["x"], g["y"]
+def eq3_5(top, ctrl, m, l, x, y, t):
     seq = laguerre_sequence(m * top + l, x, y)
     fac = _egf_factors(t, top)
     args = [math.comb(m, p) * x**p * y ** (m - p) * t for p in range(1, m + 1)]
@@ -468,8 +455,7 @@ def eq3_5(g, t, top, ctrl):
     {"x": 0.6, "y": 0.8, "z": 1.0, "u": 1.2, "t": 0.15},
     {"x": 1.5, "y": 0.5, "z": 0.7, "u": 1.0, "t": 0.1},
 ))
-def eq3_8(g, t, top, ctrl):
-    x, y, z, u = g["x"], g["y"], g["z"], g["u"]
+def eq3_8(top, ctrl, x, y, z, u, t):
     seq_a = laguerre_sequence(top, x, y)
     seq_b = laguerre_sequence(top, z, u)
     fac = _egf_factors(t, top)
@@ -485,8 +471,7 @@ def eq3_8(g, t, top, ctrl):
     {"alpha": 2, "x": 2.0, "t": 0.1},
     {"alpha": 1, "x": 1.5, "t": 0.15},
 ))
-def eq3_9(g, t, top, ctrl):
-    alpha, x = g["alpha"], g["x"]
+def eq3_9(top, ctrl, alpha, x, t):
     seq = assoc_laguerre_sequence(2 * top, alpha, x)
     b = 1.0 + alpha / 2.0
     rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * _diagonal_sum(x, t, b, alpha, ctrl)
@@ -503,8 +488,7 @@ def eq3_9(g, t, top, ctrl):
     {"m": 2, "x": 1.0, "t": 0.09},
     {"m": 2, "x": 0.8, "t": 0.12},
 ))
-def eq3_10(g, t, top, ctrl):
-    m, x = g["m"], g["x"]
+def eq3_10(top, ctrl, m, x, t):
     seq = assoc_laguerre_sequence(2 * top, 2 * m, x)
     # The t -> 0 limit forces an m! normalization that the source display
     # omits: the left side starts at 1, the Bessel side at 1/m!.  Invisible
@@ -527,8 +511,7 @@ def eq3_10(g, t, top, ctrl):
     {"alpha": 1, "x": 1.0, "t": 0.08},
     {"alpha": 1, "x": 0.5, "t": 0.1},
 ))
-def eq3_11(g, t, top, ctrl):
-    alpha, x = g["alpha"], g["x"]
+def eq3_11(top, ctrl, alpha, x, t):
     seq = assoc_laguerre_sequence(3 * top, alpha, x)
     w = [1.0]  # (1/3)_n (2/3)_n / ((1+a/3)_n ((2+a)/3)_n) * t^n
     a3 = alpha / 3.0

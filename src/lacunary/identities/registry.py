@@ -7,8 +7,10 @@ mode walks a registered grid of PointOutcomes and applies the
 relative-error, tail, and truncation-stability rules.  Quadrature mode
 covers the single transform identity.
 
-Exact checks run on the case's base rational tuples plus two tuples drawn
-from a seeded generator, so a fixed seed reproduces the report exactly.
+The tuple-driven exact runners check the case's base rational tuples plus
+two tuples drawn from a seeded generator, so a fixed seed reproduces the
+report exactly; the tuples and draw specs sit beside each engine in
+`exact`.  The other exact runners take the order alone (`_ordered`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import DomainError, ModeUnsupported, NumericError, UnknownIdentity
 from ..scalars import check_order
@@ -43,7 +45,6 @@ MAX_NOTED_FAILURES = 5
 
 _CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
-ExactRunner = Callable[[int, "random.Random"], Iterator[exact.Check]]
 QuadratureRunner = Callable[[float], Iterator["PointOutcome"]]
 
 
@@ -51,7 +52,7 @@ class IdentityCase(NamedTuple):
     case_id: str
     paper_ref: str
     description: str
-    exact_runner: Optional[ExactRunner] = None
+    exact_runner: Optional[exact.Runner] = None
     numeric_runner: Optional[Engine] = None
     quadrature_runner: Optional[QuadratureRunner] = None
     exact_order: int = DEFAULT_EXACT_ORDER
@@ -63,69 +64,7 @@ class IdentityCase(NamedTuple):
         return tuple(m for m in MODES if getattr(self, f"{m}_runner") is not None)
 
 
-def _rat(rng: random.Random, zero_ok: bool) -> Fraction:
-    while True:
-        v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        if zero_ok or v != 0:
-            return v
-
-
-#: A draw spec maps each key, in draw order, to an int range (lo, hi) or to
-#: a rational in [-4, 4] with denominator at most 4, nonzero or zero allowed.
-_NONZERO, _ZERO_OK = False, True
-
-
-def _draw(spec: dict, rng: random.Random) -> dict:
-    return {
-        key: rng.randint(*rule) if isinstance(rule, tuple) else _rat(rng, rule)
-        for key, rule in spec.items()
-    }
-
-
-_AB_BASE = (
-    {"alpha": 0, "beta": 1, "x": Fraction(1), "y": Fraction(1)},
-    {"alpha": 1, "beta": 2, "x": Fraction(1, 2), "y": Fraction(1)},
-    {"alpha": 2, "beta": 3, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
-)
-_AB_DRAW = {"alpha": (0, 3), "beta": (1, 3), "x": _NONZERO, "y": _ZERO_OK}
-
-_A_BASE = (
-    {"alpha": 0, "x": Fraction(2, 3), "y": Fraction(1)},
-    {"alpha": 2, "x": Fraction(1, 2), "y": Fraction(3, 4)},
-    {"alpha": 4, "x": Fraction(1), "y": Fraction(-1, 3)},
-)
-_A_DRAW = {"alpha": (0, 4), "x": _NONZERO, "y": _NONZERO}
-
-_XY_BASE = (
-    {"x": Fraction(1), "y": Fraction(1)},
-    {"x": Fraction(1, 2), "y": Fraction(2, 3)},
-    {"x": Fraction(3, 2), "y": Fraction(-1)},
-)
-_XY_DRAW = {"x": _NONZERO, "y": _NONZERO}
-
-_OFFSET_BASE = (
-    {"alpha": 3, "x": Fraction(1), "y": Fraction(1)},
-    {"alpha": 1, "x": Fraction(1, 2), "y": Fraction(2)},
-    {"alpha": 5, "x": Fraction(2, 3), "y": Fraction(-1, 2)},
-)
-_OFFSET_DRAW = {"alpha": (0, 5), "x": _NONZERO, "y": _ZERO_OK}
-
-_BILATERAL_BASE = (
-    {"x": Fraction(1), "y": Fraction(1), "z": Fraction(1, 2), "u": Fraction(1)},
-    {"x": Fraction(1, 2), "y": Fraction(2, 3), "z": Fraction(1), "u": Fraction(3, 4)},
-    {"x": Fraction(2), "y": Fraction(-1, 2), "z": Fraction(1, 3), "u": Fraction(1)},
-)
-_BILATERAL_DRAW = dict.fromkeys("xyzu", _NONZERO)
-
-
-def _tupled(engine, base: Sequence[dict], spec: dict) -> ExactRunner:
-    def run(order: int, rng: random.Random) -> Iterator[exact.Check]:
-        return engine(order, [*base, _draw(spec, rng), _draw(spec, rng)])
-
-    return run
-
-
-def _ordered(engine) -> ExactRunner:
+def _ordered(engine) -> exact.Runner:
     def run(order: int, rng: random.Random) -> Iterator[exact.Check]:
         return engine(order)
 
@@ -145,20 +84,20 @@ _CASES = (
         "EQ1.7", "Eq. 1.7",
         "exponential generating function of the two-index family, "
         "Wright-type closed form",
-        exact_runner=_tupled(exact.eq1_7, _AB_BASE, _AB_DRAW),
+        exact_runner=exact.eq1_7,
         numeric_runner=lambda *a: _pointwise().eq1_7(*a),
     ),
     IdentityCase(
         "EQ1.9", "Eq. 1.9",
         "ordinary generating function of the two-index family, "
         "Mittag-Leffler closed form",
-        exact_runner=_tupled(exact.eq1_9, _AB_BASE, _AB_DRAW),
+        exact_runner=exact.eq1_9,
         numeric_runner=lambda *a: _pointwise().eq1_9(*a),
     ),
     IdentityCase(
         "EQ1.11", "Eq. 1.11",
         "classical associated generating function via composed power series",
-        exact_runner=_tupled(exact.eq1_11, _A_BASE, _A_DRAW),
+        exact_runner=exact.eq1_11,
     ),
     IdentityCase(
         "EQ1.12", "Eq. 1.12",
@@ -170,7 +109,7 @@ _CASES = (
         "EQ2.7", "Eq. 2.6/2.7",
         "even-index exponential generating function via a Hermite-weighted "
         "double sum",
-        exact_runner=_tupled(exact.eq2_7, _XY_BASE, _XY_DRAW),
+        exact_runner=exact.eq2_7,
         numeric_runner=lambda *a: _pointwise().eq2_7(*a),
     ),
     IdentityCase(
@@ -204,7 +143,7 @@ _CASES = (
     IdentityCase(
         "EQ2.13", "Eq. 2.13",
         "negative-offset associated family, binomial-exponential closed form",
-        exact_runner=_tupled(exact.eq2_13, _OFFSET_BASE, _OFFSET_DRAW),
+        exact_runner=exact.eq2_13,
         numeric_runner=lambda *a: _pointwise().eq2_13(*a),
         notes=(
             "second line of the printed display repeats an equals sign; the "
@@ -247,7 +186,7 @@ _CASES = (
     IdentityCase(
         "EQ3.8", "Eq. 3.8",
         "bilateral product generating function via two commuting symbols",
-        exact_runner=_tupled(exact.eq3_8, _BILATERAL_BASE, _BILATERAL_DRAW),
+        exact_runner=exact.eq3_8,
         numeric_runner=lambda *a: _pointwise().eq3_8(*a),
     ),
     IdentityCase(

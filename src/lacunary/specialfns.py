@@ -12,16 +12,14 @@ import math
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .scalars import check_order, rgamma
 from .summation import SumControl, sum_series
 from .polys import hermite_coeffs
 
-_DEFAULT = SumControl(max_terms=400, rel_tol=1e-14)
-
 
 def _rgamma_series(
-    coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl
+    coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl | None
 ) -> float:
     """sum_r a_r / Gamma(beta r + alpha), the kernel of the Wright family;
     DomainError unless beta > 0."""
@@ -43,28 +41,31 @@ def _ratio_sequence(ratio: Callable[[int], float], a: float = 1.0) -> Iterator[f
 def wright(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """Bessel-Wright W^(beta,alpha)(x) = sum_r x^r / (r! Gamma(beta r + alpha))."""
     powers = _ratio_sequence(lambda r: x / (r + 1))
-    return _rgamma_series(powers, beta, alpha, control or _DEFAULT)
+    return _rgamma_series(powers, beta, alpha, control)
 
 
 def mittag_leffler(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """E_(beta,alpha)(x) = sum_r x^r / Gamma(beta r + alpha)."""
-    return _rgamma_series(_ratio_sequence(lambda r: x), beta, alpha, control or _DEFAULT)
+    return _rgamma_series(_ratio_sequence(lambda r: x), beta, alpha, control)
 
 
 def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
     """Tricomi C_alpha(x) = sum_r (-x)^r / (r! Gamma(1 + alpha + r))."""
     powers = _ratio_sequence(lambda r: -x / (r + 1))
-    return _rgamma_series(powers, 1.0, 1.0 + alpha, control or _DEFAULT)
+    return _rgamma_series(powers, 1.0, 1.0 + alpha, control)
 
 
 def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
-    """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!)."""
+    """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!); NumericError
+    when the first term's m! (from m = 171) or (z/2)^m leaves the float range."""
     check_order(m)
     half = z / 2.0
-    terms = _ratio_sequence(
-        lambda k: half * half / ((k + 1.0) * (m + k + 1.0)), half**m / math.factorial(m)
-    )
-    value, _ = sum_series(terms, control or _DEFAULT)
+    try:
+        first = half**m / math.factorial(m)
+    except OverflowError as exc:
+        raise NumericError(f"bessel_i overflows at m={m}: {exc}") from exc
+    terms = _ratio_sequence(lambda k: half * half / ((k + 1.0) * (m + k + 1.0)), first)
+    value, _ = sum_series(terms, control)
     return value
 
 
@@ -94,7 +95,7 @@ def h_tricomi(
     number of slots when the sum reads its first value.
     """
     coeffs = hermite_coeffs(m, _signed([float(a) for a in args]))
-    return _rgamma_series(coeffs, 1.0, 1.0 + s, control or _DEFAULT)
+    return _rgamma_series(coeffs, 1.0, 1.0 + s, control)
 
 
 def h_wright(
@@ -110,7 +111,7 @@ def h_wright(
     scalar Bessel-Wright function; no slot sign flips here.
     """
     coeffs = hermite_coeffs(2, [float(x), float(y)])
-    return _rgamma_series(coeffs, beta, alpha, control or _DEFAULT)
+    return _rgamma_series(coeffs, beta, alpha, control)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:
@@ -123,7 +124,7 @@ def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) ->
         0.5**n,
     )
     terms = ((-1) ** r * c * f for r, (c, f) in enumerate(zip(coeffs, factors)))
-    value, _ = sum_series(terms, control or _DEFAULT)
+    value, _ = sum_series(terms, control)
     return value
 
 
@@ -138,7 +139,6 @@ def h_tricomi_bilateral(
     Summed by total-order shells r+s+k = N so the stop rule sees monotone
     shell totals rather than an arbitrary interleaving.
     """
-    ctrl = control or _DEFAULT
     fact = math.factorial
 
     def shell(total: int) -> float:
@@ -158,5 +158,5 @@ def h_tricomi_bilateral(
                 )
         return acc
 
-    value, _ = sum_series(map(shell, count()), ctrl)
+    value, _ = sum_series(map(shell, count()), control)
     return value

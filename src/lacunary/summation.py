@@ -5,13 +5,14 @@ satisfying |term| <= rel_tol * |partial sum| ends the sum, so alternating
 series with interior zero terms (odd/even lacunary patterns) terminate only
 once they are genuinely done.  A multi-index series is summed the same way,
 as sum_series over its shells of equal total order.  A SumControl whose
-max_terms is not an int >= 1 (a bool is none) or whose rel_tol lies outside
-(0, 1) raises DomainError.
+max_terms is not an int >= 1 (a bool is none) or whose rel_tol is not a
+real in (0, 1) raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, NonConvergence, NumericError
@@ -32,8 +33,8 @@ class SumControl(_SumFields):
 
     def __new__(cls, max_terms: int = 400, rel_tol: float = 1e-14) -> SumControl:
         check_order(max_terms, 1)
-        if not (0.0 < rel_tol < 1.0):
-            raise DomainError("rel_tol must lie in (0, 1)")
+        if not (isinstance(rel_tol, numbers.Real) and 0.0 < rel_tol < 1.0):
+            raise DomainError(f"rel_tol must be a real in (0, 1), got {rel_tol!r}")
         return super().__new__(cls, max_terms, rel_tol)
 
     @classmethod

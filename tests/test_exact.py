@@ -1,9 +1,10 @@
 """Coefficient-level engines must produce literal rational equality."""
 
+import random
 from fractions import Fraction
 
 from lacunary import assoc_laguerre, laguerre_xpoly
-from lacunary.identities import exact
+from lacunary.identities import exact, registry
 
 F = Fraction
 
@@ -16,13 +17,21 @@ def _run(stream):
     return checks
 
 
+def _rows(runner, nmax, tuples):
+    """Each tuple's two rows from the runner's row builder, equal for n <= nmax."""
+    for binding in tuples:
+        lhs, rhs = runner.__wrapped__(nmax, **binding)
+        bad = [(n, lhs[n], rhs[n]) for n in range(nmax + 1) if lhs[n] != rhs[n]]
+        assert not bad, f"{binding}: {len(bad)} mismatches, first: {bad[:3]}"
+
+
 def test_eq1_7_two_index_egf():
     tuples = [
         {"alpha": 0, "beta": 1, "x": F(1), "y": F(1)},
         {"alpha": 2, "beta": 2, "x": F(1, 2), "y": F(-1, 3)},
         {"alpha": 3, "beta": 3, "x": F(2), "y": F(1, 4)},
     ]
-    _run(exact.eq1_7(8, tuples))
+    _rows(exact.eq1_7, 8, tuples)
 
 
 def test_eq1_9_two_index_ogf():
@@ -30,7 +39,7 @@ def test_eq1_9_two_index_ogf():
         {"alpha": 1, "beta": 1, "x": F(1), "y": F(1)},
         {"alpha": 0, "beta": 2, "x": F(-1, 2), "y": F(1, 3)},
     ]
-    _run(exact.eq1_9(8, tuples))
+    _rows(exact.eq1_9, 8, tuples)
 
 
 def test_eq1_11_classical_ogf():
@@ -38,19 +47,21 @@ def test_eq1_11_classical_ogf():
         {"alpha": 0, "x": F(2, 3), "y": F(1)},
         {"alpha": 2, "x": F(1, 2), "y": F(-1)},
     ]
-    checks = _run(exact.eq1_11(10, tuples))
-    label, lhs, rhs = checks[0]
-    assert "n=0" in label and lhs == rhs == F(1)
+    _rows(exact.eq1_11, 10, tuples)
+    # The registered runner labels its first row n = 0, where both sides are 1.
+    label, lhs, rhs = next(exact.eq1_11(10, random.Random(0)))
+    assert label == "EQ1.11[alpha=0, x=2/3, y=1; n=0]" and lhs == rhs == F(1)
 
 
 def test_eq2_7_double_lacunary_egf():
     tuples = [{"x": F(1), "y": F(1)}, {"x": F(1, 2), "y": F(-2, 3)}]
-    _run(exact.eq2_7(8, tuples))
+    _rows(exact.eq2_7, 8, tuples)
 
 
 def test_eq2_13_negative_offset_family():
     tuples = [{"alpha": 3, "x": F(1), "y": F(1)}, {"alpha": 5, "x": F(1, 3), "y": F(2)}]
-    checks = _run(exact.eq2_13(6, tuples))
+    _rows(exact.eq2_13, 6, tuples)
+    checks = _run(exact.eq2_13(6, random.Random(0)))
     spot = {label: lhs for label, lhs, _ in checks}
     assert spot["EQ2.13[alpha=3, x=1, y=1; n=2]"] == assoc_laguerre(2, 1, 1, 1) == F(1, 2)
 
@@ -65,7 +76,41 @@ def test_eq3_8_bilateral_gf():
         {"x": F(1), "y": F(1), "z": F(1), "u": F(1)},
         {"x": F(1, 2), "y": F(2), "z": F(-1, 3), "u": F(1, 4)},
     ]
-    _run(exact.eq3_8(7, tuples))
+    _rows(exact.eq3_8, 7, tuples)
+
+
+#: The exact kill table: for each tuple-driven runner and each key of its
+#: tuples, how many of its base tuples reject the right side rebuilt with
+#: that key moved by +1, against the unmoved left side at order 10.  Every
+#: mutant is rejected at every base tuple; a survivor needs a stated reason.
+EXACT_KILLS = {
+    "EQ1.7": {"alpha": 3, "beta": 3, "x": 3, "y": 3},
+    "EQ1.9": {"alpha": 3, "beta": 3, "x": 3, "y": 3},
+    "EQ1.11": {"alpha": 3, "x": 3, "y": 3},
+    "EQ2.7": {"x": 3, "y": 3},
+    "EQ2.13": {"alpha": 3, "x": 3, "y": 3},
+    "EQ3.8": {"x": 3, "y": 3, "z": 3, "u": 3},
+}
+
+
+def _rejects(rows, order, binding, key):
+    """Whether the left side at `binding` differs from the right side rebuilt
+    with `key` moved by +1, at some n <= order."""
+    lhs, _ = rows(order, **binding)
+    _, rhs = rows(order, **{**binding, key: binding[key] + 1})
+    return any(lhs[n] != rhs[n] for n in range(order + 1))
+
+
+def test_exact_kill_table():
+    kills = {}
+    for case in registry():
+        runner = case.exact_runner
+        if hasattr(runner, "__wrapped__"):  # an order-only runner has no tuple
+            kills[case.case_id] = {
+                key: sum(_rejects(runner.__wrapped__, 10, b, key) for b in runner.base)
+                for key in runner.base[0]
+            }
+    assert kills == EXACT_KILLS
 
 
 def test_laguerre_derivative_on_monomial():

@@ -128,13 +128,13 @@ def test_eq2_9_passes_at_400_terms():
 def test_eq2_11_rhs_past_the_float_factorials_raises_numeric_error(x, t):
     # The sum runs past r = 170, where its weight's r! leaves the float range.
     with pytest.raises(NumericError, match="EQ2.11 rhs overflows"):
-        pointwise.eq2_11.__wrapped__({"x": x}, t, 10, CTRL)
+        pointwise.eq2_11.__wrapped__(10, CTRL, x=x, t=t)
 
 
 @pytest.mark.parametrize("t", [0.9, 0.95, 0.99])
 def test_eq3_11_rhs_near_the_radius_raises_numeric_error(t):
     with pytest.raises(NumericError):
-        pointwise.eq3_11.__wrapped__({"alpha": 0, "x": 2.0}, t, 10, CTRL)
+        pointwise.eq3_11.__wrapped__(10, CTRL, alpha=0, x=2.0, t=t)
 
 
 def _nested_rhs_mpmath(case_id, alpha, x, t):
@@ -189,8 +189,9 @@ def test_laguerre_row_right_sides_match_mpmath_off_grid_or_raise(case_id):
     point = getattr(pointwise, case_id.replace(".", "_").lower()).__wrapped__
     compared = 0
     for alpha, x, t in _RHS_LADDER[case_id]:
+        params = {"alpha": alpha} if case_id == "EQ3.11" else {}
         try:
-            rhs = point({"alpha": alpha, "x": x}, t, 10, CTRL)[2]
+            rhs = point(10, CTRL, **params, x=x, t=t)[2]
         except LacunaryError:
             continue
         want = _nested_rhs_mpmath(case_id, alpha, x, t)
@@ -533,7 +534,7 @@ def test_list_sum_matches_closure_oracle_on_nan_and_inf(terms, n_terms):
 @pytest.mark.parametrize("short", [None, "weights", "row"])
 def test_engine_sums_weights_times_row_and_rejects_a_short_side(short):
     @pointwise._engine("TOY", ({"t": 0.5},))
-    def toy(g, t, top, ctrl):
+    def toy(top, ctrl, t):
         sides = {"weights": [t**n for n in range(top)], "row": [1.0] * top}
         if short:
             sides[short].pop()

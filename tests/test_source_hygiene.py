@@ -34,6 +34,12 @@ summation budget.  A series that stops after a few terms reads its values
 from an iterator instead; a `range(ctrl.max_terms + 1)` that bounds a lazy
 generator builds nothing and stays allowed.
 
+And one keeps the engines pure functions of their case parameters: no
+function in `ENGINE_MODULES` subscripts one of its own parameters with a
+string constant.  The drivers (`pointwise._engine`, `exact._tupled`) pass
+each grid point or tuple as keyword arguments, so an engine names what it
+reads in its signature.
+
 And one keeps a single owner for the range of an order argument: no
 function raises `DomainError` under an `if` that orders (`<`, `<=`, `>`,
 `>=`) one of its parameters named in `ORDER_PARAMS` against an int constant.
@@ -149,6 +155,32 @@ def _budget_sized_tables(name: str, tree: ast.Module) -> list[str]:
             for n in ast.walk(arg)
         ):
             found.append(f"{name}:{node.lineno} {func}")
+    return found
+
+
+#: Modules whose engines take their bindings as keyword arguments.
+ENGINE_MODULES = ("identities/exact.py", "identities/pointwise.py")
+
+
+def _keyed_parameter_reads(name: str, tree: ast.Module) -> list[str]:
+    """`module:line f` for each subscript p["key"], with a string constant,
+    of a parameter p of function f."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        params |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in params
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)
+            ):
+                found.append(f"{name}:{node.lineno} {fn.name}")
     return found
 
 
@@ -286,6 +318,11 @@ def test_no_function_checks_an_order_range_by_hand():
     found = [
         entry for name, tree in TREES.items() for entry in _hand_rolled_order_checks(name, tree)
     ]
+    assert found == []
+
+
+def test_no_engine_reads_its_binding_by_key():
+    found = [entry for name in ENGINE_MODULES for entry in _keyed_parameter_reads(name, TREES[name])]
     assert found == []
 
 
@@ -446,4 +483,20 @@ def test_the_checks_catch_dead_code():
     assert _hand_rolled_order_checks("toy.py", orders) == [
         "toy.py:2 kernel",
         "toy.py:4 kernel",
+    ]
+    # A parameter read by a string key is flagged, in a nested function too;
+    # a keyword parameter, a local dict, an int index and a variable key are not.
+    keyed = ast.parse(
+        "def point(g, t, top, **kw):\n"
+        "    x = g['x']\n"
+        "    params = {**g, 't': t}\n"
+        "    y = params['t'] + top[0] + g[key]\n"
+        "    def inner(row):\n"
+        "        return row['y'] + kw['z']\n"
+        "    return x, y, inner\n"
+    )
+    assert _keyed_parameter_reads("toy.py", keyed) == [
+        "toy.py:2 point",
+        "toy.py:6 point",
+        "toy.py:6 inner",
     ]

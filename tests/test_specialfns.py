@@ -67,6 +67,13 @@ def test_bessel_values():
     assert bessel_j0(2.0) == pytest.approx(J0_AT_2, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [1.0, 300.0])
+def test_bessel_i_first_term_overflow_is_a_numeric_error(z):
+    # 200! and 150.0**200 leave the float range.
+    with pytest.raises(NumericError, match="bessel_i overflows at m=200"):
+        bessel_i(200, z)
+
+
 def test_wright_is_bessel_i_on_the_diagonal():
     for x in (0.25, 1.0, 4.0):
         assert wright(1.0, 1.0, x) == pytest.approx(

@@ -85,6 +85,9 @@ def test_control_validation():
         SumControl(rel_tol=2.0)
     with pytest.raises(DomainError):
         SumControl(rel_tol=math.nan)
+    for rel_tol in ("a", None, True, False):
+        with pytest.raises(DomainError, match="rel_tol must be a real in"):
+            SumControl(rel_tol=rel_tol)
     # A changed copy is checked the same way.
     assert SumControl()._replace(max_terms=5) == SumControl(5)
     with pytest.raises(DomainError):
