@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import DomainError, LacunaryError, UnknownIdentity
-from .identities import DEFAULT_TOL, MODES, get_case, registry, run_case
+from .identities import DEFAULT_TOL, MODES
 
 _MODES = (*MODES, "all")
 _FORMATS = ("json", "csv")
@@ -207,6 +207,8 @@ def _select_cases(ids, mode: str) -> list:
 
     Under `all` a case without the mode is skipped; a named one is an error.
     """
+    from .identities.registry import get_case, registry
+
     if ids == "all":
         return [c for c in registry() if mode == "all" or mode in c.modes]
     if not isinstance(ids, (list, tuple)) or not ids:
@@ -225,6 +227,8 @@ def _select_cases(ids, mode: str) -> list:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from .identities.registry import registry
+
     for case in registry():
         modes = ",".join(case.modes)
         print(f"{case.case_id} - {case.paper_ref} - {modes} - {case.description}")
@@ -232,6 +236,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identities.registry import run_case
+
     settings = _resolve_verify_settings(args)
     cases = _select_cases(settings["ids"], settings["mode"])
 

@@ -33,7 +33,10 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import DomainError, ExactnessViolation, NoSolution
-from ..polys import assoc_laguerre_xpoly
+from ..polys import (
+    assoc_laguerre_xpoly,
+    lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
+)
 from ..scalars import check_order
 from .bridges import _PRINTED, AuxPolynomial, Key
 

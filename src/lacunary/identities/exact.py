@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from ..polys import (
     assoc_laguerre_diagonal,
     assoc_laguerre_sequence,
-    lambda_poly,  # noqa: F401  perfbench's tracer test reaches it through this module
     lambda_sequence,
     laguerre_sequence,
 )

@@ -24,20 +24,13 @@ from ..errors import DomainError, ModeUnsupported, NumericError, UnknownIdentity
 from ..scalars import check_order
 from ..summation import SumControl
 from . import exact
-from .report import VerificationReport
+from .report import DEFAULT_TOL, EXACT, MODES, NUMERIC, QUADRATURE, VerificationReport
 
 if TYPE_CHECKING:
     import random
 
     from .pointwise import Engine, PointOutcome
 
-EXACT = "exact"
-NUMERIC = "numeric"
-QUADRATURE = "quadrature"
-#: Every mode, in the order a case's reports are produced.
-MODES = (EXACT, NUMERIC, QUADRATURE)
-
-DEFAULT_TOL = 1e-8
 DEFAULT_EXACT_ORDER = 10
 DEFAULT_TERMS = 60
 STABILITY_FRACTION = 0.1

@@ -1,8 +1,17 @@
-"""Result records produced by the verification engines."""
+"""Result records produced by the verification engines, with the mode
+names and the default tolerance that the registry and the command line share."""
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
+
+EXACT = "exact"
+NUMERIC = "numeric"
+QUADRATURE = "quadrature"
+#: Every mode, in the order a case's reports are produced.
+MODES = (EXACT, NUMERIC, QUADRATURE)
+
+DEFAULT_TOL = 1e-8
 
 
 class VerificationReport(NamedTuple):

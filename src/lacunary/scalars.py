@@ -37,6 +37,17 @@ def ensure_finite(value: float, where: str = "computation") -> float:
     return value
 
 
+def to_float(value: Scalar, where: str = "argument") -> float:
+    """float(value); NumericError for an int or Fraction beyond the float
+    range, DomainError for a complex value."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericError(f"{where} outside the float range") from None
+    except TypeError:
+        raise DomainError(f"{where} must be real, got {value!r}") from None
+
+
 def as_real(value: Scalar, where: str = "result", slack: float = IMAG_SLACK) -> float:
     """Collapse a numerically-real scalar to float.
 
@@ -74,10 +85,7 @@ def rgamma(z: Scalar) -> float:
     """
     if isinstance(z, complex):
         raise DomainError(f"rgamma takes real arguments, got {z!r}")
-    try:
-        z = float(z)
-    except OverflowError:
-        raise NumericError("rgamma argument outside the float range") from None
+    z = to_float(z, "rgamma argument")
     if not math.isfinite(z):
         raise NumericError(f"non-finite rgamma argument: {z!r}")
     if z <= 0.0 and z == math.floor(z):

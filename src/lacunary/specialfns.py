@@ -13,7 +13,7 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, NumericError
-from .scalars import check_order, rgamma
+from .scalars import check_order, rgamma, to_float
 from .summation import SumControl, sum_series
 from .polys import hermite_coeffs
 
@@ -22,12 +22,16 @@ def _rgamma_series(
     coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl | None
 ) -> float:
     """sum_r a_r / Gamma(beta r + alpha), the kernel of the Wright family;
-    DomainError unless beta > 0."""
+    DomainError unless beta > 0, NumericError where an int argument drives a
+    term or a Gamma argument beyond the float range."""
     if beta <= 0:
         raise DomainError("the Wright family needs beta > 0")
-    value, _ = sum_series(
-        (a * rgamma(beta * r + alpha) for r, a in enumerate(coeffs)), ctrl
-    )
+    try:
+        value, _ = sum_series(
+            (a * rgamma(beta * r + alpha) for r, a in enumerate(coeffs)), ctrl
+        )
+    except OverflowError:
+        raise NumericError("Wright-family term outside the float range") from None
     return value
 
 
@@ -57,22 +61,40 @@ def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
 
 def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
     """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!); NumericError
-    when the first term's m! (from m = 171) or (z/2)^m leaves the float range."""
+    when the value leaves the float range, 0.0 where it underflows."""
     check_order(m)
-    half = z / 2.0
+    half = to_float(z, "bessel_i argument") / 2.0
+
+    def ratio(k: int) -> float:
+        return half * half / ((k + 1.0) * (m + k + 1.0))
+
     try:
-        first = half**m / math.factorial(m)
-    except OverflowError as exc:
-        raise NumericError(f"bessel_i overflows at m={m}: {exc}") from exc
-    terms = _ratio_sequence(lambda k: half * half / ((k + 1.0) * (m + k + 1.0)), first)
-    value, _ = sum_series(terms, control)
+        # 171! already leaves the float range, so a larger m! is never built.
+        first = half**m / math.factorial(min(m, 171))
+    except OverflowError:
+        # (z/2)^m or m! (every m >= 171) leaves the float range: sum the
+        # series over its first term, then scale by that term's logarithm.
+        # The scaled sum is at most exp((z/2)^2 / (m + 1)), and exp(-746)
+        # already rounds to 0.0.
+        if half == 0.0:
+            return 0.0
+        try:
+            log_first = m * math.log(abs(half)) - math.lgamma(m + 1)
+            if log_first + half * half / (m + 1) < -746.0:
+                return 0.0
+            scaled, _ = sum_series(_ratio_sequence(ratio), control)
+            magnitude = math.exp(log_first + math.log(scaled))
+        except OverflowError:
+            raise NumericError("bessel_i value outside the float range") from None
+        return -magnitude if half < 0.0 and m % 2 else magnitude
+    value, _ = sum_series(_ratio_sequence(ratio, first), control)
     return value
 
 
 def bessel_j0(x: float, control: SumControl | None = None) -> float:
     """J_0(x) by its Taylor series (adequate for moderate |x|)."""
     ctrl = control or SumControl(max_terms=600, rel_tol=1e-15)
-    q = -(x * x) / 4.0
+    q = -to_float(x * x, "bessel_j0 argument") / 4.0
     value, _ = sum_series(_ratio_sequence(lambda k: q / ((k + 1.0) * (k + 1.0))), ctrl)
     return value
 
@@ -94,7 +116,7 @@ def h_tricomi(
     order-m lacunary closed forms.  hermite_coeffs checks m and the
     number of slots when the sum reads its first value.
     """
-    coeffs = hermite_coeffs(m, _signed([float(a) for a in args]))
+    coeffs = hermite_coeffs(m, _signed([to_float(a, "h_tricomi argument") for a in args]))
     return _rgamma_series(coeffs, 1.0, 1.0 + s, control)
 
 
@@ -110,14 +132,15 @@ def h_wright(
     The first superscript multiplies r inside the Gamma, exactly as in the
     scalar Bessel-Wright function; no slot sign flips here.
     """
-    coeffs = hermite_coeffs(2, [float(x), float(y)])
+    coeffs = hermite_coeffs(2, [to_float(v, "h_wright argument") for v in (x, y)])
     return _rgamma_series(coeffs, beta, alpha, control)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:
     """Hermite-based Bessel: sum_r (-1)^r H_(n+2r)^(2)(x, y) / (2^(n+2r) r! (n+r)!)."""
     check_order(n)
-    coeffs = islice(hermite_coeffs(2, [float(x), float(y)]), n, None, 2)
+    xs = [to_float(v, "h_bessel_j argument") for v in (x, y)]
+    coeffs = islice(hermite_coeffs(2, xs), n, None, 2)
     # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
     factors = _ratio_sequence(
         lambda r: (n + 2 * r + 1.0) * (n + 2 * r + 2.0) / (4.0 * (r + 1.0) * (n + r + 1.0)),

@@ -45,9 +45,12 @@ class SumControl(_SumFields):
 
 def _term_magnitude(term: complex | float) -> float:
     mag = abs(term)
-    if not math.isfinite(mag):
-        raise NumericError(f"non-finite series term: {term!r}")
-    return mag
+    try:
+        if math.isfinite(mag):
+            return mag
+    except OverflowError:
+        raise NumericError("series term outside the float range") from None
+    raise NumericError(f"non-finite series term: {term!r}")
 
 
 def sum_series(

@@ -65,6 +65,23 @@ def test_registry_is_the_function_whichever_module_loads_first():
     assert owner == "lacunary.identities.registry"
 
 
+def test_registry_is_the_function_after_a_fit_then_a_listing():
+    # derive-aux leaves the registry unloaded; the listing that loads it
+    # afterwards must not replace the package's function with the module.
+    names = _fresh(
+        "import contextlib, io, json, lacunary\n"
+        "from lacunary import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['derive-aux', '--family', 'p', '--m', '1']) == 0\n"
+        "    assert cli.main(['list']) == 0\n"
+        "import lacunary.identities\n"
+        "from lacunary.identities import registry\n"
+        "found = [lacunary.identities.registry, registry, lacunary.registry]\n"
+        "print(json.dumps([f'{f.__module__}.{f.__qualname__}' for f in found]))\n"
+    )
+    assert names == ["lacunary.identities.registry.registry"] * 3
+
+
 def _loaded_by(argv) -> set:
     """The modules a fresh `cli.main(argv)` leaves loaded, `lacunary.` stripped."""
     script = (
@@ -117,7 +134,8 @@ _NUMERIC_DEEP = (
         (
             ["derive-aux", "--family", "p", "--m", "1"],
             {"identities.auxpoly", "identities.bridges"},
-            {"identities.pointwise", "specialfns", "random", *_ALGEBRA, *_COLD},
+            {"identities.registry", "identities.exact", "summation",
+             "identities.pointwise", "specialfns", "random", *_ALGEBRA, *_COLD},
         ),
         (
             ["verify", "--all", "--no-timestamp"],

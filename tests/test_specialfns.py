@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lacunary import (
+    DomainError,
+    LacunaryError,
     NumericError,
     SumControl,
     UmbralSeries,
@@ -67,11 +69,64 @@ def test_bessel_values():
     assert bessel_j0(2.0) == pytest.approx(J0_AT_2, rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [1.0, 300.0])
-def test_bessel_i_first_term_overflow_is_a_numeric_error(z):
-    # 200! and 150.0**200 leave the float range.
-    with pytest.raises(NumericError, match="bessel_i overflows at m=200"):
-        bessel_i(200, z)
+@pytest.mark.parametrize("m, z", [(142, 299.0), (200, 300.0), (200, 1.0)])
+def test_bessel_i_past_the_first_term_range_matches_mpmath(m, z):
+    # (z/2)^m (142, 299) or m! (m = 200) leaves the float range, the value
+    # does not: I_142(299) ~ 6.4e113, I_200(300) ~ 4.1e100, and I_200(1) ~
+    # 7.9e-436 underflows to 0.0.
+    import mpmath
+
+    want = float(mpmath.besseli(m, z))
+    if want == 0.0:
+        assert bessel_i(m, z) == 0.0
+    else:
+        assert bessel_i(m, z) == pytest.approx(want, rel=1e-12)
+
+
+def test_bessel_i_value_past_the_float_range_is_a_numeric_error():
+    # I_200(760) ~ 7.1e316: every term is scaled down by the first one, and
+    # the value overflows only when the scale comes back.
+    with pytest.raises(NumericError, match="bessel_i value outside the float range"):
+        bessel_i(200, 760.0, SumControl(max_terms=2000))
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wright(0.5, 1.0, HUGE),
+        lambda: wright(HUGE, 1.0, 1.0),
+        lambda: mittag_leffler(0.5, 1.0, HUGE),
+        lambda: tricomi(1, HUGE),
+        lambda: bessel_i(3, HUGE),
+        lambda: bessel_j0(HUGE),
+        lambda: h_tricomi(2, 0.0, [HUGE, 0.0]),
+        lambda: sum_series([HUGE]),
+    ],
+    ids=["wright:x", "wright:beta", "mittag_leffler:x", "tricomi:x", "bessel_i:z",
+         "bessel_j0:x", "h_tricomi:args", "sum_series:term"],
+)
+def test_an_int_beyond_the_float_range_is_a_typed_error(call):
+    with pytest.raises(LacunaryError, match="outside the float range"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_i(0, 1j),
+        lambda: bessel_j0(1j),
+        lambda: h_tricomi(2, 0.0, [1j, 0.0]),
+        lambda: h_wright(1.0, 1.0, 1j, 0.0),
+        lambda: h_bessel_j(0, 1j, 0.0),
+    ],
+    ids=["bessel_i", "bessel_j0", "h_tricomi", "h_wright", "h_bessel_j"],
+)
+def test_a_complex_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be real"):
+        call()
 
 
 def test_wright_is_bessel_i_on_the_diagonal():
