@@ -6,9 +6,10 @@ equal series have equal storage.  `coeffs` and indexing hand out Fractions.
 The order of a binary result is the minimum of the operand orders, so
 truncation never manufactures spurious high-order coefficients.
 
-The algebra is what the exact engines run: products, `exp`, `compose`
-and the constructors `fps_x`, `fps_exp` and `fps_binomial`.  A bad order
-raises DomainError (`check_order`), an inexact input ModeMismatch.
+The algebra is what the exact engines run: products, `exp` and the
+constructors `fps_x`, `fps_exp` and `fps_binomial`.  `compose` has no
+caller in the package; it stays while the benchmark's tracer wraps it.  A
+bad order raises DomainError (`check_order`), an inexact input ModeMismatch.
 """
 
 from __future__ import annotations

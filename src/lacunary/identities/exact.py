@@ -8,12 +8,16 @@ The six generating-function engines are row builders rows(nmax, **binding)
 -> (lhs_row, rhs_row) for one rational tuple; the _tupled driver walks the
 base and drawn tuples and labels each entry n <= nmax.
 
-Two recurring strategies:
+Three recurring strategies:
   * reduce a truncated umbral exponential to its t-coefficients, then
     convolve with the exponential prefactor.  `umbral.reduce_exp` folds the
     expansion straight into the reduction, so only EQ3.18, which dilates
     its exponential first, builds the series;
-  * build both sides as formal power series and compare term by term.
+  * build both sides as formal power series and compare term by term;
+  * run a recurrence on int numerators over one known denominator and make
+    one Fraction per compared value: EQ1.9's Horner step through the
+    rational inner series -x t/(1 - y t), O(nmax^2) with no binomial, and
+    the derivative powers of EQ3.14 and EQ3.15.
 
 This module loads with the registry, but `umbral` and `fps` load only when
 the first exact engine runs (`_stack`), so a numeric-only run never
@@ -70,11 +74,6 @@ def _exp_conv(
     return dense * fps.fps_exp(nmax, rate)
 
 
-def _label(name: str, binding: dict, n: int) -> str:
-    parts = ", ".join(f"{k}={v}" for k, v in binding.items())
-    return f"{name}[{parts}; n={n}]"
-
-
 def _rat(rng: random.Random, zero_ok: bool) -> Fraction:
     while True:
         v = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
@@ -95,16 +94,18 @@ def _draw(spec: dict, rng: random.Random) -> dict:
 
 
 def _tupled(case_id: str, base: Sequence[dict], spec: dict) -> Callable[[Rows], Runner]:
-    """Turn a row builder into a Runner over `base` and two draws from `spec`;
-    the runner keeps the builder as `__wrapped__` and the tuples as `base`."""
+    """Turn a row builder into a Runner over `base` and two draws from `spec`,
+    labelled `case_id[key=value, ...; n=N]`; the runner keeps the builder as
+    `__wrapped__` and the tuples as `base`."""
 
     def wrap(rows: Rows) -> Runner:
         @functools.wraps(rows)
         def run(nmax: int, rng: random.Random) -> Iterator[Check]:
             for binding in (*base, _draw(spec, rng), _draw(spec, rng)):
                 lhs, rhs = rows(nmax, **binding)
+                head = ", ".join(f"{k}={v}" for k, v in binding.items())
                 for n in range(nmax + 1):
-                    yield _label(case_id, binding, n), lhs[n], rhs[n]
+                    yield f"{case_id}[{head}; n={n}]", lhs[n], rhs[n]
 
         run.base = base
         return run
@@ -137,14 +138,31 @@ def eq1_7(nmax, alpha, beta, x, y):
 
 @_tupled("EQ1.9", _AB_BASE, _AB_DRAW)
 def eq1_9(nmax, alpha, beta, x, y):
-    """Ordinary generating function against the composed closed form."""
-    _, fps = _stack()
-    geom = fps.fps_binomial(nmax, y, 1)  # 1/(1 - t y)
-    inner = geom * fps.fps_x(nmax, -x)
-    outer = fps.FormalPowerSeries(
-        [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
-    )
-    return lambda_sequence(nmax, alpha, beta, x, y), outer.compose(inner) * geom
+    """Ordinary generating function against its closed form
+    sum_r g_r s^r / (1 - y t), with g_r = 1/(beta r + alpha)! and
+    s = -x t / (1 - y t).
+
+    Horner from g_nmax down: A <- g_k + s A, then A / (1 - y t).  With
+    x = px/qx and y = py/qy, the t^m numerator over L (qx qy)^m, where
+    L = (beta nmax + alpha)!, is an int: s A shifts by one order and scales
+    by -px qy, and 1/(1 - y t) is the running sum B_m = C_m + py qx B_(m-1).
+    The A of level k meets s k more times, so it stops at order nmax - k.
+    """
+    top = beta * nmax + alpha
+    shift, ratio = -x.numerator * y.denominator, y.numerator * x.denominator
+    acc: list[int] = []
+    for k in range(nmax, -1, -1):
+        row, b = [math.perm(top, beta * (nmax - k))], 0  # L g_k, then s A
+        for a in acc:
+            b = shift * a + ratio * b
+            row.append(b)
+        acc = row
+    rhs, b, den = [], 0, math.factorial(top)
+    for a in acc:
+        b = a + ratio * b
+        rhs.append(Fraction(b, den))
+        den *= x.denominator * y.denominator
+    return lambda_sequence(nmax, alpha, beta, x, y), rhs
 
 
 @_tupled("EQ1.11", (
@@ -237,12 +255,10 @@ def eq3_8(nmax, x, y, z, u):
 # -- Laguerre derivative ---------------------------------------------------
 
 
-def laguerre_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    """Apply -d/dx x d/dx to a polynomial given by its x-coefficients."""
-    out = [Fraction(0)] * max(len(coeffs) - 1, 0)
-    for k in range(1, len(coeffs)):
-        out[k - 1] -= k * k * coeffs[k]
-    return out
+def laguerre_derivative(coeffs: list) -> list:
+    """Apply -d/dx x d/dx to a polynomial given by its x-coefficients (ints
+    or Fractions; a numerator list over a fixed denominator stays one)."""
+    return [-k * k * coeffs[k] for k in range(1, len(coeffs))]
 
 
 def eq3_14(total_order: int) -> Iterator[Check]:
@@ -251,18 +267,18 @@ def eq3_14(total_order: int) -> Iterator[Check]:
     [y^a x^b] of both sides for a+b <= total_order; the closed form gives
     (-1)^b C(a+b, a) / b!.  Pointwise evaluation at fixed y is an infinite
     sum, so the finitely exact statement is this double-Taylor identity.
+    The x-coefficients run as int numerators over N! (N = total_order).
     """
-    base = [Fraction((-1) ** b, math.factorial(b)) for b in range(total_order + 1)]
-    current = base
-    a_fact = Fraction(1)
+    top = math.factorial(total_order)
+    current = [(-1) ** b * top // math.factorial(b) for b in range(total_order + 1)]
+    den = top  # a! N!
     for a in range(total_order + 1):
         if a:
             current = laguerre_derivative(current)
-            a_fact *= a
+            den *= a
         for b in range(total_order + 1 - a):
-            lhs = (current[b] if b < len(current) else Fraction(0)) / a_fact
             rhs = Fraction((-1) ** b * math.comb(a + b, a), math.factorial(b))
-            yield f"EQ3.14[y^{a} x^{b}]", lhs, rhs
+            yield f"EQ3.14[y^{a} x^{b}]", Fraction(current[b], den), rhs
 
 
 def eq3_15(order: int, depth: int = 10) -> Iterator[Check]:
@@ -270,16 +286,18 @@ def eq3_15(order: int, depth: int = 10) -> Iterator[Check]:
 
     C_0's x-coefficients are reproduced exactly by every power of the
     derivative, which is the coefficient-level content of the exponential
-    identity (the e^y factor is the a-index normalization).
+    identity (the e^y factor is the a-index normalization).  The
+    x-coefficients run as int numerators over (M!)^2 (M = order + depth).
     """
-    start = [
-        Fraction((-1) ** k, math.factorial(k) ** 2) for k in range(order + depth + 1)
-    ]
+    top = order + depth
+    den = math.factorial(top) ** 2
+    start = [(-1) ** k * den // math.factorial(k) ** 2 for k in range(top + 1)]
+    want = [Fraction(c, den) for c in start[: order + 1]]
     current = start
     for a in range(1, depth + 1):
         current = laguerre_derivative(current)
         for b in range(order + 1):
-            yield f"EQ3.15[a={a}, x^{b}]", current[b], start[b]
+            yield f"EQ3.15[a={a}, x^{b}]", Fraction(current[b], den), want[b]
 
 
 # -- pseudo-Gaussian family -------------------------------------------------

@@ -39,7 +39,10 @@ def ensure_finite(value: float, where: str = "computation") -> float:
 
 def to_float(value: Scalar, where: str = "argument") -> float:
     """float(value); NumericError for an int or Fraction beyond the float
-    range, DomainError for a complex value."""
+    range, DomainError for a complex value or a string (which `float` would
+    parse)."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise DomainError(f"{where} must be real, got {value!r}")
     try:
         return float(value)
     except OverflowError:

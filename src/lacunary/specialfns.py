@@ -18,6 +18,11 @@ from .summation import SumControl, sum_series
 from .polys import hermite_coeffs
 
 
+def _reals(where: str, *values) -> list[float]:
+    """Each real argument through `to_float`, before any arithmetic reads it."""
+    return [to_float(v, f"{where} argument") for v in values]
+
+
 def _rgamma_series(
     coeffs: Iterable[float], beta: float, alpha: float, ctrl: SumControl | None
 ) -> float:
@@ -44,17 +49,20 @@ def _ratio_sequence(ratio: Callable[[int], float], a: float = 1.0) -> Iterator[f
 
 def wright(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """Bessel-Wright W^(beta,alpha)(x) = sum_r x^r / (r! Gamma(beta r + alpha))."""
+    beta, alpha, x = _reals("wright", beta, alpha, x)
     powers = _ratio_sequence(lambda r: x / (r + 1))
     return _rgamma_series(powers, beta, alpha, control)
 
 
 def mittag_leffler(beta: float, alpha: float, x: float, control: SumControl | None = None) -> float:
     """E_(beta,alpha)(x) = sum_r x^r / Gamma(beta r + alpha)."""
+    beta, alpha, x = _reals("mittag_leffler", beta, alpha, x)
     return _rgamma_series(_ratio_sequence(lambda r: x), beta, alpha, control)
 
 
 def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
     """Tricomi C_alpha(x) = sum_r (-x)^r / (r! Gamma(1 + alpha + r))."""
+    alpha, x = _reals("tricomi", alpha, x)
     powers = _ratio_sequence(lambda r: -x / (r + 1))
     return _rgamma_series(powers, 1.0, 1.0 + alpha, control)
 
@@ -94,7 +102,8 @@ def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
 def bessel_j0(x: float, control: SumControl | None = None) -> float:
     """J_0(x) by its Taylor series (adequate for moderate |x|)."""
     ctrl = control or SumControl(max_terms=600, rel_tol=1e-15)
-    q = -to_float(x * x, "bessel_j0 argument") / 4.0
+    z = to_float(x, "bessel_j0 argument")
+    q = -(z * z) / 4.0
     value, _ = sum_series(_ratio_sequence(lambda k: q / ((k + 1.0) * (k + 1.0))), ctrl)
     return value
 
@@ -116,8 +125,8 @@ def h_tricomi(
     order-m lacunary closed forms.  hermite_coeffs checks m and the
     number of slots when the sum reads its first value.
     """
-    coeffs = hermite_coeffs(m, _signed([to_float(a, "h_tricomi argument") for a in args]))
-    return _rgamma_series(coeffs, 1.0, 1.0 + s, control)
+    s, *xs = _reals("h_tricomi", s, *args)
+    return _rgamma_series(hermite_coeffs(m, _signed(xs)), 1.0, 1.0 + s, control)
 
 
 def h_wright(
@@ -132,15 +141,14 @@ def h_wright(
     The first superscript multiplies r inside the Gamma, exactly as in the
     scalar Bessel-Wright function; no slot sign flips here.
     """
-    coeffs = hermite_coeffs(2, [to_float(v, "h_wright argument") for v in (x, y)])
-    return _rgamma_series(coeffs, beta, alpha, control)
+    beta, alpha, x, y = _reals("h_wright", beta, alpha, x, y)
+    return _rgamma_series(hermite_coeffs(2, [x, y]), beta, alpha, control)
 
 
 def h_bessel_j(n: int, x: float, y: float, control: SumControl | None = None) -> float:
     """Hermite-based Bessel: sum_r (-1)^r H_(n+2r)^(2)(x, y) / (2^(n+2r) r! (n+r)!)."""
     check_order(n)
-    xs = [to_float(v, "h_bessel_j argument") for v in (x, y)]
-    coeffs = islice(hermite_coeffs(2, xs), n, None, 2)
+    coeffs = islice(hermite_coeffs(2, _reals("h_bessel_j", x, y)), n, None, 2)
     # factor_r = (n+2r)! / (2^(n+2r) r! (n+r)!), tracked by its ratio.
     factors = _ratio_sequence(
         lambda r: (n + 2 * r + 1.0) * (n + 2 * r + 2.0) / (4.0 * (r + 1.0) * (n + r + 1.0)),
@@ -162,6 +170,7 @@ def h_tricomi_bilateral(
     Summed by total-order shells r+s+k = N so the stop rule sees monotone
     shell totals rather than an arbitrary interleaving.
     """
+    x, y, tau = _reals("h_tricomi_bilateral", x, y, tau)
     fact = math.factorial
 
     def shell(total: int) -> float:

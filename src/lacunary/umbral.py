@@ -336,15 +336,16 @@ def reduce_exp(argument: UmbralSeries, order: int, alpha=0) -> dict[int, Fractio
 
     The series is never built.  `umb_exp`'s passes run with a monomial that
     carries at most one symbol last, so the other symbol's 1/e! is fixed for
-    each partial term; the last pass multiplies each partial term's row by
-    the 1/e! of the symbol that moves and adds it into one int per degree,
-    and each degree makes one Fraction.  The cap counts each pass's partial
-    terms, then every term the last pass folds.  That count is at least the
-    series' term count and each of `umb_exp`'s pass counts, so this raises
-    TermBudgetExceeded wherever the two-step path does.  A non-integer alpha
-    or argument exponent takes the two-step path, whose reduction raises
-    ExactnessViolation unless the truncation or a cancellation removes
-    every such term.
+    each partial term.  The last pass sums the partial terms that share a
+    factor count and a degree, each times the 1/e! of the symbol that
+    moves, weighs each such group by its row once, and adds it into one int
+    per degree; each degree makes one Fraction.  The cap counts each pass's
+    partial terms, then every term the last pass folds.  That count is at
+    least the series' term count and each of `umb_exp`'s pass counts, so
+    this raises TermBudgetExceeded wherever the two-step path does.  A
+    non-integer alpha or argument exponent takes the two-step path, whose
+    reduction raises ExactnessViolation unless the truncation or a
+    cancellation removes every such term.
     """
     a = _as_exponent(alpha)
     if a.denominator != 1 or argument._eden != 1:
@@ -364,7 +365,9 @@ def reduce_exp(argument: UmbralSeries, order: int, alpha=0) -> dict[int, Fractio
     p1, p2 = abs(v1) - min(lo1, 0), abs(v2) - lo2
     f1, w1 = _vacuum_weights(alpha + order * max(0, *e1s), p1)
     f2, w2 = _vacuum_weights(order * max(0, *e2s), p2)
-    sums = [0] * (order * max(ds) + 1)
+    # Partial terms that share (used, degree) share their row and their
+    # slice of sums, so the row weighs each group's sum once.
+    groups: dict[tuple[int, int], list[int]] = {}
     for (a1, a2, d, u), c in states.items():
         size = order - u + 1
         i1, i2 = a1 + alpha + p1, a2 + p2
@@ -374,15 +377,20 @@ def reduce_exp(argument: UmbralSeries, order: int, alpha=0) -> dict[int, Fractio
             c *= w2[i2]
         if not c:  # a pole of the fixed symbol
             continue
-        terms = rows[u]
+        part = [c] * size
         if v1:
-            terms = map(mul, terms, w1[i1 : i1 + v1 * size : v1])
+            part = map(mul, part, w1[i1 : i1 + v1 * size : v1])
         if v2:
-            terms = map(mul, terms, w2[i2 : i2 + v2 * size : v2])
+            part = map(mul, part, w2[i2 : i2 + v2 * size : v2])
+        old = groups.get((u, d))
+        groups[u, d] = list(part) if old is None else list(map(add, old, part))
+    sums = [0] * (order * max(ds) + 1)
+    for (u, d), part in groups.items():
+        terms = map(mul, rows[u], part)
         if vd:
-            end = d + vd * size
-            sums[d:end:vd] = map(add, sums[d:end:vd], map(c.__mul__, terms))
+            end = d + vd * len(part)
+            sums[d:end:vd] = map(add, sums[d:end:vd], terms)
         else:
-            sums[d] += c * sum(terms)
+            sums[d] += sum(terms)
     scale = argument._den**order * math.factorial(order) * f1 * f2
     return {d: Fraction(s, scale) for d, s in enumerate(sums) if s}

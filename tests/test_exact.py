@@ -1,9 +1,14 @@
 """Coefficient-level engines must produce literal rational equality."""
 
+import math
 import random
 from fractions import Fraction
 
-from lacunary import assoc_laguerre, laguerre_xpoly
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from lacunary import assoc_laguerre, laguerre_xpoly, rgamma_exact
+from lacunary.fps import FormalPowerSeries, fps_binomial, fps_x
 from lacunary.identities import exact, registry
 
 F = Fraction
@@ -40,6 +45,49 @@ def test_eq1_9_two_index_ogf():
         {"alpha": 0, "beta": 2, "x": F(-1, 2), "y": F(1, 3)},
     ]
     _rows(exact.eq1_9, 8, tuples)
+
+
+def _composed_eq1_9(nmax, alpha, beta, x, y):
+    """EQ1.9's right side through the general composition: sum_r g_r s^r at
+    s = -x t/(1 - y t), by `compose`, times 1/(1 - y t)."""
+    geom = fps_binomial(nmax, y, 1)
+    inner = geom * fps_x(nmax, -x)
+    outer = FormalPowerSeries(
+        [rgamma_exact(beta * r + alpha + 1) for r in range(nmax + 1)]
+    )
+    return (outer.compose(inner) * geom).coeffs
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    _rationals.filter(bool),
+    _rationals,
+)
+@example(60, 3, 3, F(-4, 3), F(0))
+@example(7, 0, 1, F(-4, 3), F(0))
+@example(25, 2, 2, F(3, 7), F(-5, 2))
+def test_eq1_9_horner_equals_the_composed_series(nmax, alpha, beta, x, y):
+    _, rhs = exact.eq1_9.__wrapped__(nmax, alpha=alpha, beta=beta, x=x, y=y)
+    assert list(rhs) == list(_composed_eq1_9(nmax, alpha, beta, x, y))
+    assert all(type(c) is Fraction for c in rhs)
+
+
+def _names(code):
+    """Every global or attribute name a code object and its nested ones read."""
+    nested = (c for c in code.co_consts if hasattr(c, "co_names"))
+    return set(code.co_names).union(*map(_names, nested))
+
+
+def test_eq1_9_right_side_forms_no_binomial():
+    # The left side is the Pascal sum sum_r C(n, r) g_r (-x)^r y^(n-r); a
+    # right side that formed C(n, r) would restate it, not check it.
+    assert "comb" not in _names(exact.eq1_9.__wrapped__.__code__)
 
 
 def test_eq1_11_classical_ogf():
@@ -117,6 +165,9 @@ def test_laguerre_derivative_on_monomial():
     # -d/dx x d/dx applied to x^2 is -4x.
     assert exact.laguerre_derivative([F(0), F(0), F(1)]) == [F(0), F(-4)]
     assert exact.laguerre_derivative([F(7)]) == []
+    # A numerator list over a fixed denominator stays a list of ints.
+    ints = exact.laguerre_derivative([5, -3, 2, 7])
+    assert ints == [3, -8, -63] and all(type(c) is int for c in ints)
 
 
 def _eq3_12_lowering(nmax, ys):
@@ -143,6 +194,45 @@ def test_eq3_12_lowering_depth():
     ys = [F(k, 3) for k in range(-6, 7)]
     checks = _run(_eq3_12_lowering(10, ys))
     assert len(checks) == 715
+
+
+def _fraction_derivative(coeffs):
+    out = [F(0)] * max(len(coeffs) - 1, 0)
+    for k in range(1, len(coeffs)):
+        out[k - 1] -= k * k * coeffs[k]
+    return out
+
+
+def _fraction_eq3_14(total_order):
+    """EQ3.14 on Fraction coefficients, one Fraction operation per step."""
+    current = [F((-1) ** b, math.factorial(b)) for b in range(total_order + 1)]
+    a_fact = F(1)
+    for a in range(total_order + 1):
+        if a:
+            current = _fraction_derivative(current)
+            a_fact *= a
+        for b in range(total_order + 1 - a):
+            rhs = F((-1) ** b * math.comb(a + b, a), math.factorial(b))
+            yield f"EQ3.14[y^{a} x^{b}]", current[b] / a_fact, rhs
+
+
+def _fraction_eq3_15(order, depth=10):
+    start = [F((-1) ** k, math.factorial(k) ** 2) for k in range(order + depth + 1)]
+    current = start
+    for a in range(1, depth + 1):
+        current = _fraction_derivative(current)
+        for b in range(order + 1):
+            yield f"EQ3.15[a={a}, x^{b}]", current[b], start[b]
+
+
+def test_eq3_14_and_eq3_15_rows_equal_the_fraction_loops():
+    for order in range(41):
+        for got, want in ((exact.eq3_14(order), _fraction_eq3_14(order)),
+                          (exact.eq3_15(order), _fraction_eq3_15(order)),
+                          (exact.eq3_15(order, 3), _fraction_eq3_15(order, 3))):
+            got = list(got)
+            assert got == list(want), order
+            assert all(type(v) is Fraction for _, *pair in got for v in pair)
 
 
 def test_eq3_14_double_taylor_grid():

@@ -224,6 +224,22 @@ def test_exact_mismatch_fails_and_names_its_label(monkeypatch):
     assert report.notes[-1] == f"1 coefficient mismatches (first: {perturbed[0]})"
 
 
+def test_a_drawn_tuple_names_its_mismatch_in_full(monkeypatch):
+    # Seed 183 draws alpha=0, beta=1, x=-4/3, y=0 first for EQ1.9: after the
+    # three base tuples, check 3 (nmax + 1) + 7 is that tuple's n = 7.
+    case = get_case("EQ1.9")
+
+    def runner(order, rng):
+        for i, (label, lhs, rhs) in enumerate(case.exact_runner(order, rng)):
+            yield label, lhs, rhs + (i == 3 * (order + 1) + 7)
+
+    _swap_runner(monkeypatch, "EQ1.9", exact_runner=runner)
+    report = check_coefficients("EQ1.9", nmax=10, seed=183)
+    assert report.notes[-1] == (
+        "1 coefficient mismatches (first: EQ1.9[alpha=0, beta=1, x=-4/3, y=0; n=7])"
+    )
+
+
 @pytest.mark.parametrize("field", ["tail", "drift"])
 def test_numeric_budget_overrun_fails_with_small_error(monkeypatch, field):
     # The two sides agree exactly; only the series budget is blown.

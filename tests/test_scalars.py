@@ -30,6 +30,7 @@ from lacunary import (
     rgamma_exact,
 )
 from lacunary.polys import assoc_laguerre_diagonal, lambda_sequence
+from lacunary.scalars import to_float
 
 INV_SQRT_PI = 0.5641895835477563
 
@@ -104,6 +105,14 @@ def test_rgamma_functional_equation(z):
 def test_rgamma_rejects_complex_argument():
     with pytest.raises(DomainError):
         rgamma(complex(3.0, 0.0))
+
+
+@pytest.mark.parametrize("text", ["1.5", b"1.5", bytearray(b"1.5"), "inf"])
+def test_to_float_rejects_what_float_would_parse(text):
+    with pytest.raises(DomainError, match="must be real"):
+        to_float(text, "x")
+    with pytest.raises(DomainError, match="must be real"):
+        rgamma(text)
 
 
 def test_as_real_accepts_tiny_imaginary_part():

@@ -70,6 +70,7 @@ READ_OUTSIDE_SRC = {
     "h_bessel_j": "perfbench's tracer wraps it (specialfns)",
     "eq2_12_block": "tests/test_acceptance.py reads it",
     "UmbralSeries.reduce": "tests/test_acceptance.py reads it",
+    "FormalPowerSeries.compose": "perfbench's tracer wraps it (fps.compose)",
 }
 
 

@@ -129,6 +129,42 @@ def test_a_complex_argument_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_tricomi(2, 0.0, ["0.5", "0.25"]),
+        lambda: h_tricomi(2, "0", [0.5, 0.25]),
+        lambda: bessel_i(0, "abc"),
+        lambda: bessel_j0("1.5"),
+        lambda: wright(0.5, 1.0, "x"),
+        lambda: wright("0.5", 1.0, 1.0),
+        lambda: mittag_leffler(0.5, b"1", 1.0),
+        lambda: tricomi(1, bytearray(b"1")),
+        lambda: h_wright(1.0, 1.0, "0.4", 0.0),
+        lambda: h_bessel_j(0, 1.0, "0"),
+        lambda: h_tricomi_bilateral(0.1, 0.2, "0.3"),
+    ],
+    ids=["h_tricomi:args", "h_tricomi:s", "bessel_i", "bessel_j0", "wright:x",
+         "wright:beta", "mittag_leffler:alpha", "tricomi:x", "h_wright",
+         "h_bessel_j", "h_tricomi_bilateral"],
+)
+def test_a_string_argument_is_a_domain_error(call):
+    # float() would parse "0.5"; every evaluator converts through to_float first.
+    with pytest.raises(DomainError, match="must be real"):
+        call()
+
+
+def test_exact_arguments_give_the_float_arguments_values():
+    # Every real argument becomes a float before any arithmetic reads it, so
+    # an int or Fraction argument gives the value of its float.
+    third = F(1, 3)
+    assert wright(1, 2, third) == wright(1.0, 2.0, float(third))
+    assert mittag_leffler(2, 1, -3) == mittag_leffler(2.0, 1.0, -3.0)
+    assert bessel_j0(third) == bessel_j0(float(third))
+    assert h_tricomi_bilateral(3, 1, 2) == h_tricomi_bilateral(3.0, 1.0, 2.0)
+    assert h_tricomi(2, 1, [third, 1]) == h_tricomi(2, 1.0, [float(third), 1.0])
+
+
 def test_wright_is_bessel_i_on_the_diagonal():
     for x in (0.25, 1.0, 4.0):
         assert wright(1.0, 1.0, x) == pytest.approx(

@@ -534,6 +534,21 @@ def test_reduce_exp_equals_the_two_step_path(terms, order, alpha):
         ({(F(1, 2), 0, 1): F(1)}, 0, 0),  # order 0 keeps no half-integer
         ({(1, 0, 1): F(1)}, 3, F(1, 2)),  # half-integer alpha
         ({(F(1, 2), 0, 1): F(1)}, 3, F(-1, 2)),
+        # EQ3.8-shaped: the both-symbol monomial first, groups of many states.
+        ({(1, 0, 1): F(2), (0, 1, 1): F(-1, 3), (1, 1, 1): F(5, 4)}, 14, 2),
+        ({(1, 1, 2): F(2, 3), (1, 0, 1): F(1, 2), (0, 1, 1): F(-3)}, 10, 1),
+        ({(0, 1, 1): F(1, 5), (2, 0, 1): F(-1, 3), (1, 1, 1): F(4)}, 12, 0),  # c1 moves
+        ({(2, 0, 1): F(1, 2), (0, 3, 2): F(-2, 7)}, 11, 3),  # c2 moves
+        ({(0, 2, 1): F(-1, 2), (-1, 0, 1): F(3, 4)}, 11, 4),  # c1 moves down
+        ({(2, 0, 1): F(1, 3), (0, 0, 1): F(-2)}, 9, 1),  # no symbol moves
+        ({(1, 1, 1): F(2), (0, 0, 2): F(-1, 2)}, 9, 0),
+        ({(0, 0, 2): F(3, 5)}, 7, 3),
+        ({(1, 0, 1): F(1, 2), (0, 1, 0): F(-2, 3)}, 10, 0),  # vd = 0, c2 moves
+        ({(0, 1, 2): F(1), (2, 0, 0): F(3)}, 8, 2),  # vd = 0, c1 moves
+        ({(1, 0, 1): F(1), (0, 0, 1): F(1, 2), (0, 1, 0): F(-1)}, 8, 1),
+        ({(1, 0, 1): F(-3, 4), (0, 1, 1): F(5, 6), (1, 1, 1): F(-7, 8)}, 12, -2),
+        ({(2, 0, 1): F(1, 2)}, 10, -3),  # negative alpha: poles of c1
+        ({(1, 0, 1): F(1, 2), (1, 1, 0): F(-1)}, 9, -1),
     ],
 )
 def test_reduce_exp_equals_the_two_step_path_on_named_arguments(terms, order, alpha):
