@@ -12,17 +12,21 @@ Exit codes: 0 all selected checks passed, 1 any failure (or report I/O
 failure, with the partial report dumped to stderr; a reader that closes
 stdout early ends the run quietly with 1), 2 usage or configuration
 errors.
+
+`main(argv)` changes no process-wide state, so it can run in process; the
+console script and `python -m lacunary.cli` exit through `run()`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import DomainError, LacunaryError, UnknownIdentity
 from .identities import DEFAULT_TOL, MODES
@@ -392,5 +396,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run `main()` on the command line and exit with its code.
+
+    gc.freeze() moves every tracked object to the permanent generation,
+    which the collections at interpreter shutdown skip (they ignore
+    gc.disable()); most of those objects are the interpreter's own
+    start-up state.  Skipping them is safe: `main` has closed the report
+    and flushed stdout, a frozen object is still freed by its reference
+    count, and only cyclic garbage is left for the OS to reclaim.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,10 +19,11 @@ Three recurring strategies:
     rational inner series -x t/(1 - y t), O(nmax^2) with no binomial, and
     the derivative powers of EQ3.14 and EQ3.15.
 
-This module loads with the registry, but `umbral` and `fps` load only when
-the first exact engine runs (`_stack`), so a numeric-only run never
-compiles them.  The engines read every name off those modules at call
-time, so a wrapper rebound on a module global sees each call.
+This module loads when the registry runs its first exact report, and
+`umbral` and `fps` load only when the first engine needs them (`_stack`),
+so neither a numeric-only run nor `list` compiles any of the three.  The
+engines read every name off those modules at call time, so a wrapper
+rebound on a module global sees each call.
 """
 
 from __future__ import annotations

@@ -51,6 +51,8 @@ from ..summation import SumControl, sum_series
 
 STABILITY_EXTRA = 10
 COMPLEX_SLACK = 1e-10
+#: The summation control of every registered numeric run.
+CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
 
 class PointOutcome(NamedTuple):

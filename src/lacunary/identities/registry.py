@@ -10,7 +10,13 @@ covers the single transform identity.
 The tuple-driven exact runners check the case's base rational tuples plus
 two tuples drawn from a seeded generator, so a fixed seed reproduces the
 report exactly; the tuples and draw specs sit beside each engine in
-`exact`.  The other exact runners take the order alone (`_ordered`).
+`exact`.  The other exact runners take the order alone and ignore the
+generator.
+
+Each runner imports its engine module (`_exact()`, `_pointwise()`) when it
+first runs, so `list` compiles neither, and a run of one mode no engine of
+the other (an exact run no `summation` either: `pointwise.CTRL` holds the
+numeric control).
 """
 
 from __future__ import annotations
@@ -22,21 +28,16 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Opti
 
 from ..errors import DomainError, ModeUnsupported, NumericError, UnknownIdentity
 from ..scalars import check_order
-from ..summation import SumControl
-from . import exact
 from .report import DEFAULT_TOL, EXACT, MODES, NUMERIC, QUADRATURE, VerificationReport
 
 if TYPE_CHECKING:
-    import random
-
+    from .exact import Check, Runner
     from .pointwise import Engine, PointOutcome
 
 DEFAULT_EXACT_ORDER = 10
 DEFAULT_TERMS = 60
 STABILITY_FRACTION = 0.1
 MAX_NOTED_FAILURES = 5
-
-_CTRL = SumControl(max_terms=400, rel_tol=1e-16)
 
 QuadratureRunner = Callable[[float], Iterator["PointOutcome"]]
 
@@ -45,7 +46,7 @@ class IdentityCase(NamedTuple):
     case_id: str
     paper_ref: str
     description: str
-    exact_runner: Optional[exact.Runner] = None
+    exact_runner: Optional[Runner] = None
     numeric_runner: Optional[Engine] = None
     quadrature_runner: Optional[QuadratureRunner] = None
     exact_order: int = DEFAULT_EXACT_ORDER
@@ -57,11 +58,12 @@ class IdentityCase(NamedTuple):
         return tuple(m for m in MODES if getattr(self, f"{m}_runner") is not None)
 
 
-def _ordered(engine) -> exact.Runner:
-    def run(order: int, rng: random.Random) -> Iterator[exact.Check]:
-        return engine(order)
+def _exact():
+    """The exact engines' module, imported by the first exact run, so a
+    numeric-only run never compiles it."""
+    from . import exact
 
-    return run
+    return exact
 
 
 def _pointwise():
@@ -77,20 +79,20 @@ _CASES = (
         "EQ1.7", "Eq. 1.7",
         "exponential generating function of the two-index family, "
         "Wright-type closed form",
-        exact_runner=exact.eq1_7,
+        exact_runner=lambda *a: _exact().eq1_7(*a),
         numeric_runner=lambda *a: _pointwise().eq1_7(*a),
     ),
     IdentityCase(
         "EQ1.9", "Eq. 1.9",
         "ordinary generating function of the two-index family, "
         "Mittag-Leffler closed form",
-        exact_runner=exact.eq1_9,
+        exact_runner=lambda *a: _exact().eq1_9(*a),
         numeric_runner=lambda *a: _pointwise().eq1_9(*a),
     ),
     IdentityCase(
         "EQ1.11", "Eq. 1.11",
         "classical associated generating function via composed power series",
-        exact_runner=exact.eq1_11,
+        exact_runner=lambda *a: _exact().eq1_11(*a),
     ),
     IdentityCase(
         "EQ1.12", "Eq. 1.12",
@@ -102,7 +104,7 @@ _CASES = (
         "EQ2.7", "Eq. 2.6/2.7",
         "even-index exponential generating function via a Hermite-weighted "
         "double sum",
-        exact_runner=exact.eq2_7,
+        exact_runner=lambda *a: _exact().eq2_7(*a),
         numeric_runner=lambda *a: _pointwise().eq2_7(*a),
     ),
     IdentityCase(
@@ -136,7 +138,7 @@ _CASES = (
     IdentityCase(
         "EQ2.13", "Eq. 2.13",
         "negative-offset associated family, binomial-exponential closed form",
-        exact_runner=exact.eq2_13,
+        exact_runner=lambda *a: _exact().eq2_13(*a),
         numeric_runner=lambda *a: _pointwise().eq2_13(*a),
         notes=(
             "second line of the printed display repeats an equals sign; the "
@@ -179,7 +181,7 @@ _CASES = (
     IdentityCase(
         "EQ3.8", "Eq. 3.8",
         "bilateral product generating function via two commuting symbols",
-        exact_runner=exact.eq3_8,
+        exact_runner=lambda *a: _exact().eq3_8(*a),
         numeric_runner=lambda *a: _pointwise().eq3_8(*a),
     ),
     IdentityCase(
@@ -209,40 +211,40 @@ _CASES = (
         "EQ3.14", "Eq. 3.14",
         "exponential of the lowering derivative acting on the exponential "
         "kernel",
-        exact_runner=_ordered(exact.eq3_14),
+        exact_runner=lambda order, rng: _exact().eq3_14(order),
         exact_order=12,
     ),
     IdentityCase(
         "EQ3.15", "Eq. 3.15",
         "eigenfunction property of the zeroth Bessel-type kernel under the "
         "lowering-derivative flow",
-        exact_runner=_ordered(exact.eq3_15),
+        exact_runner=lambda order, rng: _exact().eq3_15(order),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.17", "Eq. 3.17",
         "zeroth Bessel function as a pseudo-Gaussian umbral exponential",
-        exact_runner=_ordered(exact.eq3_17),
+        exact_runner=lambda order, rng: _exact().eq3_17(order),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.18", "Eq. 3.18/3.19",
         "dilation of the pseudo-Gaussian to a Gaussian, with a transform "
         "quadrature cross-check",
-        exact_runner=_ordered(exact.eq3_18_exact),
+        exact_runner=lambda order, rng: _exact().eq3_18_exact(order),
         quadrature_runner=lambda *a: _pointwise().borel_points(*a),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.20", "Eq. 3.20",
         "Gaussian as a geometric umbral series",
-        exact_runner=_ordered(exact.eq3_20),
+        exact_runner=lambda order, rng: _exact().eq3_20(order),
         exact_order=20,
     ),
     IdentityCase(
         "EQ3.21", "Eq. 3.21",
         "error-function integral as an umbral arctangent",
-        exact_runner=_ordered(exact.eq3_21),
+        exact_runner=lambda order, rng: _exact().eq3_21(order),
         exact_order=20,
     ),
 )
@@ -335,7 +337,7 @@ def _case_with(case_id: str, mode: str) -> IdentityCase:
     return case
 
 
-def _exact_rule(row: exact.Check) -> tuple[float, float, Optional[str]]:
+def _exact_rule(row: Check) -> tuple[float, float, Optional[str]]:
     label, lhs, rhs = row
     if lhs == rhs:
         return 0.0, 0.0, None
@@ -407,7 +409,7 @@ def check_pointwise(
     _check_tol(tol)
     if not 0.0 < grid_scale <= 1.0:
         raise DomainError(f"grid scale must lie in (0, 1], got {grid_scale!r}")
-    rows = case.numeric_runner(terms, grid_scale, _CTRL)
+    rows = case.numeric_runner(terms, grid_scale, _pointwise().CTRL)
     return _tally(case, NUMERIC, terms, rows, _point_rule(tol, budgeted=True))
 
 

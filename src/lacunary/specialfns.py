@@ -69,9 +69,20 @@ def tricomi(alpha: float, x: float, control: SumControl | None = None) -> float:
 
 def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
     """Modified Bessel I_m(z) = sum_k (z/2)^(m+2k) / (k! (m+k)!); NumericError
-    when the value leaves the float range, 0.0 where it underflows."""
+    for a non-finite z or a value past the float range, 0.0 where it
+    underflows.
+
+    The term budget is at least ceil|z| + ceil(log_4(1/rel_tol)) + 3: from
+    k >= |z| the term ratio is below 1/4 and every term has the sign of the
+    first, so that many terms always meet the stop rule.
+    """
     check_order(m)
     half = to_float(z, "bessel_i argument") / 2.0
+    if not math.isfinite(half):
+        raise NumericError(f"bessel_i argument must be finite, got {z!r}")
+    ctrl = control or SumControl()
+    need = math.ceil(2.0 * abs(half)) + math.ceil(math.log(1.0 / ctrl.rel_tol, 4)) + 3
+    ctrl = ctrl._replace(max_terms=max(ctrl.max_terms, need))
 
     def ratio(k: int) -> float:
         return half * half / ((k + 1.0) * (m + k + 1.0))
@@ -90,12 +101,12 @@ def bessel_i(m: int, z: float, control: SumControl | None = None) -> float:
             log_first = m * math.log(abs(half)) - math.lgamma(m + 1)
             if log_first + half * half / (m + 1) < -746.0:
                 return 0.0
-            scaled, _ = sum_series(_ratio_sequence(ratio), control)
+            scaled, _ = sum_series(_ratio_sequence(ratio), ctrl)
             magnitude = math.exp(log_first + math.log(scaled))
         except OverflowError:
             raise NumericError("bessel_i value outside the float range") from None
         return -magnitude if half < 0.0 and m % 2 else magnitude
-    value, _ = sum_series(_ratio_sequence(ratio, first), control)
+    value, _ = sum_series(_ratio_sequence(ratio, first), ctrl)
     return value
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from lacunary import DomainError
 from lacunary.identities import bridges, derive_aux_polynomial, pointwise, satisfies_template
-from lacunary.identities.registry import _CTRL, DEFAULT_TERMS, DEFAULT_TOL, _point_rule
+from lacunary.identities.registry import DEFAULT_TERMS, DEFAULT_TOL, _point_rule
 
 
 @pytest.mark.parametrize("family, m, equal", [("p", 1, True), ("p", 2, False), ("q", 1, True)])
@@ -56,7 +56,7 @@ def test_every_single_coefficient_mutant_fails_a_registered_point(monkeypatch):
         for k in display.coeffs:
             mutant = {**display.coeffs, k: display.coeffs[k] + 1}
             monkeypatch.setitem(bridges._PRINTED, key, display._replace(coeffs=mutant))
-            rows = [o for o in engine(DEFAULT_TERMS, 1.0, _CTRL) if o.label.startswith(prefix)]
+            rows = [o for o in engine(DEFAULT_TERMS, 1.0, pointwise.CTRL) if o.label.startswith(prefix)]
             assert rows
             failed[sum(rule(o)[2] is not None for o in rows)] += 1
         monkeypatch.setitem(bridges._PRINTED, key, display)

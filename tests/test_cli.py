@@ -1,6 +1,8 @@
 """Command line behavior: selection, overrides, reports, exit codes."""
 
+import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -307,6 +309,71 @@ def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["verify", "--id", "EQ3.14", "--no-timestamp"], ["verify"]],
+)
+def test_main_in_process_freezes_nothing(capsys, argv):
+    # Only the process entry point `run` freezes the heap; tests and
+    # perfbench's tracer call `main` in process.
+    before = gc.get_freeze_count()
+    cli.main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_the_exit_path_keeps_code_report_and_stdout(tmp_path, capsys):
+    # A child that exits through `run` writes what `main` writes in process;
+    # an atexit hook, which runs after `run` has frozen the heap, reports
+    # the frozen object count on stderr.
+    argv = ["verify", "--id", "EQ1.7", "--no-timestamp", "--report"]
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(str(gc.get_freeze_count())))\n"
+        "from lacunary import cli\n"
+        "cli.run()\n"
+    )
+    child = tmp_path / "child.json"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, str(child)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    code, out, err = _run(capsys, *argv, str(tmp_path / "parent.json"))
+    assert done.returncode == code == 0 and not err
+    assert done.stdout == out
+    assert int(done.stderr) > 0
+    assert child.read_bytes() == (tmp_path / "parent.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--id", "EQ9.9"], ["nosuch"]])
+def test_a_usage_error_still_exits_2(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "lacunary.cli", *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == "" and "error" in done.stderr
+
+
+def test_script_and_module_exit_through_one_function():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lacunary"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (call,) = [node.value for node in block.body if isinstance(node, ast.Expr)]
+    assert not call.args and target == f"lacunary.cli:{call.func.id}"
+    assert getattr(cli, call.func.id) is cli.run
 
 
 OVERFLOW = "float lambda rows to degree 1110 overflow"

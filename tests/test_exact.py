@@ -152,8 +152,8 @@ def _rejects(rows, order, binding, key):
 def test_exact_kill_table():
     kills = {}
     for case in registry():
-        runner = case.exact_runner
-        if hasattr(runner, "__wrapped__"):  # an order-only runner has no tuple
+        runner = getattr(exact, case.case_id.replace(".", "_").lower(), None)
+        if hasattr(runner, "__wrapped__"):  # order-only and numeric-only cases have no rows
             kills[case.case_id] = {
                 key: sum(_rejects(runner.__wrapped__, 10, b, key) for b in runner.base)
                 for key in runner.base[0]

@@ -119,7 +119,7 @@ _NUMERIC_DEEP = (
         (
             ["verify", "--all", "--mode", "exact", "--no-timestamp"],
             {"identities.exact", *_ALGEBRA},
-            {"identities.pointwise", "specialfns", *_BRIDGES, *_COLD},
+            {"identities.pointwise", "specialfns", "summation", *_BRIDGES, *_COLD},
         ),
         (
             ["verify", "--mode", "numeric", "--id", "EQ1.7"],
@@ -150,13 +150,14 @@ _NUMERIC_DEEP = (
         (
             ["verify", "--mode", "numeric", "--nmax", "160", "--no-timestamp",
              *(a for case_id in _NUMERIC_DEEP for a in ("--id", case_id))],
-            {"identities.exact", "identities.pointwise", "specialfns"},
-            {"random", *_BRIDGES, *_ALGEBRA, *_COLD},
+            {"identities.pointwise", "specialfns"},
+            {"identities.exact", "random", *_BRIDGES, *_ALGEBRA, *_COLD},
         ),
         (
             ["list"],
-            {"identities.registry", "identities.exact"},
-            {"identities.pointwise", "specialfns", "random", *_BRIDGES, *_ALGEBRA, *_COLD},
+            {"identities.registry"},
+            {"identities.exact", "summation", "identities.pointwise", "specialfns", "random",
+             *_BRIDGES, *_ALGEBRA, *_COLD},
         ),
     ],
 )

@@ -83,6 +83,23 @@ def test_bessel_i_past_the_first_term_range_matches_mpmath(m, z):
         assert bessel_i(m, z) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("m, z", [(0, 700.0), (122, -700.0)])
+def test_bessel_i_term_budget_follows_the_argument(m, z):
+    # The terms peak near k = |z|/2, past the default 400-term budget:
+    # I_0(700) ~ 1.5296e302 and I_122(-700) ~ 3.7647e297 need about 720.
+    import mpmath
+
+    want = float(mpmath.besseli(m, z))
+    assert bessel_i(m, z) == pytest.approx(want, rel=1e-13)
+    assert bessel_i(m, z, SumControl(max_terms=10)) == bessel_i(m, z)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_bessel_i_non_finite_argument_is_a_numeric_error(z):
+    with pytest.raises(NumericError, match="bessel_i argument must be finite"):
+        bessel_i(0, z)
+
+
 def test_bessel_i_value_past_the_float_range_is_a_numeric_error():
     # I_200(760) ~ 7.1e316: every term is scaled down by the first one, and
     # the value overflows only when the scale comes back.
