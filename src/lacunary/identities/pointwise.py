@@ -10,7 +10,10 @@ written as point(top, ctrl, **params) -> (weights, row, rhs), where params
 are one grid point's keys with its t scaled: the weights w_n, the strided
 row seq[l::m] and the closed-form value.  The _engine driver supplies the
 grid walk, forms the terms weights[n] * row[n] for n < top, sums them and
-builds the label from the same params.
+builds the label from the same params.  Every weight list is _weights's
+t^n prod_a (a)_n / prod_b (b)_n, and right sides that share a display
+share a point: _shifted serves EQ2.7 (EQ3.1 at l = 0), EQ3.1 and EQ3.3,
+and _bridge serves EQ2.8 and EQ3.4.
 
 Grids are chosen so the LHS tail at the default truncation sits well below
 1e-9 and every RHS series is inside its numerically observed convergence
@@ -79,11 +82,20 @@ def _sum_with_stability(terms: list[float], n_terms: int) -> tuple[float, float,
     return total, max(recent), abs(pushed - total)
 
 
-def _egf_factors(t: float, top: int) -> list[float]:
-    """[t^n / n!] for n < top."""
-    out = [1.0]
-    for n in range(1, top):
-        out.append(out[-1] * t / n)
+def _weights(t: float, top: int, up: Sequence = (), down: Sequence = ()) -> list[float]:
+    """[t^n prod_a (a)_n / prod_b (b)_n for n < top]: t^n / n! is down=(1,).
+
+    Step n multiplies by t, then by each a + n, then divides by each b + n.
+    """
+    w = 1.0
+    out = [w]
+    for n in range(top - 1):
+        w *= t
+        for a in up:
+            w *= a + n
+        for b in down:
+            w /= b + n
+        out.append(w)
     return out
 
 
@@ -99,7 +111,9 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
 
     `top` is the LHS term count including the stability extension, so the
     builder can size its tables once per point; a shorter weight list or
-    row raises IndexError.
+    row raises IndexError.  A ZeroDivisionError or ValueError from the
+    builder (a t scaled onto a pole or below a square root) raises
+    NumericError naming the point.
     """
 
     def wrap(point: Point) -> Engine:
@@ -108,11 +122,15 @@ def _engine(case_id: str, grid: Sequence[dict]) -> Callable[[Point], Engine]:
             top = n_terms + STABILITY_EXTRA
             for g in grid:
                 params = {**g, "t": g["t"] * scale}
-                weights, row, rhs = point(top, ctrl, **params)
+                keys = ", ".join(f"{k}={_fmt(v)}" for k, v in params.items())
+                label = f"{case_id}[{keys}]"
+                try:
+                    weights, row, rhs = point(top, ctrl, **params)
+                except (ZeroDivisionError, ValueError) as exc:
+                    raise NumericError(f"{label}: {exc}") from exc
                 terms = [weights[n] * row[n] for n in range(top)]
                 lhs, tail, drift = _sum_with_stability(terms, n_terms)
-                label = ", ".join(f"{k}={_fmt(v)}" for k, v in params.items())
-                yield PointOutcome(f"{case_id}[{label}]", lhs, rhs, tail, drift)
+                yield PointOutcome(label, lhs, rhs, tail, drift)
 
         return engine
 
@@ -128,18 +146,45 @@ def __getattr__(name: str):
     return derive_aux_polynomial
 
 
-def _bridge_sum(family: str, m: int, x, y, t, coeffs, ctrl: SumControl) -> float:
-    """sum_r p(r; x, y, t) c_r / (r + shift)! for the printed bridge polynomial
-    p of (family, m) and the c_r read from `coeffs`; loads `bridges` on first use."""
+def _shifted(case_id: str, m: int, hs: Iterator[complex], top, ctrl, l, x, t):
+    """The point of sum_n t^n / n! L_{mn+l}(x) = e^t l! sum_n L_l^(n)(x) / (n + l)! h_n,
+    the display EQ2.7 (at l = 0), EQ3.1 and EQ3.3 share; `hs` yields the case's h_n."""
+    seq = laguerre_sequence(m * top + l, x)
+    terms = (float(assoc_laguerre(l, n, x)) * rgamma(n + l + 1.0) * h for n, h in enumerate(hs))
+    total, _ = sum_series(terms, ctrl)
+    rhs = math.exp(t) * math.factorial(l) * as_real(total, f"{case_id} rhs", COMPLEX_SLACK)
+    return _weights(t, top, down=(1,)), seq[l::m], rhs
+
+
+def _eq3_1_hermite(x: float, t: float) -> Iterator[complex]:
+    """h_n = (i x sqrt t)^n / n! H_n(i sqrt t), the shifted point's sequence
+    of EQ2.7 and EQ3.1."""
+    st = math.sqrt(t)
+    u = 1j * x * st
+    p = 1.0 + 0.0j
+    for n, h in enumerate(hermite_h_values(1j * st)):
+        yield p * h
+        p *= u / (n + 1)
+
+
+def _bridge(family: str, m: int, top, ctrl, x, y, t):
+    """The point of sum_n t^n / n! L_{sn}^(m)(x, y) for the printed bridge
+    polynomial p of (family, m), s = p.step, the display EQ2.8 and EQ3.4
+    share: e^(t y^s) sum_r p(r; x, y, t) c_r / (r + shift)!, with c_r the
+    Hermite coefficients at C(s, k) (-x)^k y^(s-k) t, k = 1..s.  Loads
+    `bridges` on first use."""
     from .bridges import printed
 
     p = printed(family, m)
-    shift = p.factorial_shift
+    s = p.step
+    seq = assoc_laguerre_sequence(s * top, m, x, y)
+    args = [math.comb(s, k) * (-x) ** k * y ** (s - k) * t for k in range(1, s + 1)]
     terms = (
-        float(p.evaluate(r, x, y, t)) * c * rgamma(r + shift + 1.0)
-        for r, c in enumerate(coeffs)
+        float(p.evaluate(r, x, y, t)) * c * rgamma(r + p.factorial_shift + 1.0)
+        for r, c in enumerate(hermite_coeffs(s, args))
     )
-    return sum_series(terms, ctrl)[0]
+    rhs = math.exp(t * y**s) * sum_series(terms, ctrl)[0]
+    return _weights(t, top, down=(1,)), seq[::s], rhs
 
 
 def _diagonal_sum(x: float, t: float, c: float, alpha: int, ctrl: SumControl) -> float:
@@ -163,14 +208,6 @@ def _laguerre_rows(xi: float) -> Callable[[int], list[float]]:
     return functools.cache(lambda a: assoc_laguerre_sequence(a // 2, a, xi))
 
 
-def _half_pochhammer_weights(t: float, b: float, top: int) -> list[float]:
-    """[(1/2)_n / (b)_n t^n] for n <= top."""
-    w = [1.0]
-    for n in range(top):
-        w.append(w[-1] * t * (0.5 + n) / (b + n))
-    return w
-
-
 # -- two-index family generating functions ----------------------------------
 
 
@@ -190,9 +227,8 @@ def _lambda_rows(top: int, alpha, beta, x: float, y: float) -> tuple[float, ...]
 ))
 def eq1_7(top, ctrl, alpha, beta, x, y, t):
     seq = _lambda_rows(top, alpha, beta, x, y)
-    fac = _egf_factors(t, top)
     rhs = math.exp(y * t) * wright(beta, alpha + 1.0, -t * x, ctrl)
-    return fac, seq, rhs
+    return _weights(t, top, down=(1,)), seq, rhs
 
 
 @_engine("EQ1.9", (
@@ -206,7 +242,7 @@ def eq1_9(top, ctrl, alpha, beta, x, y, t):
     rhs = mittag_leffler(beta, alpha + 1.0, -t * x / (1.0 - t * y), ctrl) / (
         1.0 - t * y
     )
-    return [t**n for n in range(top)], seq, rhs
+    return _weights(t, top), seq, rhs
 
 
 @_engine("EQ1.12", (
@@ -217,7 +253,6 @@ def eq1_9(top, ctrl, alpha, beta, x, y, t):
 ))
 def eq1_12(top, ctrl, m, x, y, t):
     seq = assoc_laguerre_sequence(top, m, x, y)
-    fac = _egf_factors(t, top)
     rhs = 0.0
     for r in range(m + 1):
         outer = math.comb(m, r) * math.factorial(m) / math.factorial(r)
@@ -230,7 +265,7 @@ def eq1_12(top, ctrl, m, x, y, t):
                 * wright(1.0, m + s + 1.0, -t * x, ctrl)
             )
     rhs *= math.exp(t * y)
-    return fac, seq, rhs
+    return _weights(t, top, down=(1,)), seq, rhs
 
 
 # -- double-stride and negative-offset families ------------------------------
@@ -243,20 +278,7 @@ def eq1_12(top, ctrl, m, x, y, t):
     {"x": 1.5, "t": 0.16},
 ))
 def eq2_7(top, ctrl, x, t):
-    seq = laguerre_sequence(2 * top, x)
-    fac = _egf_factors(t, top)
-    st = math.sqrt(t)
-    u = 1j * x * st
-
-    def rhs_terms() -> Iterator[complex]:
-        p = 1.0 + 0.0j
-        for r, h in enumerate(hermite_h_values(1j * st)):
-            yield p * h
-            p *= u / ((r + 1) * (r + 1))
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = math.exp(t) * as_real(total, "EQ2.7 rhs", COMPLEX_SLACK)
-    return fac, seq[::2], rhs
+    return _shifted("EQ2.7", 2, _eq3_1_hermite(x, t), top, ctrl, 0, x, t)
 
 
 @_engine("EQ2.8", (
@@ -266,11 +288,7 @@ def eq2_7(top, ctrl, x, t):
     {"m": 2, "x": 1.5, "y": 0.5, "t": 0.12},
 ))
 def eq2_8(top, ctrl, m, x, y, t):
-    seq = assoc_laguerre_sequence(2 * top, m, x, y)
-    fac = _egf_factors(t, top)
-    c2 = hermite_coeffs(2, (-2.0 * x * y * t, t * x * x))
-    rhs = math.exp(t * y * y) * _bridge_sum("p", m, x, y, t, c2, ctrl)
-    return fac, seq[::2], rhs
+    return _bridge("p", m, top, ctrl, x, y, t)
 
 
 @_engine("EQ2.9", (
@@ -281,11 +299,10 @@ def eq2_8(top, ctrl, m, x, y, t):
 ))
 def eq2_9(top, ctrl, alpha, beta, x, y, t):
     seq = lambda_sequence(2 * top, alpha, beta, x, y, step=2)
-    fac = _egf_factors(t, top)
     rhs = math.exp(y * y * t) * h_wright(
         float(beta), alpha + 1.0, -2.0 * x * y * t, x * x * t, ctrl
     )
-    return fac, seq, rhs
+    return _weights(t, top, down=(1,)), seq, rhs
 
 
 @_engine("EQ2.10", (
@@ -297,7 +314,7 @@ def eq2_9(top, ctrl, alpha, beta, x, y, t):
 def eq2_10(top, ctrl, x, t):
     seq = laguerre_sequence(2 * top, x)
     rhs = _diagonal_sum(x, t, 0.5, 0, ctrl) / (1.0 - t)
-    return [t**n for n in range(top)], seq[::2], rhs
+    return _weights(t, top), seq[::2], rhs
 
 
 @_engine("EQ2.11", (
@@ -328,7 +345,7 @@ def eq2_11(top, ctrl, x, t):
         # r! leaves the float range at r = 171.
         raise NumericError(f"EQ2.11 rhs overflows: {exc}") from exc
     rhs = total / (1.0 - t)
-    return [t**n for n in range(top)], seq[::3], rhs
+    return _weights(t, top), seq[::3], rhs
 
 
 @_engine("EQ2.13", (
@@ -340,7 +357,7 @@ def eq2_11(top, ctrl, x, t):
 def eq2_13(top, ctrl, alpha, x, y, t):
     diag = assoc_laguerre_diagonal(top, alpha, x, y)
     rhs = (1.0 + y * t) ** alpha * math.exp(-t * x)
-    return [t**n for n in range(top)], diag, rhs
+    return _weights(t, top), diag, rhs
 
 
 @_engine("EQ2.14", (
@@ -355,7 +372,7 @@ def eq2_14(top, ctrl, alpha, x, y, t):
     big_t = alpha * cmath.asin(st * y / cmath.sqrt(t * y * y - 1.0))
     val = (1.0 - t * y * y) ** (alpha / 2.0) * cmath.cosh(st * x - 1j * big_t)
     rhs = as_real(val, "EQ2.14 rhs", COMPLEX_SLACK)
-    return [t**n for n in range(top)], diag, rhs
+    return _weights(t, top), diag, rhs
 
 
 # -- shifted, weighted, and bilateral forms ----------------------------------
@@ -368,20 +385,7 @@ def eq2_14(top, ctrl, alpha, x, y, t):
     {"l": 1, "x": 1.5, "t": 0.16},
 ))
 def eq3_1(top, ctrl, l, x, t):
-    seq = laguerre_sequence(2 * top + l, x)
-    fac = _egf_factors(t, top)
-    st = math.sqrt(t)
-    u = 1j * x * st
-
-    def rhs_terms() -> Iterator[complex]:
-        p = 1.0 + 0.0j
-        for r, h in enumerate(hermite_h_values(1j * st)):
-            yield p * float(assoc_laguerre(l, r, x)) * h / math.factorial(l + r)
-            p *= u / (r + 1)
-
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.1 rhs", COMPLEX_SLACK)
-    return fac, seq[l::2], rhs
+    return _shifted("EQ3.1", 2, _eq3_1_hermite(x, t), top, ctrl, l, x, t)
 
 
 @_engine("EQ3.3", (
@@ -390,14 +394,13 @@ def eq3_1(top, ctrl, l, x, t):
     {"l": 2, "x": 1.5, "t": 0.08},
 ))
 def eq3_3(top, ctrl, l, x, t):
-    seq = laguerre_sequence(3 * top + l, x)
-    fac = _egf_factors(t, top)
     s3t = math.sqrt(3.0 * t)
     u = 1j * x * s3t
 
-    def rhs_terms() -> Iterator[complex]:
-        # The term of index n reads hs[k] and upow[k] = u^k / k! for k <= n
-        # and b[r] = (-t x^3)^r / r! for r <= n // 3: each table grows as n does.
+    def hermite() -> Iterator[complex]:
+        # h_n = sum_{r <= n/3} b[r] upow[n - 3r] hs[n - 3r] reads hs[k] and
+        # upow[k] = u^k / k! for k <= n and b[r] = (-t x^3)^r / r! for
+        # r <= n // 3: each table grows as n does.
         hs, upow, b = [], [1.0 + 0.0j], [1.0]
         for n, h in zip(range(ctrl.max_terms + 1), hermite_h_values(1j * s3t / 2.0)):
             hs.append(h)
@@ -408,11 +411,9 @@ def eq3_3(top, ctrl, l, x, t):
             inner = 0.0 + 0.0j
             for r in range(n // 3 + 1):
                 inner += b[r] * upow[n - 3 * r] * hs[n - 3 * r]
-            yield float(assoc_laguerre(l, n, x)) * rgamma(n + l + 1.0) * inner
+            yield inner
 
-    total, _ = sum_series(rhs_terms(), ctrl)
-    rhs = math.exp(t) * math.factorial(l) * as_real(total, "EQ3.3 rhs", COMPLEX_SLACK)
-    return fac, seq[l::3], rhs
+    return _shifted("EQ3.3", 3, hermite(), top, ctrl, l, x, t)
 
 
 @_engine("EQ3.4", (
@@ -421,11 +422,7 @@ def eq3_3(top, ctrl, l, x, t):
     {"x": 2.0, "t": 0.08},
 ))
 def eq3_4(top, ctrl, x, t):
-    seq = assoc_laguerre_sequence(3 * top, 1, x)
-    fac = _egf_factors(t, top)
-    c3 = hermite_coeffs(3, (-3.0 * t * x, 3.0 * t * x * x, -t * x**3))
-    rhs = math.exp(t) * _bridge_sum("q", 1, x, 1.0, t, c3, ctrl)
-    return fac, seq[::3], rhs
+    return _bridge("q", 1, top, ctrl, x, 1.0, t)
 
 
 @_engine("EQ3.5", (
@@ -438,7 +435,6 @@ def eq3_4(top, ctrl, x, t):
 ))
 def eq3_5(top, ctrl, m, l, x, y, t):
     seq = laguerre_sequence(m * top + l, x, y)
-    fac = _egf_factors(t, top)
     args = [math.comb(m, p) * x**p * y ** (m - p) * t for p in range(1, m + 1)]
     rhs = 0.0
     for s in range(l + 1):
@@ -449,7 +445,7 @@ def eq3_5(top, ctrl, m, l, x, y, t):
             * h_tricomi(m, float(s), args, ctrl)
         )
     rhs *= math.exp(t * y**m)
-    return fac, seq[l::m], rhs
+    return _weights(t, top, down=(1,)), seq[l::m], rhs
 
 
 @_engine("EQ3.8", (
@@ -460,11 +456,10 @@ def eq3_5(top, ctrl, m, l, x, y, t):
 def eq3_8(top, ctrl, x, y, z, u, t):
     seq_a = laguerre_sequence(top, x, y)
     seq_b = laguerre_sequence(top, z, u)
-    fac = _egf_factors(t, top)
     rhs = math.exp(t * u * y) * h_tricomi_bilateral(
         -x * u * t, -y * z * t, x * z * t, ctrl
     )
-    return [f * a for f, a in zip(fac, seq_a)], seq_b, rhs
+    return [f * a for f, a in zip(_weights(t, top, down=(1,)), seq_a)], seq_b, rhs
 
 
 @_engine("EQ3.9", (
@@ -477,7 +472,7 @@ def eq3_9(top, ctrl, alpha, x, t):
     seq = assoc_laguerre_sequence(2 * top, alpha, x)
     b = 1.0 + alpha / 2.0
     rhs = (1.0 - t) ** (-(1.0 + alpha) / 2.0) * _diagonal_sum(x, t, b, alpha, ctrl)
-    return _half_pochhammer_weights(t, b, top), seq[::2], rhs
+    return _weights(t, top, up=(0.5,), down=(b,)), seq[::2], rhs
 
 
 @_engine("EQ3.10", (
@@ -504,7 +499,7 @@ def eq3_10(top, ctrl, m, x, t):
         * math.exp(-t * x / (1.0 - t))
         * bessel_i(m, arg / (1.0 - t), ctrl)
     )
-    return _half_pochhammer_weights(t, 1.0 + m, top), seq[::2], rhs
+    return _weights(t, top, up=(0.5,), down=(1.0 + m,)), seq[::2], rhs
 
 
 @_engine("EQ3.11", (
@@ -515,16 +510,8 @@ def eq3_10(top, ctrl, m, x, t):
 ))
 def eq3_11(top, ctrl, alpha, x, t):
     seq = assoc_laguerre_sequence(3 * top, alpha, x)
-    w = [1.0]  # (1/3)_n (2/3)_n / ((1+a/3)_n ((2+a)/3)_n) * t^n
     a3 = alpha / 3.0
-    for n in range(top):
-        w.append(
-            w[-1]
-            * t
-            * (n + 1.0 / 3.0)
-            * (n + 2.0 / 3.0)
-            / ((n + 1.0 + a3) * (n + (2.0 + alpha) / 3.0))
-        )
+    w = _weights(t, top, up=(1.0 / 3.0, 2.0 / 3.0), down=(1.0 + a3, (2.0 + alpha) / 3.0))
     wz = -t * x / (9.0 * (1.0 - t))
     lag = _laguerre_rows(x / 3.0)
 

@@ -4,6 +4,7 @@ import ast
 import csv
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -513,11 +514,27 @@ GOLDEN = [
 ]
 
 
+def _moved_fields(old: dict, new: dict) -> list:
+    """(id, mode, field, "old -> new") for each report field of a verify
+    document that differs, reports paired in order."""
+    moved = []
+    for was, now in itertools.zip_longest(old["results"], new["results"], fillvalue={}):
+        key = (was.get("id", now.get("id")), was.get("mode", now.get("mode")))
+        for field in sorted(was.keys() | now.keys()):
+            if repr(was.get(field)) != repr(now.get(field)):
+                moved.append((*key, field, f"{was.get(field)!r} -> {now.get(field)!r}"))
+    return moved
+
+
 @pytest.mark.parametrize("argv, name", GOLDEN, ids=[name for _, name in GOLDEN])
 def test_output_matches_golden_fixture(capsys, argv, name):
     # The fixtures were recorded with CPython 3.11.7 (no output depends on
     # numpy); a refactor must reproduce them byte for byte, float digits
-    # included.
+    # included.  A verify document is compared report by report first, so
+    # a mismatch names the fields that moved.
     code, out, err = _run(capsys, *argv)
     assert code == 0 and not err
+    if name.startswith("verify_") and name.endswith(".json"):
+        moved = _moved_fields(json.loads((FIXTURES / name).read_text()), json.loads(out))
+        assert not moved, "moved report fields:\n" + "\n".join(" ".join(m) for m in moved)
     assert out.encode("utf-8") == (FIXTURES / name).read_bytes()

@@ -6,7 +6,9 @@ same numbers the verification layer enforces.
 """
 
 import functools
+import importlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -580,3 +582,199 @@ def test_shared_rows_are_keyed_by_type():
         assert pointwise._lambda_rows.cache_info().currsize == 2
     finally:
         pointwise._lambda_rows.cache_clear()
+
+
+def _grid_t0(engine):
+    """The t of an engine's first grid point, read off its label."""
+    return float(next(engine(10, 1.0, CTRL)).label.rpartition("t=")[2].rstrip("]"))
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+def test_engines_off_the_grid_finish_or_raise_a_typed_error(engine):
+    # Scale 1/t0 puts the first grid point at t = 1, a pole of seven cases'
+    # weights or right sides; scale -1 puts every t under a square root in
+    # four.  Either the run finishes with finite sides or it ends in a
+    # LacunaryError, never a bare ZeroDivisionError or ValueError.
+    for scale in (1.0 / _grid_t0(engine), -1.0):
+        try:
+            rows = list(engine(10, scale, CTRL))
+        except LacunaryError:
+            continue
+        assert all(math.isfinite(row.lhs) and math.isfinite(row.rhs) for row in rows)
+
+
+def test_a_point_off_its_domain_names_its_label():
+    with pytest.raises(NumericError, match=r"^EQ1\.9\[alpha=0\.5, .*t=1\]: float division by zero"):
+        list(pointwise.eq1_9(10, 1.0 / 0.3, CTRL))
+    with pytest.raises(NumericError, match=r"^EQ2\.7\[x=1, t=-0\.1\]: math domain error"):
+        list(pointwise.eq2_7(10, -1.0, CTRL))
+
+
+_U = 2.0**-53
+
+
+def _egf_factors(t, top):
+    """[t^n / n!] for n < top: the exponential weights before _weights."""
+    out = [1.0]
+    for n in range(1, top):
+        out.append(out[-1] * t / n)
+    return out
+
+
+def _half_pochhammer_weights(t, b, top):
+    """[(1/2)_n / (b)_n t^n] for n <= top: EQ3.9's and EQ3.10's weights
+    before _weights."""
+    w = [1.0]
+    for n in range(top):
+        w.append(w[-1] * t * (0.5 + n) / (b + n))
+    return w
+
+
+_T = st.floats(-1.0, 1.0)
+_TOP = st.integers(1, 400)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_T, b=st.floats(0.0, 1e3, exclude_min=True), top=_TOP)
+def test_weights_are_the_old_builders_bit_for_bit(t, b, top):
+    assert _hex(pointwise._weights(t, top, down=(1,))) == _hex(_egf_factors(t, top))
+    half = pointwise._weights(t, top, up=(0.5,), down=(b,))
+    assert _hex(half) == _hex(_half_pochhammer_weights(t, b, top)[:top])
+
+
+def _check_against_exact(weights, t, up, down, roundings):
+    """Each normal-range w_n against t^n prod (a)_n / prod (b)_n in Fraction
+    arithmetic at the same float inputs, within roundings * n * u.  A step
+    makes at most `roundings` roundings and the first step's 1.0 * t and
+    sums a + 0 are exact, so w_n carries k < roundings * n of them, and
+    Higham's gamma_k = k u / (1 - k u) is below (k + 1) u."""
+    exact = Fraction(1)
+    for n, w in enumerate(weights):
+        if n:
+            k = n - 1
+            exact *= Fraction(t)
+            for a in up:
+                exact *= Fraction(a) + k
+            for b in down:
+                exact /= Fraction(b) + k
+        if abs(exact) < 2.0**-1022:
+            break  # |w_n| falls with n: past here every value is subnormal
+        assert abs(Fraction(w) - exact) <= roundings * n * _U * abs(exact), (n, w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=_T, top=_TOP)
+def test_ordinary_weights_are_within_n_u_of_t_to_the_n(t, top):
+    _check_against_exact(pointwise._weights(t, top), t, (), (), 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=_T, alpha=st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)), top=_TOP)
+def test_eq3_11_weights_match_the_fraction_product(t, alpha, top):
+    # EQ3.11's (1/3)_n (2/3)_n / ((1 + a/3)_n ((2 + a)/3)_n) t^n, as its point
+    # builds it: per step t, two sums a + n, two products, two sums b + n and
+    # two quotients, 9 roundings.  (2n u is too tight: the measured error
+    # reaches 2.2 n u at n < 10.)
+    up = (1.0 / 3.0, 2.0 / 3.0)
+    down = (1.0 + alpha / 3.0, (2.0 + alpha) / 3.0)
+    _check_against_exact(pointwise._weights(t, top, up, down), t, up, down, 9)
+
+
+_WEIGHTS = pointwise._weights
+_REGISTRY = importlib.import_module("lacunary.identities.registry")
+NUMERIC_CASES = [e.__name__.replace("_", ".").upper() for e in ENGINES]
+
+
+def _moved_weight(n, move):
+    def weights(*args, **kwargs):
+        w = _WEIGHTS(*args, **kwargs)
+        w[n] = move(w[n])
+        return w
+
+    return weights
+
+
+#: Left-side mutants, each a replacement for pointwise._weights.
+_WEIGHT_MUTANTS = {
+    "w_1 * (1 + 1e-6)": _moved_weight(1, lambda w: w * (1.0 + 1e-6)),
+    "w_1 negated": _moved_weight(1, lambda w: -w),
+    "w_2 * (1 + 1e-6)": _moved_weight(2, lambda w: w * (1.0 + 1e-6)),
+}
+
+#: The kill table: check_pointwise's failing points per numeric case under
+#: each weight mutant.  Moving w_k moves the left side by the move times
+#: w_k row_k, so a point fails only where that is over tol = 1e-8 of its
+#: scale max(1, |lhs|, |rhs|).  Points where row_1 is 0 never see w_1:
+#: EQ2.14 at alpha=1, x=2, y=1; EQ3.8 at x=y=1; EQ3.9 at alpha=2, x=2.  The
+#: other points w_1 * (1 + 1e-6) misses have |w_1 row_1| below 1e-2 of
+#: their scale (EQ3.3 at l=2; EQ3.8 at x=0.6; EQ3.11 at alpha=0, x=2 and
+#: alpha=1, x=1).  Every report fails under both w_1 mutants.
+WEIGHT_KILLS = {
+    "w_1 * (1 + 1e-6)": {
+        "EQ1.7": 4, "EQ1.9": 4, "EQ1.12": 4, "EQ2.7": 4, "EQ2.8": 4, "EQ2.9": 4,
+        "EQ2.10": 4, "EQ2.11": 3, "EQ2.13": 4, "EQ2.14": 3, "EQ3.1": 4, "EQ3.3": 2,
+        "EQ3.4": 3, "EQ3.5": 6, "EQ3.8": 1, "EQ3.9": 3, "EQ3.10": 8, "EQ3.11": 2,
+    },
+    "w_1 negated": {
+        "EQ1.7": 4, "EQ1.9": 4, "EQ1.12": 4, "EQ2.7": 4, "EQ2.8": 4, "EQ2.9": 4,
+        "EQ2.10": 4, "EQ2.11": 3, "EQ2.13": 4, "EQ2.14": 3, "EQ3.1": 4, "EQ3.3": 3,
+        "EQ3.4": 3, "EQ3.5": 6, "EQ3.8": 2, "EQ3.9": 3, "EQ3.10": 8, "EQ3.11": 4,
+    },
+    "w_2 * (1 + 1e-6)": {
+        "EQ1.7": 2, "EQ1.9": 1, "EQ1.12": 3, "EQ2.7": 1, "EQ2.8": 0, "EQ2.9": 1,
+        "EQ2.10": 2, "EQ2.11": 3, "EQ2.13": 4, "EQ2.14": 2, "EQ3.1": 1, "EQ3.3": 0,
+        "EQ3.4": 0, "EQ3.5": 0, "EQ3.8": 0, "EQ3.9": 1, "EQ3.10": 5, "EQ3.11": 0,
+    },
+}
+
+#: The expected survivors of w_2 * (1 + 1e-6), each with its reason: the
+#: largest |w_2 row_2| over the case's points, as a share of the point's
+#: scale, is below tol / 1e-6 = 1e-2 (about t^2 / 2 for the exponential
+#: weight at t <= 0.2), so the move stays under tol at every point.
+WEIGHT_SURVIVORS = {
+    "EQ2.8": 6.1e-3,
+    "EQ3.3": 5.8e-3,
+    "EQ3.4": 7.6e-3,
+    "EQ3.5": 7.0e-3,
+    "EQ3.8": 1.3e-3,
+    "EQ3.11": 7.7e-4,
+}
+
+
+def _failing_points(case_id):
+    report = check_pointwise(case_id)
+    return sum(note.count(case_id + "[") for note in report.notes)
+
+
+def test_weight_kill_table(monkeypatch):
+    # Every failing point is named in the notes.
+    monkeypatch.setattr(_REGISTRY, "MAX_NOTED_FAILURES", 100)
+    kills = {}
+    for name, replacement in _WEIGHT_MUTANTS.items():
+        with monkeypatch.context() as m:
+            m.setattr(pointwise, "_weights", replacement)
+            kills[name] = {case_id: _failing_points(case_id) for case_id in NUMERIC_CASES}
+    assert kills == WEIGHT_KILLS
+    assert all(_failing_points(case_id) == 0 for case_id in NUMERIC_CASES)
+    survivors = [c for c, n in kills["w_2 * (1 + 1e-6)"].items() if n == 0]
+    assert survivors == list(WEIGHT_SURVIVORS)
+
+
+def test_weight_survivors_move_their_left_sides_below_tol(monkeypatch):
+    terms = []
+    sum_with_stability = pointwise._sum_with_stability
+
+    def spy(row_terms, n_terms):
+        terms.append(row_terms)
+        return sum_with_stability(row_terms, n_terms)
+
+    monkeypatch.setattr(pointwise, "_sum_with_stability", spy)
+    for case_id, share in WEIGHT_SURVIVORS.items():
+        engine = getattr(pointwise, case_id.replace(".", "_").lower())
+        terms.clear()
+        rows = list(engine(_REGISTRY.DEFAULT_TERMS, 1.0, CTRL))
+        largest = max(
+            abs(t[2]) / max(1.0, abs(row.lhs), abs(row.rhs)) for t, row in zip(terms, rows)
+        )
+        assert largest == pytest.approx(share, rel=0.05), case_id
+        assert largest * 1e-6 < DEFAULT_TOL, case_id

@@ -18,6 +18,11 @@ Five rules keep dead or repeated code out:
   at module level.  A lazy import of a module the file does not import at
   the top stays allowed.
 
+In the second, third and fourth rules a module-level name is read by an
+import, an attribute, or a bare name in a module that defines or imports
+it, and a member is read only as an attribute: a local variable that
+shares the name reads neither.
+
 Two more keep the packages' lazy export tables (`_LAZY`, name -> defining
 submodule) honest: every entry names a module-level definition of its
 submodule, and `__all__` is the eagerly imported names plus the table's.
@@ -71,6 +76,7 @@ READ_OUTSIDE_SRC = {
     "eq2_12_block": "tests/test_acceptance.py reads it",
     "UmbralSeries.reduce": "tests/test_acceptance.py reads it",
     "FormalPowerSeries.compose": "perfbench's tracer wraps it (fps.compose)",
+    "UmbralSeries.terms": "perfbench's tracer (umbral.peak_terms) and tests/test_umbral.py read it",
 }
 
 
@@ -254,26 +260,38 @@ def _members(tree: ast.Module):
                     yield f"{cls.name}.{node.name}", node
 
 
+def _bound(tree: ast.Module) -> set[str]:
+    """The names a module defines at module level or binds by an import."""
+    names = {name for public in (True, False) for name, _ in _definitions(tree, public)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return names
+
+
 def _unreferenced(
     trees: dict[str, ast.Module], public: bool = False, members: bool = False
 ) -> list[str]:
     """`module:line name` for each module-level name of `trees` that no code
-    in `trees` reads, by name, attribute or import.
+    in `trees` reads, by attribute, by import, or by a bare name in a module
+    that defines or imports it.
 
     With `public`, the names checked are the public ones outside package
     `__init__.py` files, and a package's relative import (a re-export) is
     no read; with `members`, they are the `_members` of every class, read
-    by their own name; otherwise they are the _private ones.
+    only as an attribute; otherwise they are the _private ones.
     """
     refs = defaultdict(list)
     for module, tree in trees.items():
         reexports = public and module.endswith("__init__.py")
+        bound = set() if members else _bound(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read = not isinstance(getattr(node, "ctx", None), ast.Store)
+            if isinstance(node, ast.Name) and node.id in bound and read:
                 refs[node.id].append(id(node))
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            elif isinstance(node, ast.Attribute) and read:
                 refs[node.attr].append(id(node))
-            elif isinstance(node, ast.ImportFrom) and not (reexports and node.level):
+            elif isinstance(node, ast.ImportFrom) and not (members or reexports and node.level):
                 for alias in node.names:
                     refs[alias.name].append(id(alias))
     found = []
@@ -438,6 +456,21 @@ def test_the_checks_catch_dead_code():
         "    def _hidden(self):\n        return 0\n"
     )
     assert _unreferenced({"toy.py": members}, members=True) == ["toy.py:6 A.grow"]
+    # A local variable reads neither a member nor another module's name that
+    # it shares; in the defining module a bare name is a read.
+    hidden = ast.parse(
+        "class B:\n    def terms(self):\n        return 0\n\n\n"
+        "def count(rows):\n    terms = list(rows)\n    return len(terms)\n"
+    )
+    assert _unreferenced({"toy.py": hidden}, members=True) == ["toy.py:2 B.terms"]
+    package = {
+        "toy.py": ast.parse("def helper():\n    return 1\n\n\ndef _inner():\n    return 2\n"),
+        "use.py": ast.parse("def main(helper, _inner):\n    return helper + _inner\n"),
+    }
+    assert _unreferenced(package, public=True) == ["toy.py:1 helper", "use.py:1 main"]
+    assert _unreferenced(package) == ["toy.py:5 _inner"]
+    package["use.py"] = ast.parse("from .toy import _inner\n\n\ndef main():\n    return _inner()\n")
+    assert _unreferenced(package) == []
     # Every spelling of a dataclasses import is found, a lazy one included;
     # a relative import of a sibling that shares the name is not.
     records = ast.parse(
